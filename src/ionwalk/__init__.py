@@ -9,13 +9,15 @@ least-squares reconstruction of the position density.
 
 from .dynamics import (
     FidelityModel,
+    Pulse,
     PulseKind,
     PulseSpec,
+    apply_propagator,
     bichromatic_hamiltonian,
+    bichromatic_pulse,
     carrier_hamiltonian,
-    displacement_propagator,
+    carrier_pulse,
     evolve,
-    propagator,
     step_size,
 )
 from .fock import (
@@ -32,7 +34,6 @@ from .fock import (
     ladder_operators,
     number_operator,
     quadrature_operators,
-    wavefunction_on_grid,
 )
 from .probe import (
     FitWindowError,

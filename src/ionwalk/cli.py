@@ -24,7 +24,7 @@ import jsonschema
 
 from . import probe, reconstruct, walk
 from .dynamics import FidelityModel, step_size
-from .fock import HilbertParams, LeakyStateError
+from .fock import GridCoverageError, HilbertParams, LeakyStateError, TruncationError
 
 log = logging.getLogger("ionwalk")
 
@@ -241,8 +241,7 @@ def _run_walk(cfg: dict, prefix: str, seed: int, threads: int,
     log.info("walk finished in %.2fs", time.perf_counter() - t0)
     grid = _density_grid(cfg, wcfg)
     steps = np.arange(wcfg.n_steps + 1)
-    for n in steps:
-        dens = walk.snapshot_density(result, int(n), grid)
+    for n, dens in zip(steps, walk.snapshot_densities(result, steps, grid)):
         write_csv(f"{prefix}_step{n:02d}_density.csv", ["x", "p"], [grid, dens])
     summary = {
         "step": steps,
@@ -257,12 +256,9 @@ def _run_reverse(cfg: dict, prefix: str, seed: int) -> None:
     wcfg = _walk_config(cfg, seed)
     result = walk.reversed_walk(wcfg)
     grid = _density_grid(cfg, wcfg)
-    write_csv(f"{prefix}_initial_density.csv", ["x", "p"],
-              [grid, walk.snapshot_density(result, 0, grid)])
-    write_csv(f"{prefix}_turn_density.csv", ["x", "p"],
-              [grid, walk.snapshot_density(result, wcfg.n_steps, grid)])
-    write_csv(f"{prefix}_final_density.csv", ["x", "p"],
-              [grid, walk.snapshot_density(result, -1, grid)])
+    densities = walk.snapshot_densities(result, [0, wcfg.n_steps, -1], grid)
+    for name, dens in zip(("initial", "turn", "final"), densities):
+        write_csv(f"{prefix}_{name}_density.csv", ["x", "p"], [grid, dens])
     write_json(f"{prefix}_summary.json", {
         "n_steps": wcfg.n_steps,
         "fidelity": walk.reversal_fidelity(result),
@@ -447,8 +443,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"stage={stage}: {exc}", file=sys.stderr)
         return 1
-    except (LeakyStateError, reconstruct.InfeasibleBoundError,
-            probe.FitWindowError, RuntimeError) as exc:
+    except (LeakyStateError, GridCoverageError, TruncationError, FloatingPointError,
+            reconstruct.InfeasibleBoundError, probe.FitWindowError, RuntimeError) as exc:
         print(f"stage={stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -7,22 +7,29 @@ area theta applies exp(-i * theta * H). With these conventions the
 displacement pulse of area d/2 shifts the position of a sigma_phi = +1
 eigenstate by +d ground-state widths, and the coin is a carrier pulse of
 area pi/4.
+
+Every generator factors as S (x) M: a collective spin operator S (eigenvalues
++-1 for one ion, {2, 0, 0, -2} for two) times a motional M that is
+tridiagonal (bichromatic) or diagonal (carrier) in the Fock basis. A Pulse
+holds the eigenpairs of both factors, so exp(-i theta S (x) M) needs a 2x2
+or 4x4 eigh and one tridiagonal eigensolve of size n_max + 1, never a dense
+eigendecomposition of the full space. The dense *_hamiltonian builders
+serve as reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import threading
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_genlaguerre, eval_laguerre
 
 from .fock import HilbertParams, LeakyStateError, SpinMotionState, ladder_operators
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 HERMITICITY_TOL = 1e-10
 
@@ -126,6 +133,14 @@ def collective_spin(op: np.ndarray, n_ions: int) -> np.ndarray:
     return np.kron(op, eye) + np.kron(eye, op)
 
 
+def _check_x_only(phi_minus: float, model: FidelityModel) -> None:
+    """The eta^2 corrections exist only on the x quadrature, phi_minus in {0, pi}."""
+    if not np.isclose(np.sin(phi_minus), 0.0, atol=1e-12):
+        raise ValueError(
+            f"model {model.value} supports only phi_minus in {{0, pi}}, got {phi_minus}"
+        )
+
+
 def _motional_quadrature(params: HilbertParams, phi_minus: float,
                          model: FidelityModel) -> np.ndarray:
     """Motional factor of the bichromatic Hamiltonian, in eta*Omega units."""
@@ -136,23 +151,15 @@ def _motional_quadrature(params: HilbertParams, phi_minus: float,
     if model is FidelityModel.ALL_ORDER:
         n = np.arange(params.n_max)
         coupling = np.exp(-0.5 * eta ** 2) * eval_genlaguerre(n, 1, eta ** 2) / np.sqrt(n + 1.0)
-        m = np.zeros((params.motion_dim, params.motion_dim), dtype=complex)
-        m[n + 1, n] = coupling * np.exp(1j * phi_minus)
-        m[n, n + 1] = coupling * np.exp(-1j * phi_minus)
-        return m
-    # the eta^2 corrections are only defined on the x quadrature
-    if not np.isclose(np.sin(phi_minus), 0.0, atol=1e-12):
-        raise ValueError(
-            f"model {model.value} supports only phi_minus in {{0, pi}}, got {phi_minus}"
-        )
-    sign = float(np.cos(phi_minus))
-    x = sign * (a + adag)
+        return (np.diag(coupling * np.exp(1j * phi_minus), -1)
+                + np.diag(coupling * np.exp(-1j * phi_minus), 1))
+    _check_x_only(phi_minus, model)
+    x = float(np.cos(phi_minus)) * (a + adag)
     if model is FidelityModel.THIRD_ORDER:
         nop = adag @ a
         return x - (eta ** 2 / 4.0) * (x @ nop + nop @ x + np.eye(params.motion_dim))
     if model is FidelityModel.X_DIAGONAL:
-        x2 = x @ x
-        return x @ (np.eye(params.motion_dim) - (eta ** 2 / 8.0) * (x2 + np.eye(params.motion_dim)))
+        return x - (eta ** 2 / 8.0) * (x @ x @ x + x)
     raise ValueError(f"unknown model {model}")
 
 
@@ -179,66 +186,105 @@ def carrier_hamiltonian(params: HilbertParams, phase: float, model: FidelityMode
     that factor is absorbed in Omega_0 is a calibration convention; it
     rescales the time axis only).
     """
-    spin = collective_spin(sigma_phi(phase), params.n_ions)
-    if model is FidelityModel.ALL_ORDER:
-        n = np.arange(params.motion_dim)
-        diag = eval_laguerre(n, params.eta ** 2).astype(complex)
-        if include_debye_waller:
-            diag *= np.exp(-0.5 * params.eta ** 2)
-        motion = np.diag(diag)
-    else:
-        motion = np.eye(params.motion_dim, dtype=complex)
-    return np.kron(spin, motion)
+    pulse = carrier_pulse(params, phase, model, include_debye_waller)
+    return np.kron(pulse.spin, np.diag(pulse.motion_values))
 
 
-def carrier_coupling_ratios(params: HilbertParams) -> np.ndarray:
+def carrier_coupling_ratios(params: HilbertParams,
+                            include_debye_waller: bool = False) -> np.ndarray:
     """Rabi frequencies Omega_{n,n}/Omega_0 = L_n(eta^2) on the carrier."""
-    return eval_laguerre(np.arange(params.motion_dim), params.eta ** 2)
+    ratios = eval_laguerre(np.arange(params.motion_dim), params.eta ** 2)
+    return ratios * np.exp(-0.5 * params.eta ** 2) if include_debye_waller else ratios
 
 
-# eigendecompositions are reused across pulses; build once, read many
-_EIG_CACHE: dict = {}
-_EIG_LOCK = threading.Lock()
-_EIG_CACHE_MAX = 8
+@dataclasses.dataclass(frozen=True, eq=False)
+class Pulse:
+    """Generator S (x) M of one pulse, held as the eigenpairs of its factors.
+
+    spin is the Hermitian (collective) spin operator S. The motional factor
+    is M = D V diag(motion_values) V^T D^* with V = motion_vectors real
+    orthogonal and D = diag(gauge) unimodular; both None when M is diagonal.
+    """
+
+    spin: np.ndarray
+    motion_values: np.ndarray
+    motion_vectors: np.ndarray | None = None
+    gauge: np.ndarray | None = None
+    spin_eigenpairs: tuple = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        spin = np.asarray(self.spin, dtype=complex)
+        herm_defect = np.max(np.abs(spin - spin.conj().T))
+        if herm_defect > HERMITICITY_TOL * max(1.0, np.max(np.abs(spin))):
+            raise ValueError(f"spin operator is not Hermitian (defect {herm_defect:.2e})")
+        object.__setattr__(self, "spin", spin)
+        object.__setattr__(self, "spin_eigenpairs", np.linalg.eigh(spin))
 
 
-def _eig_for(h: np.ndarray, key=None):
-    if key is None:
-        key = hash(h.tobytes())
-    with _EIG_LOCK:
-        hit = _EIG_CACHE.get(key)
-    if hit is not None:
-        return hit
-    herm_defect = np.max(np.abs(h - h.conj().T))
-    if herm_defect > HERMITICITY_TOL * max(1.0, np.max(np.abs(h))):
-        raise ValueError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
-    vals, vecs = np.linalg.eigh(h)
-    with _EIG_LOCK:
-        if len(_EIG_CACHE) >= _EIG_CACHE_MAX:
-            _EIG_CACHE.pop(next(iter(_EIG_CACHE)))
-        _EIG_CACHE[key] = (vals, vecs)
-    return vals, vecs
+def bichromatic_pulse(params: HilbertParams, phi_plus: float, phi_minus: float,
+                      model: FidelityModel) -> Pulse:
+    """Factored form of bichromatic_hamiltonian (same arguments), built from M's bands.
+
+    The gauge D_n = e^{i n phi_minus} makes M real tridiagonal in every
+    model; x_diagonal is f(x) of the truncated x, whose eigenvalues are
+    sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch 1969).
+    """
+    n = np.arange(params.n_max)
+    eta2 = params.eta ** 2
+    diag = np.zeros(params.motion_dim)
+    off = np.sqrt(n + 1.0)
+    if model is FidelityModel.ALL_ORDER:
+        off = np.exp(-0.5 * eta2) * eval_genlaguerre(n, 1, eta2) / off
+    elif model is not FidelityModel.LAMB_DICKE:
+        _check_x_only(phi_minus, model)
+        if model is FidelityModel.THIRD_ORDER:
+            diag -= 0.25 * eta2
+            off *= 1.0 - 0.25 * eta2 * (2.0 * n + 1.0)
+    values, vectors = eigh_tridiagonal(diag, off)
+    if model is FidelityModel.X_DIAGONAL:
+        values = values * (1.0 - 0.125 * eta2 * (values ** 2 + 1.0))
+    return Pulse(collective_spin(sigma_phi(phi_plus), params.n_ions), values, vectors,
+                 np.exp(1j * phi_minus * np.arange(params.motion_dim)))
 
 
-def propagator(h: np.ndarray, area: float, cache_key=None) -> np.ndarray:
-    """Dense unitary exp(-i * area * H) via Hermitian eigendecomposition."""
-    vals, vecs = _eig_for(h, cache_key)
-    return (vecs * np.exp(-1j * area * vals)) @ vecs.conj().T
+def carrier_pulse(params: HilbertParams, phase: float, model: FidelityModel,
+                  include_debye_waller: bool = False) -> Pulse:
+    """Factored form of carrier_hamiltonian: S_c (x) diag(L_n), or S_c (x) 1."""
+    motion = (carrier_coupling_ratios(params, include_debye_waller)
+              if model is FidelityModel.ALL_ORDER else np.ones(params.motion_dim))
+    return Pulse(collective_spin(sigma_phi(phase), params.n_ions), motion)
 
 
-def apply_propagator(h: np.ndarray, area: float, amplitudes: np.ndarray,
-                     cache_key=None) -> np.ndarray:
-    """Apply exp(-i * area * H) to one state vector or a stack of columns."""
-    vals, vecs = _eig_for(h, cache_key)
-    return vecs @ (np.exp(-1j * area * vals)[:, None] * (vecs.conj().T @ amplitudes)
-                   if amplitudes.ndim == 2
-                   else np.exp(-1j * area * vals) * (vecs.conj().T @ amplitudes))
+def _real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """mat @ z for a real matrix and a complex (m, K) z, as one real product."""
+    return (mat @ np.ascontiguousarray(z).view(np.float64)).view(complex)
 
 
-def evolve(state: SpinMotionState, h: np.ndarray, area: float,
-           allow_leaky: bool = False, cache_key=None) -> SpinMotionState:
-    """Evolve a state by exp(-i * area * H), re-checking truncation health."""
-    out = apply_propagator(h, area, state.amplitudes, cache_key)
+def apply_propagator(pulse: Pulse, area: float, amplitudes: np.ndarray) -> np.ndarray:
+    """Apply exp(-i * area * S (x) M) to one state vector or a stack of columns.
+
+    That is sum_a |s_a><s_a| (x) exp(-i area s_a M): every spin eigenvalue
+    s_a reuses the one motional eigenbasis, where the propagator is a phase.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    s_vals, s_vecs = pulse.spin_eigenpairs
+    branches = s_vecs.conj().T @ amps.reshape(s_vals.size, -1)
+    branches = branches.reshape(s_vals.size, pulse.motion_values.size, -1)
+    phases = np.exp(-1j * area * np.outer(s_vals, pulse.motion_values))[:, :, None]
+    if pulse.motion_vectors is None:
+        branches *= phases
+    else:
+        vecs, gauge = pulse.motion_vectors, pulse.gauge[:, None]
+        for a, branch in enumerate(branches):
+            rotated = _real_product(vecs.T, gauge.conj() * branch)
+            branches[a] = gauge * _real_product(vecs, phases[a] * rotated)
+    return (s_vecs @ branches.reshape(s_vals.size, -1)).reshape(amps.shape)
+
+
+def evolve(state: SpinMotionState, pulse: Pulse, area: float,
+           allow_leaky: bool = False) -> SpinMotionState:
+    """Evolve a state by exp(-i * area * S (x) M), re-checking truncation health."""
+    out = apply_propagator(pulse, area, state.amplitudes)
     new = SpinMotionState(state.params, out, leaky=True)
     tail = new.tail_population()
     if tail > 1e-6 and not allow_leaky:
@@ -247,17 +293,6 @@ def evolve(state: SpinMotionState, h: np.ndarray, area: float,
             f"increase n_max (currently {state.params.n_max})"
         )
     return SpinMotionState(state.params, out, leaky=allow_leaky or state.leaky)
-
-
-def displacement_propagator(d: float, params: HilbertParams, phi_plus: float = 0.0,
-                            model: FidelityModel = FidelityModel.LAMB_DICKE) -> np.ndarray:
-    """Unitary displacing each sigma_phi eigenvalue-m branch by m*d in position.
-
-    Convenience wrapper: bichromatic pulse at phi_minus = pi/2 applied for
-    dimensionless area d/2.
-    """
-    h = bichromatic_hamiltonian(params, phi_plus, np.pi / 2.0, model)
-    return propagator(h, 0.5 * d)
 
 
 def step_size(eta: float, omega: float, tau: float) -> float:

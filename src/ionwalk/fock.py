@@ -254,27 +254,27 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def wavefunction_on_grid(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Position wavefunction sum_n c_n phi_n(x) of a motional state vector."""
-    phi = hermite_functions(len(coeffs) - 1, np.asarray(x, dtype=float))
-    return coeffs @ phi
-
-
-def exact_position_density(ensemble: MotionalEnsemble, grid: np.ndarray,
-                           check_coverage: bool = True) -> np.ndarray:
-    """Exact probability density of the ensemble on a uniform position grid."""
+def exact_position_densities(ensembles, grid: np.ndarray,
+                             check_coverage: bool = True) -> np.ndarray:
+    """Densities of several ensembles (row i: ensembles[i]) from one Hermite table."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         raise ValueError("grid needs at least two points")
     h = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * abs(h)):
         raise ValueError("grid must be uniformly spaced")
-    phi = hermite_functions(ensemble.params.n_max, grid)
-    amps = ensemble.member_matrix().T @ phi      # (members, npoints)
-    dens = ensemble.weights() @ (np.abs(amps) ** 2)
-    mass = float(np.sum(dens) * h)
+    phi = hermite_functions(max(e.params.n_max for e in ensembles), grid)
+    out = np.array([e.weights() @ np.abs(e.member_matrix().T @ phi[:e.params.motion_dim]) ** 2
+                    for e in ensembles])
+    mass = float(np.min(np.sum(out, axis=1)) * h)
     if check_coverage and mass < 0.999:
         raise GridCoverageError(
             f"grid [{grid[0]:g}, {grid[-1]:g}] captures only {mass:.6f} of the state"
         )
-    return dens
+    return out
+
+
+def exact_position_density(ensemble: MotionalEnsemble, grid: np.ndarray,
+                           check_coverage: bool = True) -> np.ndarray:
+    """Exact probability density of the ensemble on a uniform position grid."""
+    return exact_position_densities([ensemble], grid, check_coverage)[0]

@@ -9,6 +9,10 @@ Lamb-Dicke model G is exactly x_hat (or q_hat) and the scan is the
 characteristic function of the marginal; for the other models the scan is
 distorted, which is what the reconstruction forward models undo.
 
+Scans are evaluated in closed form, not by one propagation per k: from
+one tridiagonal eigendecomposition of G, <O(k)> is a sum over its
+eigenvalues weighted by the ensemble's populations in its eigenbasis.
+
 The probe always attaches a single effective spin: for two-ion ensembles
 the collective pulse conjugates each ion's sigma_z exactly as in the
 single-ion case, so the measured observable is identical.
@@ -16,7 +20,6 @@ single-ion case, so the measured observable is identical.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,36 +109,27 @@ def probe_strength(eta: float, omega_p: float, t) -> np.ndarray:
     return 2.0 * eta * omega_p * np.asarray(t, dtype=float)
 
 
-def _probe_hamiltonian(params: HilbertParams, axis: str, model: FidelityModel):
-    if axis not in ("x", "p"):
-        raise ValueError(f"axis must be 'x' or 'p', got {axis!r}")
-    single = dataclasses.replace(params, n_ions=1)
-    phi_minus = 0.0 if axis == "x" else np.pi / 2.0
-    h = dynamics.bichromatic_hamiltonian(single, 0.0, phi_minus, model)
-    key = ("probe", single.n_max, single.eta, axis, model.value)
-    return single, h, key
-
-
 def scan_observable(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
                     axis: str = "x",
                     model: FidelityModel = FidelityModel.LAMB_DICKE) -> np.ndarray:
-    """Exact <O(k)> for every k in the grid."""
+    """Exact <O(k)> for every k in the grid, in closed form.
+
+    <O(k)> = 2 Re[c+^* c- sum_j P_j e^{i k g_j}] with c+- = <+-x|spin_prep>,
+    G = D V diag(g) V^T D^* (the probe pulse's motional factor) and
+    P_j = sum_m w_m |<v_j|D^* psi_m>|^2.
+    """
     if spin_prep not in _SPIN_PREP:
         raise ValueError(f"spin_prep must be one of {sorted(_SPIN_PREP)}")
+    if axis not in ("x", "p"):
+        raise ValueError(f"axis must be 'x' or 'p', got {axis!r}")
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
-    single, h, key = _probe_hamiltonian(ensemble.params, axis, model)
-    members = ensemble.member_matrix()                    # (motion, members)
+    phi_minus = 0.0 if axis == "x" else np.pi / 2.0
+    pulse = dynamics.bichromatic_pulse(ensemble.params, 0.0, phi_minus, model)
+    members = pulse.gauge.conj()[:, None] * ensemble.member_matrix()
+    pops = np.abs(pulse.motion_vectors.T @ members) ** 2 @ ensemble.weights()
     spin = _SPIN_PREP[spin_prep]
-    initial = np.kron(spin[:, None], members)             # (dim, members)
-    weights = ensemble.weights()
-    m = single.motion_dim
-    out = np.empty(k_grid.size)
-    for i, k in enumerate(k_grid):
-        final = dynamics.apply_propagator(h, 0.5 * k, initial, cache_key=key)
-        pops = np.abs(final) ** 2
-        sz = np.sum(pops[:m, :], axis=0) - np.sum(pops[m:, :], axis=0)
-        out[i] = float(np.dot(weights, sz))
-    return out
+    coherence = 0.5 * np.conj(spin[0] + spin[1]) * (spin[0] - spin[1])   # c+^* c-
+    return 2.0 * np.real(coherence * (np.exp(1j * np.outer(k_grid, pulse.motion_values)) @ pops))
 
 
 def expected_observable(ensemble: MotionalEnsemble, spin_prep: str, k: float,
@@ -224,19 +218,12 @@ def width_from_curvature(scan: ProbeScan) -> WidthEstimate:
                          fit_residual=resid, monotone=monotone)
 
 
-def _carrier_ratios(params: HilbertParams, include_debye_waller: bool) -> np.ndarray:
-    ratios = dynamics.carrier_coupling_ratios(params)
-    if include_debye_waller:
-        ratios = ratios * np.exp(-0.5 * params.eta ** 2)
-    return ratios
-
-
 def carrier_rabi_scan(ensemble: MotionalEnsemble, times, shots: int | None = None,
                       seed=None, include_debye_waller: bool = False) -> RabiScan:
     """Excitation sum_n P_n sin^2(Omega_nn t / 2) on the carrier transition."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     pops = ensemble.fock_populations()
-    ratios = _carrier_ratios(ensemble.params, include_debye_waller)
+    ratios = dynamics.carrier_coupling_ratios(ensemble.params, include_debye_waller)
     exc = np.sin(0.5 * np.outer(times, ratios)) ** 2 @ pops
     if shots is not None:
         seeds = np.random.SeedSequence(seed).spawn(times.size)
@@ -266,7 +253,7 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
         raise ValueError(
             f"{np.unique(times).size} distinct times cannot resolve {n_cap} populations"
         )
-    ratios = _carrier_ratios(params, include_debye_waller)[:n_cap]
+    ratios = dynamics.carrier_coupling_ratios(params, include_debye_waller)[:n_cap]
     a = np.sin(0.5 * np.outer(times, ratios)) ** 2
     penalty = 100.0 * max(1.0, float(np.linalg.norm(a, np.inf)))
     a_aug = np.vstack([a, penalty * np.ones(n_cap)])

@@ -24,7 +24,7 @@ from .fock import (
     SpinMotionState,
     apply_momentum,
     apply_position,
-    exact_position_density,
+    exact_position_densities,
     fock_state,
 )
 
@@ -76,9 +76,6 @@ class WalkResult:
     config: WalkConfig
     snapshots: tuple
 
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
 
 def required_n_max(n_steps: int, step_size: float) -> int:
     """Fock truncation adequacy heuristic (alpha + 3)^2 with alpha = N*s/2."""
@@ -86,20 +83,14 @@ def required_n_max(n_steps: int, step_size: float) -> int:
     return max(16, int(np.ceil((alpha + 3.0) ** 2)))
 
 
-def _cache_key(kind: str, params: HilbertParams, model: FidelityModel, *extra):
-    return (kind, params.n_max, params.eta, params.n_ions, model.value) + extra
-
-
 def _walk_pulses(config: WalkConfig, reverse: bool = False):
-    """(H, area, cache_key) for the displacement and coin pulses of one step."""
+    """(pulse, area) for the displacement and coin pulses of one step."""
     p = config.params
     phi_plus = np.pi if reverse else 0.0
     coin_phase = config.coin_phase + np.pi / 2.0 + (np.pi if reverse else 0.0)
-    h_d = dynamics.bichromatic_hamiltonian(p, phi_plus, np.pi / 2.0, config.model)
-    h_c = dynamics.carrier_hamiltonian(p, coin_phase, config.model)
-    key_d = _cache_key("walk_d", p, config.model, round(phi_plus, 12))
-    key_c = _cache_key("walk_c", p, config.model, round(coin_phase, 12))
-    return (h_d, 0.5 * config.pulse_displacement, key_d), (h_c, COIN_AREA, key_c)
+    displacement = dynamics.bichromatic_pulse(p, phi_plus, np.pi / 2.0, config.model)
+    coin = dynamics.carrier_pulse(p, coin_phase, config.model)
+    return (displacement, 0.5 * config.pulse_displacement), (coin, COIN_AREA)
 
 
 def prepare_initial(params: HilbertParams,
@@ -112,20 +103,18 @@ def prepare_initial(params: HilbertParams,
     spin_down = np.zeros(params.spin_dim, dtype=complex)
     spin_down[-1] = 1.0
     state = SpinMotionState.from_product(spin_down, fock_state(0, params), params)
-    h_c = dynamics.carrier_hamiltonian(params, 0.0, model)
-    return dynamics.evolve(state, h_c, COIN_AREA,
-                           cache_key=_cache_key("prep", params, model))
+    return dynamics.evolve(state, dynamics.carrier_pulse(params, 0.0, model), COIN_AREA)
 
 
 def quantum_walk(config: WalkConfig) -> WalkResult:
     """Coherent walk; snapshot i is the state after i full steps."""
     state = prepare_initial(config.params, config.model)
-    (h_d, area_d, key_d), (h_c, area_c, key_c) = _walk_pulses(config)
+    (pulse_d, area_d), (pulse_c, area_c) = _walk_pulses(config)
     snapshots = [state]
     for step in range(config.n_steps):
         try:
-            state = dynamics.evolve(state, h_d, area_d, cache_key=key_d)
-            state = dynamics.evolve(state, h_c, area_c, cache_key=key_c)
+            state = dynamics.evolve(state, pulse_d, area_d)
+            state = dynamics.evolve(state, pulse_c, area_c)
         except Exception as exc:
             raise type(exc)(f"step {step + 1}: {exc}") from exc
         snapshots.append(state)
@@ -142,12 +131,12 @@ def reversed_walk(config: WalkConfig) -> WalkResult:
     """
     forward = quantum_walk(config)
     state = forward.snapshots[-1]
-    (h_d, area_d, key_d), (h_c, area_c, key_c) = _walk_pulses(config, reverse=True)
+    (pulse_d, area_d), (pulse_c, area_c) = _walk_pulses(config, reverse=True)
     snapshots = list(forward.snapshots)
     for step in range(config.n_steps):
         try:
-            state = dynamics.evolve(state, h_c, area_c, cache_key=key_c)
-            state = dynamics.evolve(state, h_d, area_d, cache_key=key_d)
+            state = dynamics.evolve(state, pulse_c, area_c)
+            state = dynamics.evolve(state, pulse_d, area_d)
         except Exception as exc:
             raise type(exc)(f"reverse step {step + 1}: {exc}") from exc
         snapshots.append(state)
@@ -172,15 +161,7 @@ def recombine_spin(state: SpinMotionState, new_spin: str = "plus_z") -> Motional
     """
     if new_spin not in ("plus_z", "plus_y"):
         raise ValueError(f"new_spin must be 'plus_z' or 'plus_y', got {new_spin!r}")
-    branches = state.branch_matrix()
-    members = []
-    for row in branches:
-        weight = float(np.real(np.vdot(row, row)))
-        if weight > _BRANCH_CUTOFF:
-            members.append((weight, row / np.sqrt(weight)))
-    total = sum(w for w, _ in members)
-    members = [(w / total, v) for w, v in members]
-    return MotionalEnsemble(state.params, tuple(members))
+    return _ensemble_from_trials(state.amplitudes[:, None], state.params)
 
 
 def _spin_phase_column(phases: np.ndarray, params: HilbertParams) -> np.ndarray:
@@ -188,7 +169,7 @@ def _spin_phase_column(phases: np.ndarray, params: HilbertParams) -> np.ndarray:
 
     Shifting every pulse phase of one step by c conjugates its propagator
     with this diagonal, so a random-phase step costs two extra elementwise
-    multiplies instead of a fresh eigendecomposition.
+    multiplies instead of a new pulse.
     """
     if params.n_ions == 1:
         mz = np.array([1.0, -1.0])
@@ -229,7 +210,7 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
         phases[:, t] = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, config.n_steps)
 
     initial = prepare_initial(p, config.model)
-    (h_d, area_d, key_d), (h_c, area_c, key_c) = _walk_pulses(config)
+    (pulse_d, area_d), (pulse_c, area_c) = _walk_pulses(config)
     snapshots = [_ensemble_from_trials(initial.amplitudes[:, None], p)]
 
     def run_block(cols: np.ndarray, block_phases: np.ndarray) -> list:
@@ -238,8 +219,8 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
         for step in range(config.n_steps):
             diag = _spin_phase_column(block_phases[step], p)
             states = diag.conj() * states
-            states = dynamics.apply_propagator(h_d, area_d, states, cache_key=key_d)
-            states = dynamics.apply_propagator(h_c, area_c, states, cache_key=key_c)
+            states = dynamics.apply_propagator(pulse_d, area_d, states)
+            states = dynamics.apply_propagator(pulse_c, area_c, states)
             states = diag * states
             out.append(states.copy())
         return out
@@ -300,14 +281,6 @@ def mean_phonon(obj) -> float:
     return 0.25 * (second_moment_x(obj) + second_moment_q(obj) - 2.0)
 
 
-def mean_abs_position(ensemble: MotionalEnsemble, spacing: float = 0.05) -> float:
-    """Mean |x|, the width measure matching the 2 s^2 N / pi random-walk law."""
-    extent = np.sqrt(second_moment_x(ensemble)) * 2.0 + 8.0
-    grid = np.arange(-extent, extent + spacing / 2, spacing)
-    dens = exact_position_density(ensemble, grid)
-    return float(np.sum(np.abs(grid) * dens) * spacing)
-
-
 def classical_width_reference(n_steps: int, step_size: float) -> float:
     """Random-walk width law sqrt(2 s^2 N / pi + 1) in ground-state widths."""
     return float(np.sqrt(2.0 * step_size ** 2 * n_steps / np.pi + 1.0))
@@ -321,5 +294,10 @@ def snapshot_ensemble(result: WalkResult, step: int) -> MotionalEnsemble:
     return recombine_spin(snap)
 
 
+def snapshot_densities(result: WalkResult, steps, grid: np.ndarray) -> np.ndarray:
+    """Position densities of several snapshots (row i for steps[i]), one Hermite table."""
+    return exact_position_densities([snapshot_ensemble(result, s) for s in steps], grid)
+
+
 def snapshot_density(result: WalkResult, step: int, grid: np.ndarray) -> np.ndarray:
-    return exact_position_density(snapshot_ensemble(result, step), grid)
+    return snapshot_densities(result, [step], grid)[0]

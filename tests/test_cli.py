@@ -93,6 +93,15 @@ def test_run_leaky_config_exits_2(tmp_path, capsys):
     assert "stage=walk" in err and "LeakyStateError" in err
 
 
+def test_run_grid_too_narrow_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, hilbert={"n_max": 60}, density_grid={"extent": 2})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert "stage=walk: GridCoverageError:" in err
+    assert "Traceback" not in err
+
+
 def test_run_reverse_experiment(tmp_path):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment="reverse", walk={"n_steps": 2})

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -8,12 +9,14 @@ from ionwalk.dynamics import (
     SIGMA_X,
     SIGMA_Y,
     FidelityModel,
+    Pulse,
+    apply_propagator,
     bichromatic_hamiltonian,
+    bichromatic_pulse,
     carrier_coupling_ratios,
     carrier_hamiltonian,
-    displacement_propagator,
+    carrier_pulse,
     evolve,
-    propagator,
     step_size,
 )
 from ionwalk.fock import (
@@ -108,7 +111,7 @@ def test_carrier_pulse_prepares_superposition():
     p = HilbertParams(n_max=16, eta=ETA)
     down = np.array([0.0, 1.0])
     state = SpinMotionState.from_product(down, fock_state(0, p), p)
-    out = evolve(state, carrier_hamiltonian(p, 0.0, FidelityModel.LAMB_DICKE), np.pi / 4)
+    out = evolve(state, carrier_pulse(p, 0.0, FidelityModel.LAMB_DICKE), np.pi / 4)
     rho = out.spin_density()
     assert abs(np.trace(rho @ SIGMA_Y).real - 1.0) < 1e-12   # |+>_y
     assert out.motional_populations()[0] > 1.0 - 1e-12
@@ -138,8 +141,9 @@ def test_phase_pi_flips_hamiltonian_sign(model):
     h1 = bichromatic_hamiltonian(p, 0.4, phi_minus, model)
     h2 = bichromatic_hamiltonian(p, 0.4 + np.pi, phi_minus, model)
     assert np.max(np.abs(h1 + h2)) < 1e-12
-    u1 = propagator(h1, 0.8)
-    u2 = propagator(h2, 0.8)
+    eye = np.eye(p.dim)
+    u1 = apply_propagator(bichromatic_pulse(p, 0.4, phi_minus, model), 0.8, eye)
+    u2 = apply_propagator(bichromatic_pulse(p, 0.4 + np.pi, phi_minus, model), 0.8, eye)
     assert np.max(np.abs(u2 - u1.conj().T)) < 1e-10
     c1 = carrier_hamiltonian(p, 0.4, model)
     c2 = carrier_hamiltonian(p, 0.4 + np.pi, model)
@@ -148,35 +152,37 @@ def test_phase_pi_flips_hamiltonian_sign(model):
 
 def test_evolve_identity_and_unitarity():
     p = HilbertParams(n_max=24, eta=ETA)
-    h = bichromatic_hamiltonian(p, 0.0, np.pi / 2, FidelityModel.LAMB_DICKE)
+    pulse = bichromatic_pulse(p, 0.0, np.pi / 2, FidelityModel.LAMB_DICKE)
     rng = np.random.default_rng(2)
     v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
     v[p.motion_dim - 4:p.motion_dim] = 0.0       # keep clear of the edge
     v[-4:] = 0.0
     v /= np.linalg.norm(v)
     state = SpinMotionState(p, v, leaky=True)
-    assert np.allclose(evolve(state, h, 0.0, allow_leaky=True).amplitudes, v, atol=1e-12)
-    out = evolve(state, h, 0.37, allow_leaky=True)
+    assert np.allclose(evolve(state, pulse, 0.0, allow_leaky=True).amplitudes, v, atol=1e-12)
+    out = evolve(state, pulse, 0.37, allow_leaky=True)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
 
 def test_evolve_rejects_non_hermitian():
     p = HilbertParams(n_max=8, eta=ETA)
     state = SpinMotionState.from_product(PLUS_X, fock_state(0, p), p)
-    bad = np.zeros((p.dim, p.dim), dtype=complex)
+    bad = np.zeros((2, 2), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
-        evolve(state, bad, 0.1)
+        evolve(state, Pulse(bad, np.ones(p.motion_dim)), 0.1)
+    with pytest.raises(ValueError):
+        Pulse(np.zeros((2, 3)), np.ones(p.motion_dim))
 
 
 def test_displacement_to_coherent_state():
     p = HilbertParams(n_max=64, eta=ETA)
-    h = bichromatic_hamiltonian(p, 0.0, np.pi / 2, FidelityModel.LAMB_DICKE)
+    pulse = bichromatic_pulse(p, 0.0, np.pi / 2, FidelityModel.LAMB_DICKE)
     x, _ = quadrature_operators(p)
     xfull = np.kron(np.eye(2), x)
     for spin, alpha in ((PLUS_X, 1.0), (MINUS_X, -1.0)):
         state = SpinMotionState.from_product(spin, fock_state(0, p), p)
-        out = evolve(state, h, 1.0)          # area d/2 with d = 2
+        out = evolve(state, pulse, 1.0)          # area d/2 with d = 2
         mean_x = np.vdot(out.amplitudes, xfull @ out.amplitudes).real
         assert abs(mean_x - 2.0 * alpha) < 1e-8
         target = np.kron(spin, coherent_state(alpha, p))
@@ -185,10 +191,10 @@ def test_displacement_to_coherent_state():
 
 def test_evolve_leak_detection():
     p = HilbertParams(n_max=12, eta=ETA)
-    h = bichromatic_hamiltonian(p, 0.0, np.pi / 2, FidelityModel.LAMB_DICKE)
+    pulse = bichromatic_pulse(p, 0.0, np.pi / 2, FidelityModel.LAMB_DICKE)
     state = SpinMotionState.from_product(PLUS_X, fock_state(0, p), p)
     with pytest.raises(LeakyStateError):
-        evolve(state, h, 3.0)
+        evolve(state, pulse, 3.0)
 
 
 def test_step_size_paper_parameters():
@@ -218,16 +224,22 @@ def test_pulse_spec_areas_and_phases():
         PulseSpec(kind=PulseKind.BICHROMATIC, omega=1e5, tau=1e-5)   # eta missing
 
 
+def _displacement_unitary(d, p):
+    """exp(-i (d/2) H) of the phi- = pi/2 displacement pulse, as a dense matrix."""
+    pulse = bichromatic_pulse(p, 0.0, np.pi / 2.0, FidelityModel.LAMB_DICKE)
+    return apply_propagator(pulse, 0.5 * d, np.eye(p.dim))
+
+
 def test_displacement_propagator_inverse():
     p = HilbertParams(n_max=48, eta=ETA)
-    u_fwd = displacement_propagator(2.0, p)
-    u_bwd = displacement_propagator(-2.0, p)
+    u_fwd = _displacement_unitary(2.0, p)
+    u_bwd = _displacement_unitary(-2.0, p)
     assert np.max(np.abs(u_fwd @ u_bwd - np.eye(p.dim))) < 1e-9
 
 
 def test_displacement_preserves_momentum_marginal():
     p = HilbertParams(n_max=64, eta=ETA)
-    u = displacement_propagator(2.0, p)
+    u = _displacement_unitary(2.0, p)
     _, pi = quadrature_operators(p)
     pi_full = np.kron(np.eye(2), pi)
     assert np.max(np.abs(u @ pi_full - pi_full @ u)) < 1e-9
@@ -242,11 +254,10 @@ def test_displacement_preserves_momentum_marginal():
 
 
 def _one_pulse_propagators(p):
-    us = {}
-    for model in FidelityModel:
-        h = bichromatic_hamiltonian(p, 0.0, 0.0, model)
-        us[model] = propagator(h, 1.0)
-    return us
+    """model -> the map state -> exp(-i H) state of the phi- = 0 pulse."""
+    return {model: functools.partial(apply_propagator,
+                                     bichromatic_pulse(p, 0.0, 0.0, model), 1.0)
+            for model in FidelityModel}
 
 
 def test_model_hierarchy_low_phonon_agreement():
@@ -260,7 +271,7 @@ def test_model_hierarchy_low_phonon_agreement():
 
     def worst_dev(vec):
         state = np.kron(spin, vec)
-        return max(np.linalg.norm((us[m1] - us[m2]) @ state)
+        return max(np.linalg.norm(us[m1](state) - us[m2](state))
                    for m1, m2 in itertools.combinations(FidelityModel, 2))
 
     assert worst_dev(coherent_state(1.0, p)) < 5 * ETA ** 2
@@ -272,7 +283,40 @@ def test_model_hierarchy_low_phonon_agreement():
 def test_model_disagreement_grows_with_phonon_number():
     p = HilbertParams(n_max=300, eta=ETA)
     us = _one_pulse_propagators(p)
-    diff = us[FidelityModel.LAMB_DICKE] - us[FidelityModel.ALL_ORDER]
-    devs = [np.linalg.norm(diff @ np.kron(PLUS_X, coherent_state(alpha, p)))
-            for alpha in (1.0, 3.0, 6.0, 10.0)]
+    states = [np.kron(PLUS_X, coherent_state(alpha, p)) for alpha in (1.0, 3.0, 6.0, 10.0)]
+    devs = [np.linalg.norm(us[FidelityModel.LAMB_DICKE](v) - us[FidelityModel.ALL_ORDER](v))
+            for v in states]
     assert all(b > a for a, b in zip(devs, devs[1:]))
+
+
+def _valid_phi_minus(model):
+    if model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
+        return (0.0, np.pi)
+    return (np.pi / 2.0, 0.0, 0.3)
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
+@pytest.mark.parametrize("model", list(FidelityModel))
+def test_pulses_match_dense_expm(model, n_ions):
+    # test-only oracle: dense expm of the dense Hamiltonians at small n_max.
+    # Displacement pulses forward (phi+ = 0) and reversed (phi+ = pi); coin
+    # phases forward, reversed and shifted; preparation at phase 0.
+    p = HilbertParams(n_max=40, eta=ETA, n_ions=n_ions)
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=(p.dim, 3)) + 1j * rng.normal(size=(p.dim, 3))
+    worst = 0.0
+    for phi_minus in _valid_phi_minus(model):
+        for phi_plus in (0.0, np.pi, 0.4):
+            h = bichromatic_hamiltonian(p, phi_plus, phi_minus, model)
+            pulse = bichromatic_pulse(p, phi_plus, phi_minus, model)
+            for area in (0.5 / n_ions, 1.0 / n_ions):
+                oracle = expm(-1j * area * h) @ amps
+                worst = max(worst, np.max(np.abs(apply_propagator(pulse, area, amps) - oracle)),
+                            np.max(np.abs(apply_propagator(pulse, area, amps[:, 0])
+                                          - oracle[:, 0])))
+    for phase in (0.0, np.pi / 2, 3 * np.pi / 2, np.pi / 2 + 0.3):
+        h = carrier_hamiltonian(p, phase, model)
+        oracle = expm(-1j * (np.pi / 4) * h) @ amps
+        out = apply_propagator(carrier_pulse(p, phase, model), np.pi / 4, amps)
+        worst = max(worst, np.max(np.abs(out - oracle)))
+    assert worst < 1e-12

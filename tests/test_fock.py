@@ -11,6 +11,7 @@ from ionwalk.fock import (
     apply_momentum,
     apply_position,
     coherent_state,
+    exact_position_densities,
     exact_position_density,
     fock_state,
     hermite_functions,
@@ -180,6 +181,21 @@ def test_density_grid_too_narrow():
     ens = MotionalEnsemble.from_pure(coherent_state(2.0, p), p)
     with pytest.raises(GridCoverageError):
         exact_position_density(ens, np.arange(-2, 2.01, 0.05))
+
+
+def test_batch_densities_share_one_table():
+    # one Hermite table serves ensembles of different truncations; each row
+    # equals that ensemble's own density and is coverage-checked on its own
+    grid = np.arange(-8.0, 8.001, 0.05)
+    small, big = HilbertParams(n_max=16), HilbertParams(n_max=64)
+    ensembles = [MotionalEnsemble.from_pure(coherent_state(1.0, big), big),
+                 MotionalEnsemble.from_pure(fock_state(3, small), small)]
+    rows = exact_position_densities(ensembles, grid)
+    for row, ens in zip(rows, ensembles):
+        assert np.allclose(row, exact_position_density(ens, grid), rtol=0, atol=1e-14)
+    far = MotionalEnsemble.from_pure(coherent_state(4.0, big), big)
+    with pytest.raises(GridCoverageError):
+        exact_position_densities(ensembles + [far], grid)
 
 
 def test_state_norm_and_tail_validation():

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from ionwalk.dynamics import FidelityModel
+from ionwalk.dynamics import FidelityModel, bichromatic_hamiltonian
 from ionwalk.fock import (
     HilbertParams,
     MotionalEnsemble,
@@ -221,3 +224,37 @@ def test_two_ion_ensemble_probing():
     ks = np.linspace(0.0, 2.0, 9)
     vals = probe.scan_observable(ens, "plus_z", ks)
     assert np.max(np.abs(vals - np.cos(2 * ks) * np.exp(-ks ** 2 / 2))) < 1e-12
+
+
+_VALID_PROBES = [(model, axis, prep)
+                 for model in FidelityModel
+                 for axis in (("x",) if model in (FidelityModel.THIRD_ORDER,
+                                                  FidelityModel.X_DIAGONAL) else ("x", "p"))
+                 for prep in ("plus_z", "plus_y")]
+
+
+@pytest.mark.parametrize("model,axis,spin_prep", _VALID_PROBES)
+@pytest.mark.parametrize("n_ions", [1, 2])
+def test_scan_matches_dense_propagation(model, axis, spin_prep, n_ions):
+    # test-only oracle: propagate spin_prep (x) member under the dense probe
+    # pulse exp(-i (k/2) H) for each k and read out sigma_z
+    p = HilbertParams(n_max=40, n_ions=n_ions)
+    rng = np.random.default_rng(3)
+    decay = np.exp(-np.arange(p.motion_dim) / 5.0)
+    members = []
+    for w in (0.5, 0.3, 0.2):
+        c = (rng.normal(size=p.motion_dim) + 1j * rng.normal(size=p.motion_dim)) * decay
+        members.append((w, c / np.linalg.norm(c)))
+    ens = MotionalEnsemble(p, tuple(members))
+    ks = np.linspace(0.0, 3.0, 7)
+    single = dataclasses.replace(p, n_ions=1)
+    h = bichromatic_hamiltonian(single, 0.0, 0.0 if axis == "x" else np.pi / 2, model)
+    spin = {"plus_z": np.array([1.0, 0.0]), "plus_y": np.array([1.0, 1.0j]) / np.sqrt(2)}[spin_prep]
+    m = p.motion_dim
+    oracle = []
+    for k in ks:
+        final = expm(-0.5j * k * h) @ np.kron(spin[:, None], ens.member_matrix())
+        pops = np.abs(final) ** 2
+        oracle.append(ens.weights() @ (pops[:m].sum(axis=0) - pops[m:].sum(axis=0)))
+    vals = probe.scan_observable(ens, spin_prep, ks, axis, model)
+    assert np.max(np.abs(vals - np.array(oracle))) < 1e-12

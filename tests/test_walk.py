@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from ionwalk.dynamics import SIGMA_Y, FidelityModel
+from ionwalk.dynamics import (
+    SIGMA_Y,
+    FidelityModel,
+    bichromatic_hamiltonian,
+    carrier_hamiltonian,
+)
 from ionwalk.fock import (
     HilbertParams,
     MotionalEnsemble,
@@ -301,3 +307,54 @@ def test_leak_error_names_the_step():
     cfg = walk.WalkConfig(n_steps=8, params=HilbertParams(n_max=24))
     with pytest.raises(Exception, match=r"step \d"):
         walk.quantum_walk(cfg)
+
+
+def _dense_step(cfg, shift=0.0, reverse=False):
+    """Test-only oracle: one walk step (or its inverse) from dense expm.
+
+    shift adds one phase to both pulses, as a classical-walk trial does.
+    """
+    p, model = cfg.params, cfg.model
+    flip = np.pi if reverse else 0.0
+    u_d = expm(-0.5j * cfg.pulse_displacement
+               * bichromatic_hamiltonian(p, shift + flip, np.pi / 2, model))
+    u_c = expm(-1j * walk.COIN_AREA
+               * carrier_hamiltonian(p, shift + cfg.coin_phase + np.pi / 2 + flip, model))
+    return u_d @ u_c if reverse else u_c @ u_d
+
+
+def _dense_initial(cfg):
+    p = cfg.params
+    down = np.zeros(p.dim, dtype=complex)
+    down[(p.spin_dim - 1) * p.motion_dim] = 1.0
+    return expm(-1j * walk.COIN_AREA * carrier_hamiltonian(p, 0.0, cfg.model)) @ down
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
+@pytest.mark.parametrize("model", [FidelityModel.LAMB_DICKE, FidelityModel.ALL_ORDER])
+def test_walks_match_dense_expm(model, n_ions):
+    cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60, n_ions=n_ions),
+                          model=model, coin_phase=0.3, seed=4, trials=3)
+    result = walk.reversed_walk(cfg)
+    state = _dense_initial(cfg)
+    oracle = [state]
+    for step in (_dense_step(cfg),) * 2 + (_dense_step(cfg, reverse=True),) * 2:
+        state = step @ state
+        oracle.append(state)
+    for snap, want in zip(result.snapshots, oracle, strict=True):
+        assert np.max(np.abs(snap.amplitudes - want)) < 1e-12
+
+    # classical walk: trial t shifts both pulses of step n by phases[n, t]
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    phases = [np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, cfg.n_steps)
+              for ss in seeds]
+    final = walk.classical_walk(cfg).snapshots[-1]
+    members = []
+    for trial_phases in phases:
+        state = _dense_initial(cfg)
+        for phase in trial_phases:
+            state = _dense_step(cfg, shift=phase) @ state
+        for branch in state.reshape(cfg.params.spin_dim, -1):
+            if np.linalg.norm(branch) > 1e-6:
+                members.append(branch / np.linalg.norm(branch))
+    assert np.max(np.abs(final.member_matrix() - np.column_stack(members))) < 1e-12
