@@ -332,6 +332,8 @@ def _run_reconstruct(cfg: dict, prefix: str, seed: int) -> None:
             "kinetic_bound": bound,
             "iterations": est.iterations,
             "converged": bool(est.converged),
+            "gap": est.gap,
+            "multiplier": est.multiplier,
         }
     write_json(f"{prefix}_diagnostics.json", diagnostics)
 
@@ -426,7 +428,7 @@ def main(argv=None) -> int:
         for line in lines:
             print(line)
         print("OK" if ok else "VALIDATION FAILED")
-        return 0
+        return 0 if ok else 1
 
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     threads = args.threads

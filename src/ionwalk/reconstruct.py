@@ -11,11 +11,22 @@ excluding densities whose kinetic energy would exceed the measured one
 (equality holds for wavefunctions without phase gradients, e.g. the ground
 state where F = 4 <pi^2> = 1).
 
-The solver is a monotone projected-gradient method on the simplex-like
-feasible set; the Fisher constraint is enforced through its Lagrange
-multiplier, located by bisection (exact for this convex problem). A small
-dense active-set quadratic program is provided as an independent optimality
-oracle for the unconstrained-in-F case.
+The solver is a log-barrier Newton method (Boyd & Vandenberghe, Convex
+Optimization, ch. 11). From the uniform density (F = 0, strictly feasible)
+it minimizes t (lsq + eps F) - sum log p_i - log(4 kinetic_bound - F) on
+h sum p = 1, for t growing 20-fold until m / t <= 1e-12 (m = n + 1
+inequalities). Each Newton step solves the KKT system in the scaled
+variables dp / p with one dense symmetric solve; the Fisher gradient and
+pentadiagonal Hessian are in closed form. The Fisher term of the Hessian
+uses a primal-dual estimate of the multiplier, and the Fisher slack may at
+most halve per step: a pure barrier Hessian let the slack collapse far below
+its central value and then crawled for hundreds of steps. The tie-break
+eps = 1e-8 (only with a bound) selects the least-Fisher, smoothest minimizer
+where noiseless data leave the least-squares minimizer non-unique; it moves
+the objective by at most eps * 4 kinetic_bound. The result carries the
+certificate gap = m / t + eps * 4 kinetic_bound, a bound on lsq(p) - lsq* at
+the central point. A small dense active-set quadratic program is provided
+as an independent optimality oracle for the unconstrained-in-F case.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsysv as _sysv
 
 from .probe import ProbeScan, width_from_curvature
 
@@ -30,6 +42,13 @@ KIND_LINEAR = "linear"
 KIND_X_DIAGONAL = "x_diagonal"
 BOUND_INFLATION = 1.1
 FEASIBILITY_TOL = 1e-6
+FISHER_TIEBREAK = 1e-8
+GAP_TARGET = 1e-12
+BARRIER_GROWTH = 20.0
+NEWTON_TOL = 1e-6          # half the squared Newton decrement that ends centering
+ARMIJO = 0.01
+MAX_BACKTRACKS = 20
+MAX_CENTERING_STEPS = 500
 
 
 class InfeasibleBoundError(ValueError):
@@ -114,36 +133,10 @@ def fisher_functional(p: np.ndarray, spacing: float) -> float:
     return float(np.sum(d ** 2 / np.maximum(p[1:-1], eps)) * spacing)
 
 
-def _fisher_gradient(p: np.ndarray, spacing: float) -> np.ndarray:
-    eps = fisher_floor(spacing)
-    n = p.size
-    d = (p[2:] - p[:-2]) / (2.0 * spacing)
-    m = np.maximum(p[1:-1], eps)
-    ratio = d / m
-    grad = np.zeros(n)
-    # d_i depends on p_{i+1} (+) and p_{i-1} (-); i runs over interior 1..n-2
-    grad[2:] += ratio
-    grad[:-2] -= ratio
-    grad[1:-1] -= spacing * ratio ** 2 * (p[1:-1] > eps)
-    return grad
-
-
 def minimum_fisher(grid: PositionGrid) -> float:
     """Smallest continuum Fisher value on the grid interval, 4 pi^2 / L^2."""
     length = grid.points[-1] - grid.points[0]
     return float(4.0 * np.pi ** 2 / length ** 2)
-
-
-def project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum p = total}."""
-    if not np.all(np.isfinite(v)):
-        raise FloatingPointError("simplex projection received non-finite values")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,6 +147,7 @@ class DensityEstimate:
     fisher: float
     converged: bool
     iterations: int
+    gap: float
     multiplier: float = 0.0
     odd_residual: float | None = None
 
@@ -166,160 +160,146 @@ def estimate_kinetic_bound(p_scan: ProbeScan) -> float:
     return BOUND_INFLATION * (width.w / 2.0) ** 2
 
 
-class _Problem:
-    """Least-squares data plus projection used by the inner solver."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, spacing: float, even: bool):
-        self.a = a
-        self.b = b
-        self.spacing = spacing
-        self.even = even
-        self.mass = 1.0 / spacing
-        self.lipschitz = 2.0 * np.linalg.norm(a, 2) ** 2
-
-    def lsq(self, p: np.ndarray) -> float:
-        r = self.a @ p - self.b
-        return float(r @ r)
-
-    def lsq_grad(self, p: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.a.T @ (self.a @ p - self.b))
-
-    def project(self, p: np.ndarray) -> np.ndarray:
-        if self.even:
-            p = 0.5 * (p + p[::-1])
-        return project_simplex(p, self.mass)
+def _fisher_change(p: np.ndarray, dp: np.ndarray, spacing: float) -> float:
+    """F(p + dp) - F(p), summed term by term so no large values cancel."""
+    d = (p[2:] - p[:-2]) / (2.0 * spacing)
+    dd = (dp[2:] - dp[:-2]) / (2.0 * spacing)
+    mid, dmid = p[1:-1], dp[1:-1]
+    return spacing * float(np.sum(((2.0 * d + dd) * dd * mid - d * d * dmid)
+                                  / (mid * (mid + dmid))))
 
 
-def _solve_penalized(prob: _Problem, lam: float, p0: np.ndarray,
-                     max_iter: int, tol: float) -> tuple[np.ndarray, int]:
-    """Accelerated projected gradient (FISTA with restart) on lsq + lam * fisher.
+def _fisher_derivatives(p: np.ndarray, spacing: float):
+    """Gradient and pentadiagonal Hessian (as a dense matrix) of F at p.
 
-    Backtracks the local Lipschitz estimate, keeps the best iterate, and
-    treats non-finite objective values as rejected steps (the Fisher term
-    diverges on densities with holes next to mass, which a monotone descent
-    from a smooth start never visits).
+    Each interior term h d_i^2 / p_i is quadratic-over-linear, so its Hessian
+    is (2h / p_i) w_i w_i^T with w_i = (-1/2h, -d_i/p_i, 1/2h) at
+    (i-1, i, i+1). Exact for p > 0 (no floor): the barrier keeps p positive.
     """
-    h = prob.spacing
+    n = p.size
+    i = np.arange(1, n - 1)
+    d = (p[2:] - p[:-2]) / (2.0 * spacing)
+    ratio = d / p[1:-1]
+    grad = np.zeros(n)
+    grad[2:] += ratio
+    grad[:-2] -= ratio
+    grad[1:-1] -= spacing * ratio ** 2
+    c = 2.0 * spacing / p[1:-1]
+    e = 0.5 / spacing
+    hess = np.zeros((n, n))
+    hess[i - 1, i - 1] += c * e * e
+    hess[i + 1, i + 1] += c * e * e
+    hess[i, i] += c * ratio ** 2
+    hess[i - 1, i + 1] -= c * e * e
+    hess[i + 1, i - 1] -= c * e * e
+    hess[i - 1, i] += c * e * ratio
+    hess[i, i - 1] += c * e * ratio
+    hess[i, i + 1] -= c * e * ratio
+    hess[i + 1, i] -= c * e * ratio
+    return grad, hess
 
-    def value(p):
-        v = prob.lsq(p) + (lam * fisher_functional(p, h) if lam > 0.0 else 0.0)
-        return v if np.isfinite(v) else np.inf
 
-    def grad(p):
-        g = prob.lsq_grad(p)
-        if lam > 0.0:
-            g = g + lam * _fisher_gradient(p, h)
-        return g
+def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
+                    bound: float | None, even: bool):
+    """Log-barrier Newton method for the problem in the module docstring.
 
-    p = prob.project(np.array(p0, dtype=float))
-    f = value(p)
-    best_p, best_f = p, f
-    lip = prob.lipschitz
-    t_mom = 1.0
-    p_prev = p
-    stall = 0
-    it = 0
-
-    def descend(base, f_base, g_base):
-        nonlocal lip
-        for _ in range(80):
-            cand = prob.project(base - g_base / lip)
-            step = cand - base
-            f_cand = value(cand)
-            if np.isfinite(f_cand) and f_cand <= f_base + g_base @ step + 0.5 * lip * step @ step + 1e-15:
-                return cand, f_cand
-            lip *= 2.0
-        return None, None
-
-    for it in range(1, max_iter + 1):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom ** 2))
-        y = p + ((t_mom - 1.0) / t_next) * (p - p_prev)
-        cand, f_cand = descend(y, value(y), grad(y))
-        if cand is None:
+    Minimizes phi_t = t (||Ap - b||^2 + eps F) - sum log p_i - log(bound - F)
+    over h sum p = 1 for t = t0, 20 t0, ... until m / t <= GAP_TARGET.
+    Returns (p, newton_steps, gap, multiplier of the Fisher bound).
+    """
+    n = a.shape[1]
+    q = 2.0 * (a.T @ a)
+    qb = 2.0 * (a.T @ b)
+    eps = FISHER_TIEBREAK if bound is not None else 0.0
+    m = n + (bound is not None)
+    size = n + 1 + (bound is not None)
+    diag = np.diag_indices(n)
+    p = np.full(n, 1.0 / (n * spacing))   # F = 0: strictly feasible
+    r = a @ p - b
+    t = m / max(float(r @ r), 1.0)
+    # slack = bound - F is tracked through accurate increments: near the
+    # optimum it falls far below the rounding error of F itself.
+    # mu estimates 1 / slack at the centre (t times the Fisher multiplier).
+    slack = bound
+    mu = 1.0 / bound if bound is not None else 0.0
+    steps = 0
+    while True:
+        for _ in range(MAX_CENTERING_STEPS):
+            grad = t * (q @ p - qb) - 1.0 / p
+            hess = t * q
+            kkt = np.zeros((size, size))
+            if bound is not None:
+                gf, hf = _fisher_derivatives(p, spacing)
+                grad += (t * eps + 1.0 / slack) * gf
+                # primal-dual Hessian of -log(bound - F): mu in place of
+                # 1 / slack, so a slack that dropped below its central value
+                # does not freeze the steps; the rank-one part
+                # (mu / slack) gf gf^T is bordered, keeping it out of the matrix
+                hess = hess + (t * eps + mu) * hf
+                kkt[:n, n + 1] = kkt[n + 1, :n] = p * gf
+                kkt[n + 1, n + 1] = -slack / mu
+            # scaled variables y = dp / p: the log barrier becomes the identity
+            dg = p * grad
+            kkt[:n, :n] = hess * np.outer(p, p)
+            kkt[diag] += 1.0
+            kkt[:n, n] = kkt[n, :n] = spacing * p
+            rhs = np.zeros(size)
+            rhs[:n] = -dg
+            *_, sol, info = _sysv(kkt, rhs, overwrite_a=True)
+            if info != 0:
+                raise RuntimeError(f"singular barrier KKT system (LAPACK info {info})")
+            y = sol[:n]
+            if even:
+                y = 0.5 * (y + y[::-1])
+            decrement = -float(dg @ y)
+            if decrement <= 2.0 * NEWTON_TOL:
+                break
+            neg = y < 0.0
+            s = min(1.0, 0.99 / float(np.max(-y[neg]))) if neg.any() else 1.0
+            dp = p * y
+            ad = a @ dp
+            rad, adad = 2.0 * float(r @ ad), float(ad @ ad)
+            for _ in range(MAX_BACKTRACKS):
+                change = t * (s * rad + s * s * adad) - float(np.sum(np.log1p(s * y)))
+                if bound is not None:
+                    f_step = _fisher_change(p, s * dp, spacing)
+                    if f_step >= 0.5 * slack:   # the slack at most halves per step
+                        s *= 0.5
+                        continue
+                    change += t * eps * f_step - np.log1p(-f_step / slack)
+                if change <= -ARMIJO * s * decrement:
+                    break
+                s *= 0.5
+            else:
+                # no descent left at this t (rounding noise at large t): never
+                # take a rejected step; far from the central path it is a failure
+                if not decrement <= m:
+                    raise RuntimeError(f"barrier line search failed at t = {t:.3g}")
+                break
+            p = p + s * dp
+            r = a @ p - b
+            steps += 1
+            if bound is not None:
+                # the dual takes the full Newton step of mu * slack = 1 (fewer
+                # steps than scaling it by s), kept positive
+                dmu = (1.0 - mu * slack + mu * float(gf @ dp)) / slack
+                mu = mu + dmu if dmu > -mu else 0.01 * mu
+                slack -= f_step
+        else:
+            raise RuntimeError(f"barrier centering at t = {t:.3g} did not converge")
+        if m / t <= GAP_TARGET:
             break
-        if f_cand > f:           # restart the momentum when descent is lost
-            t_next = 1.0
-            cand, f_cand = descend(p, f, grad(p))
-            if cand is None:
-                break
-        p_prev, p, f = p, cand, f_cand
-        t_mom = t_next
-        if f < best_f - tol * max(1.0, abs(best_f)):
-            best_p, best_f = p, f
-            stall = 0
-        else:
-            if f < best_f:
-                best_p, best_f = p, f
-            stall += 1
-            if stall >= 30:
-                break
-        lip = max(1e-3 * prob.lipschitz, lip * 0.9)
-    return best_p, it
-
-
-def _mix_to_boundary(p_feas: np.ndarray, p_better: np.ndarray, bound: float,
-                     spacing: float) -> np.ndarray:
-    """Best feasible convex combination of a feasible and an infeasible point.
-
-    F is convex along the segment, so the largest admissible weight on the
-    lower-objective (infeasible) end is found by bisection; the result can
-    only improve the convex objective over p_feas.
-    """
-    if fisher_functional(p_better, spacing) <= bound:
-        return p_better
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if fisher_functional((1 - mid) * p_feas + mid * p_better, spacing) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return (1 - lo) * p_feas + lo * p_better
-
-
-def _polish_support(prob: _Problem, p: np.ndarray) -> np.ndarray | None:
-    """Exact KKT solve of the equality-constrained LSQ on the active support.
-
-    Entries that come out negative are clamped out and the solve repeats
-    (shrinking support, as in classic NNLS), so the polished density is an
-    exact stationary point of the restricted problem.
-    """
-    free = p > 1e-12
-    if prob.even:
-        free = free | free[::-1]
-    if not free.any() or free.sum() > 2000:
-        return None
-    for _ in range(60):
-        nf = int(np.count_nonzero(free))
-        if nf == 0:
-            return None
-        af = prob.a[:, free]
-        gmat = 2.0 * (af.T @ af)
-        gmat[np.diag_indices_from(gmat)] += 1e-13 * max(1.0, np.trace(gmat) / nf)
-        ones = np.full(nf, prob.spacing)
-        kkt = np.block([[gmat, ones[:, None]], [ones[None, :], np.zeros((1, 1))]])
-        rhs = np.concatenate([2.0 * (af.T @ prob.b), [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        q = sol[:nf]
-        if np.all(q >= -1e-10):
-            out = np.zeros_like(p)
-            out[free] = np.maximum(q, 0.0)
-            return prob.project(out)
-        drop = np.where(free)[0][q < -1e-10]
-        free[drop] = False
-        if prob.even:
-            free[p.size - 1 - drop] = False
-    return None
+        t *= BARRIER_GROWTH
+        mu *= BARRIER_GROWTH
+    if bound is None:
+        return p, steps, m / t, 0.0
+    return p, steps, m / t + eps * bound, 1.0 / (t * slack)
 
 
 def reconstruct_density(model: ForwardModel, c_values, s_values=None,
                         kinetic_bound: float | None = None,
                         even_only: bool | None = None,
-                        weights=None,
-                        max_iter: int = 20000, tol: float = 1e-11) -> DensityEstimate:
+                        weights=None) -> DensityEstimate:
     """Constrained least-squares density estimate.
 
     c_values are the measured cosine components on model.k; s_values the
@@ -327,6 +307,7 @@ def reconstruct_density(model: ForwardModel, c_values, s_values=None,
     be even (reconstructing the symmetric part). kinetic_bound is <pi^2>;
     the Fisher functional of the result is kept below 4 times it. weights
     optionally scales the residual rows (e.g. inverse shot-noise sigma).
+    Raises RuntimeError when the barrier method cannot certify its gap.
     """
     c = np.asarray(c_values, dtype=float)
     if c.shape != model.k.shape:
@@ -369,121 +350,15 @@ def reconstruct_density(model: ForwardModel, c_values, s_values=None,
                 f"{minimum_fisher(model.grid):.4g}; no density is feasible"
             )
 
-    prob = _Problem(a, b, h, even_only)
-    n = model.grid.points.size
-    p0 = np.full(n, 1.0 / (n * h))
-    total_iter = 0
-
-    # alternate accelerated descent with exact stationary solves on the
-    # current support until neither improves the least-squares value
-    p, it = _solve_penalized(prob, 0.0, p0, max_iter, tol)
-    total_iter += it
-    converged = it < max_iter
-    if bound is None or fisher_functional(p, h) <= bound + FEASIBILITY_TOL:
-        for _ in range(5):
-            improved = False
-            polished = _polish_support(prob, p)
-            if polished is not None and prob.lsq(polished) < prob.lsq(p) - 1e-15:
-                if bound is None or fisher_functional(polished, h) <= bound + FEASIBILITY_TOL:
-                    p = polished
-                    improved = True
-            p_next, it = _solve_penalized(prob, 0.0, p, 2000, tol)
-            total_iter += it
-            if prob.lsq(p_next) < prob.lsq(p) - tol * max(1.0, prob.lsq(p)):
-                p = p_next
-                improved = True
-            if not improved:
-                break
-    else:
-        polished = _polish_support(prob, p)
-        if (polished is not None and prob.lsq(polished) <= prob.lsq(p)
-                and fisher_functional(polished, h) <= bound + FEASIBILITY_TOL):
-            p = polished
-    lam = 0.0
-
-    if bound is not None and fisher_functional(p, h) > bound + FEASIBILITY_TOL:
-        # enforce the constraint through its multiplier: F(p(lam)) decreases
-        # monotonically in lam, so bracket and bisect. Penalized solves start
-        # from the smooth uniform density: monotone descent then keeps
-        # lam * F bounded by the start value and never walks into the 1/p
-        # cliff that spiky warm starts would create.
-        inner_iter = min(max_iter, max(4000, 20 * n))   # larger grids need more
-        p_unif = prob.project(np.full(n, 1.0 / (n * h)))
-        base = max(prob.lsq(p_unif), 1e-10)
-        lam_lo, lam_hi = 0.0, 0.1 * base / max(bound, 1e-12)
-        p_hi, it = _solve_penalized(prob, lam_hi, p_unif, inner_iter, tol)
-        total_iter += it
-        for _ in range(60):
-            if fisher_functional(p_hi, h) <= bound:
-                break
-            lam_lo = lam_hi
-            lam_hi *= 4.0
-            p_hi, it = _solve_penalized(prob, lam_hi, p_unif, inner_iter, tol)
-            total_iter += it
-        if fisher_functional(p_hi, h) > bound:
-            raise InfeasibleBoundError("could not satisfy the Fisher bound")
-        p_feas, lam = p_hi, lam_hi
-        for _ in range(30):
-            if fisher_functional(p_feas, h) >= bound * 0.95:
-                break
-            if lam_hi <= lam_lo * 1.05 + 1e-300:
-                break
-            lam_mid = 0.5 * (lam_lo + lam_hi) if lam_lo > 0 else 0.25 * lam_hi
-            # smooth fixed starts keep the inner solves comparable across
-            # multipliers; warm starts can report stale Fisher values
-            p_mid, it = _solve_penalized(prob, lam_mid, p_unif, inner_iter, tol)
-            total_iter += it
-            if fisher_functional(p_mid, h) <= bound:
-                lam_hi, p_feas, lam = lam_mid, p_mid, lam_mid
-            else:
-                lam_lo = lam_mid
-                mixed = _mix_to_boundary(p_feas, p_mid, bound, h)
-                if prob.lsq(mixed) < prob.lsq(p_feas):
-                    p_feas = mixed
-        p, it = _solve_penalized(prob, lam, p_feas, max_iter, tol)
-        total_iter += it
-        if fisher_functional(p, h) > bound + FEASIBILITY_TOL:
-            p = _mix_to_boundary(p_feas, p, bound, h)
-            if prob.lsq(p) > prob.lsq(p_feas):
-                p = p_feas
-        # complementary slackness: anneal the multiplier toward zero for as
-        # long as that keeps the iterate feasible and still pays off in the
-        # least-squares value (F proximity alone cannot tell an active
-        # bound from a slack one)
-        for _ in range(20):
-            if lam <= 0.0:
-                break
-            lam_try = lam / 8.0
-            p_try, it = _solve_penalized(prob, lam_try, p, inner_iter, tol)
-            total_iter += it
-            if fisher_functional(p_try, h) > bound + FEASIBILITY_TOL:
-                # ride the segment back to the constraint boundary; any
-                # remaining improvement of the infeasible point is convex-
-                # combinable into the feasible iterate
-                mixed = _mix_to_boundary(p, p_try, bound, h)
-                if prob.lsq(mixed) < prob.lsq(p):
-                    p = mixed
-                break
-            gain = prob.lsq(p) - prob.lsq(p_try)
-            p, lam = p_try, lam_try
-            if gain <= tol * max(1.0, prob.lsq(p)):
-                break
-        # an exact stationary solve on the final support recovers the
-        # unconstrained optimum whenever that optimum is itself feasible
-        polished = _polish_support(prob, p)
-        if (polished is not None and prob.lsq(polished) < prob.lsq(p)
-                and fisher_functional(polished, h) <= bound + FEASIBILITY_TOL):
-            p = polished
-
-    p = np.maximum(p, 0.0)
+    p, steps, gap, multiplier = _barrier_newton(a, b, h, bound, even_only)
     p = p / (p.sum() * h)
     fisher = fisher_functional(p, h)
     if bound is not None and fisher > bound + FEASIBILITY_TOL:
         raise RuntimeError("solver returned an infeasible density")
-    return DensityEstimate(grid=model.grid, density=p, objective=prob.lsq(p),
-                           fisher=fisher, converged=converged,
-                           iterations=total_iter, multiplier=lam,
-                           odd_residual=odd_residual)
+    r = a @ p - b
+    return DensityEstimate(grid=model.grid, density=p, objective=float(r @ r),
+                           fisher=fisher, converged=True, iterations=steps, gap=gap,
+                           multiplier=multiplier, odd_residual=odd_residual)
 
 
 def _kkt_on_support(a: np.ndarray, b: np.ndarray, spacing: float,
@@ -516,10 +391,10 @@ def solve_qp_active_set(a: np.ndarray, b: np.ndarray, spacing: float,
                         max_iter: int | None = None) -> np.ndarray:
     """Active-set solve of min ||Ap - b||^2, p >= 0, spacing * sum(p) = 1.
 
-    Independent small-grid oracle for certifying the projected-gradient
-    solver. A Lawson-Hanson nonnegative least squares pass (with the
-    normalization embedded as a heavily weighted row) proposes the active
-    set; exact KKT solves on the support plus multiplier-driven releases
+    Independent small-grid oracle for certifying the barrier solver when
+    no Fisher bound is given. A Lawson-Hanson nonnegative least squares pass
+    (with the normalization embedded as a heavily weighted row) proposes the
+    active set; exact KKT solves on the support plus multiplier-driven releases
     then finish the constrained problem to machine accuracy.
     """
     from scipy.optimize import nnls

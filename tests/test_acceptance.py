@@ -181,8 +181,7 @@ def test_criterion_09_fisher_constraint_correctness():
         target = rng.dirichlet(np.ones(31)) / small.spacing
         c_vals = fm.ccos @ target + rng.normal(0.0, 0.01, kk.size)
         s_vals = fm.csin @ target + rng.normal(0.0, 0.01, kk.size)
-        est = rec.reconstruct_density(fm, c_vals, s_values=s_vals, even_only=False,
-                                      max_iter=40000, tol=1e-14)
+        est = rec.reconstruct_density(fm, c_vals, s_values=s_vals, even_only=False)
         a = np.vstack([fm.ccos, fm.csin])
         b = np.concatenate([c_vals, s_vals])
         oracle = rec.solve_qp_active_set(a, b, small.spacing)

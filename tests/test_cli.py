@@ -37,7 +37,7 @@ def test_validate_reports_derived_step_size(tmp_path, capsys):
 def test_validate_flags_inadequate_truncation(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, hilbert={"n_max": 50}, walk={"n_steps": 23})
-    assert cli.main(["validate", str(cfg)]) == 0
+    assert cli.main(["validate", str(cfg)]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "676" in out
     assert "VALIDATION FAILED" in out
@@ -155,8 +155,15 @@ def test_run_reconstruct_experiment(tmp_path):
     header, data = read_csv(prefix.parent / f"{prefix.name}_step01_density.csv")
     x, dens = data[:, 0], data[:, 1]
     assert abs(np.sum(dens) * (x[1] - x[0]) - 1.0) < 1e-5
-    diag = json.loads((prefix.parent / f"{prefix.name}_diagnostics.json").read_text())
-    assert diag["1"]["fisher"] <= 4 * diag["1"]["kinetic_bound"] + 1e-6
+    diag_path = prefix.parent / f"{prefix.name}_diagnostics.json"
+    first = diag_path.read_bytes()
+    diag = json.loads(first)["1"]
+    assert diag["fisher"] <= 4 * diag["kinetic_bound"] + 1e-6
+    assert set(diag) == {"objective", "fisher", "kinetic_bound", "iterations",
+                         "converged", "gap", "multiplier"}
+    assert diag["converged"] and 0.0 < diag["gap"] < 1e-7 and diag["multiplier"] >= 0.0
+    assert cli.main(["run", str(cfg), "--out", str(prefix)]) == 0
+    assert diag_path.read_bytes() == first
 
 
 def test_run_width_curve(tmp_path):

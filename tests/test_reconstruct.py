@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from ionwalk.dynamics import FidelityModel
 from ionwalk.fock import (
     HilbertParams,
     MotionalEnsemble,
@@ -8,7 +11,7 @@ from ionwalk.fock import (
     exact_position_density,
     fock_state,
 )
-from ionwalk import probe, walk
+from ionwalk import cli, probe, walk
 from ionwalk import reconstruct as rec
 
 
@@ -84,19 +87,6 @@ def test_fisher_floor_keeps_value_finite():
     p[20] = 1.0 / h
     val = rec.fisher_functional(p, h)
     assert np.isfinite(val) and val > 1e6
-
-
-def test_simplex_projection_properties():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        v = rng.normal(size=37) * 3.0
-        total = rng.uniform(0.5, 20.0)
-        p = rec.project_simplex(v, total)
-        assert np.all(p >= 0)
-        assert abs(p.sum() - total) < 1e-9
-        assert np.allclose(rec.project_simplex(p, total), p, atol=1e-12)
-        q = rng.dirichlet(np.ones(37)) * total
-        assert np.linalg.norm(p - v) <= np.linalg.norm(q - v) + 1e-12
 
 
 def test_kinetic_bound_ground(ground64):
@@ -191,8 +181,7 @@ def test_solver_agrees_with_active_set_oracle():
         target = rng.dirichlet(np.ones(31)) / grid.spacing
         c_vals = model.ccos @ target + rng.normal(0.0, 0.01, ks.size)
         s_vals = model.csin @ target + rng.normal(0.0, 0.01, ks.size)
-        est = rec.reconstruct_density(model, c_vals, s_values=s_vals,
-                                      even_only=False, max_iter=40000, tol=1e-14)
+        est = rec.reconstruct_density(model, c_vals, s_values=s_vals, even_only=False)
         stacked_a = np.vstack([model.ccos, model.csin])
         stacked_b = np.concatenate([c_vals, s_vals])
         p_oracle = rec.solve_qp_active_set(stacked_a, stacked_b, grid.spacing)
@@ -223,3 +212,95 @@ def test_variance_weighting_flag(ground_setup, ground64):
     est = rec.reconstruct_density(model, scan.estimates, kinetic_bound=0.275,
                                   weights=1.0 / sigma_sq)
     assert tv_distance(est.density, truth, grid.spacing) < 0.1
+
+
+def _trust_constr_oracle(a, b, h, bound):
+    """Independent solve of the Fisher-constrained problem with scipy."""
+    from scipy.optimize import (Bounds, LinearConstraint, NonlinearConstraint,
+                                minimize)
+
+    n = a.shape[1]
+    q = 2.0 * a.T @ a
+
+    def fisher(p):
+        d = (p[2:] - p[:-2]) / (2.0 * h)
+        return h * float(np.sum(d ** 2 / p[1:-1]))
+
+    def fisher_grad(p):
+        d = (p[2:] - p[:-2]) / (2.0 * h)
+        ratio = d / p[1:-1]
+        g = np.zeros(n)
+        g[2:] += ratio
+        g[:-2] -= ratio
+        g[1:-1] -= h * ratio ** 2
+        return g
+
+    res = minimize(lambda p: float(np.sum((a @ p - b) ** 2)),
+                   np.full(n, 1.0 / (n * h)),
+                   jac=lambda p: q @ p - 2.0 * a.T @ b, hess=lambda p: q,
+                   method="trust-constr",
+                   constraints=[LinearConstraint(np.full((1, n), h), 1.0, 1.0),
+                                NonlinearConstraint(fisher, -np.inf, bound,
+                                                    jac=fisher_grad)],
+                   bounds=Bounds(np.full(n, 1e-14), np.inf, keep_feasible=True),
+                   options={"gtol": 1e-8, "xtol": 1e-10, "barrier_tol": 1e-8,
+                            "maxiter": 3000})
+    return res.x, fisher(res.x)
+
+
+@pytest.mark.parametrize("n_points,extent", [(31, 3.0), (41, 4.0)])
+def test_fisher_constrained_solver_agrees_with_trust_constr(ground64, n_points, extent):
+    # the active-set oracle covers only the problem without the Fisher bound;
+    # here the bound is active and an interior-point solve from scipy is the
+    # reference
+    ks = probe.default_k_grid()
+    grid = rec.PositionGrid(np.linspace(-extent, extent, n_points))
+    h = grid.spacing
+    model = rec.build_forward_model(ks, grid)
+    for seed in range(2):
+        c_vals = probe.simulate_scan(ground64, "plus_z", ks, shots=250, seed=seed).estimates
+        est = rec.reconstruct_density(model, c_vals, kinetic_bound=0.275)
+        p_oracle, f_oracle = _trust_constr_oracle(model.ccos, c_vals, h, 1.1)
+        obj_oracle = float(np.sum((model.ccos @ p_oracle - c_vals) ** 2))
+        assert f_oracle <= 1.1 + 1e-6
+        assert est.fisher > 1.1 - 1e-6            # the bound is active
+        assert est.gap <= rec.GAP_TARGET + rec.FISHER_TIEBREAK * 1.1
+        assert est.multiplier > 0.0
+        # scipy stops within about 4e-7 of the optimum, above it
+        assert abs(est.objective - obj_oracle) <= 1e-6
+        assert est.objective <= obj_oracle + est.gap
+
+
+def test_fisher_bound_reaches_exact_density_objective(tmp_path):
+    # 5-step fig2b chain, seed 23, step 3: the exact density meets the Fisher
+    # bound, so an optimal solve cannot end above its objective (a solver
+    # that stopped short reported 0.2476 against the exact density's 0.2389)
+    cfg = {"schema_version": 1, "experiment": "reconstruct", "seed": 23,
+           "hilbert": {"n_max": 400, "eta": 0.06},
+           "walk": {"n_steps": 5, "model": "all_order"},
+           "scan": {"n_points": 61, "k_max": 3.0, "shots": 250},
+           "reconstruction": {"kind": "x_diagonal", "grid_spacing": 0.1,
+                              "use_kinetic_bound": True, "steps": [3]}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    prefix = tmp_path / "fig2b"
+    assert cli.main(["run", str(path), "--out", str(prefix)]) == 0
+    diag = json.loads((tmp_path / "fig2b_diagnostics.json").read_text())["3"]
+    x = np.loadtxt(tmp_path / "fig2b_step03_density.csv", delimiter=",", skiprows=1)[:, 0]
+    h = x[1] - x[0]
+
+    wcfg = walk.WalkConfig(n_steps=5, params=HilbertParams(n_max=400),
+                           model=FidelityModel.ALL_ORDER)
+    result = walk.quantum_walk(wcfg)
+    ks = np.linspace(0.0, 3.0, 61)
+    # the CLI draws the step-n cosine scan from seed + 7919 (n + 1)
+    c_vals = probe.simulate_scan(walk.snapshot_ensemble(result, 3), "plus_z", ks, "x",
+                                 FidelityModel.ALL_ORDER, shots=250,
+                                 seed=23 + 7919 * 4).estimates
+    model = rec.build_forward_model(ks, rec.PositionGrid(x), rec.KIND_X_DIAGONAL, 0.06)
+    exact = walk.snapshot_density(result, 3, x)
+    exact /= exact.sum() * h
+    assert rec.fisher_functional(exact, h) <= 4 * diag["kinetic_bound"]
+    exact_obj = float(np.sum((model.ccos @ exact - c_vals) ** 2))
+    assert diag["objective"] <= exact_obj
+    assert diag["gap"] <= rec.GAP_TARGET + rec.FISHER_TIEBREAK * 4 * diag["kinetic_bound"]
