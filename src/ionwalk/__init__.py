@@ -43,7 +43,6 @@ from .probe import (
     WidthEstimate,
     carrier_rabi_scan,
     exact_scan,
-    expected_observable,
     fit_mean_phonon,
     probe_strength,
     simulate_scan,
@@ -71,7 +70,6 @@ from .walk import (
     recombine_spin,
     reversal_fidelity,
     reversed_walk,
-    two_ion_walk,
     width_p,
     width_x,
 )

@@ -190,10 +190,12 @@ def validate_config(cfg: dict) -> tuple[bool, list[str]]:
 
 # ------------------------------------------------------------------ output
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _format_column(column: np.ndarray) -> list[str]:
+    """Integers as str(int), everything else as repr(float): exact round trip."""
+    column = np.asarray(column)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return list(map(repr, column.astype(float).tolist()))
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -210,9 +212,8 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = zip(*columns)
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*map(_format_column, columns))))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -237,7 +238,7 @@ def _run_walk(cfg: dict, prefix: str, seed: int, threads: int,
     if classical:
         result = walk.classical_walk(wcfg, threads=threads)
     else:
-        result = walk.two_ion_walk(wcfg) if wcfg.params.n_ions == 2 else walk.quantum_walk(wcfg)
+        result = walk.quantum_walk(wcfg)
     log.info("walk finished in %.2fs", time.perf_counter() - t0)
     grid = _density_grid(cfg, wcfg)
     steps = np.arange(wcfg.n_steps + 1)

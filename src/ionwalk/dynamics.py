@@ -13,14 +13,18 @@ Every generator factors as S (x) M: a collective spin operator S (eigenvalues
 tridiagonal (bichromatic) or diagonal (carrier) in the Fock basis. A Pulse
 holds the eigenpairs of both factors, so exp(-i theta S (x) M) needs a 2x2
 or 4x4 eigh and one tridiagonal eigensolve of size n_max + 1, never a dense
-eigendecomposition of the full space. The dense *_hamiltonian builders
-serve as reference.
+eigendecomposition of the full space. After the gauge D_n = e^{i n phi_minus}
+the bichromatic M depends only on (n_max, eta, model), so that eigensolve
+runs once per (n_max, eta, model) per process and its read-only eigenpairs
+are shared by the walk's displacement and both probe quadratures. The dense
+*_hamiltonian builders serve as reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -204,6 +208,7 @@ class Pulse:
     spin is the Hermitian (collective) spin operator S. The motional factor
     is M = D V diag(motion_values) V^T D^* with V = motion_vectors real
     orthogonal and D = diag(gauge) unimodular; both None when M is diagonal.
+    Bichromatic pulses of one (n_max, eta, model) share read-only motion arrays.
     """
 
     spin: np.ndarray
@@ -221,28 +226,44 @@ class Pulse:
         object.__setattr__(self, "spin_eigenpairs", np.linalg.eigh(spin))
 
 
+@functools.lru_cache(maxsize=4)
+def _motional_eigenpairs(n_max: int, eta: float,
+                         model: FidelityModel) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of the gauged real tridiagonal M of one model.
+
+    x_diagonal is f(x) of the truncated x, whose eigenvalues are sqrt(2)
+    times the Gauss-Hermite nodes (Golub & Welsch 1969).
+    """
+    n = np.arange(n_max)
+    eta2 = eta ** 2
+    diag = np.zeros(n_max + 1)
+    off = np.sqrt(n + 1.0)
+    if model is FidelityModel.ALL_ORDER:
+        off = np.exp(-0.5 * eta2) * eval_genlaguerre(n, 1, eta2) / off
+    elif model is FidelityModel.THIRD_ORDER:
+        diag -= 0.25 * eta2
+        off *= 1.0 - 0.25 * eta2 * (2.0 * n + 1.0)
+    values, vectors = eigh_tridiagonal(diag, off)
+    if model is FidelityModel.X_DIAGONAL:
+        values = values * (1.0 - 0.125 * eta2 * (values ** 2 + 1.0))
+    values.flags.writeable = False
+    vectors.flags.writeable = False
+    return values, vectors
+
+
 def bichromatic_pulse(params: HilbertParams, phi_plus: float, phi_minus: float,
                       model: FidelityModel) -> Pulse:
     """Factored form of bichromatic_hamiltonian (same arguments), built from M's bands.
 
     The gauge D_n = e^{i n phi_minus} makes M real tridiagonal in every
-    model; x_diagonal is f(x) of the truncated x, whose eigenvalues are
-    sqrt(2) times the Gauss-Hermite nodes (Golub & Welsch 1969).
+    model and independent of phi_minus, so pulses of one (n_max, eta, model)
+    share one set of motional eigenpairs.
     """
-    n = np.arange(params.n_max)
-    eta2 = params.eta ** 2
-    diag = np.zeros(params.motion_dim)
-    off = np.sqrt(n + 1.0)
-    if model is FidelityModel.ALL_ORDER:
-        off = np.exp(-0.5 * eta2) * eval_genlaguerre(n, 1, eta2) / off
-    elif model is not FidelityModel.LAMB_DICKE:
+    model = FidelityModel(model)
+    if model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
         _check_x_only(phi_minus, model)
-        if model is FidelityModel.THIRD_ORDER:
-            diag -= 0.25 * eta2
-            off *= 1.0 - 0.25 * eta2 * (2.0 * n + 1.0)
-    values, vectors = eigh_tridiagonal(diag, off)
-    if model is FidelityModel.X_DIAGONAL:
-        values = values * (1.0 - 0.125 * eta2 * (values ** 2 + 1.0))
+    eta = 0.0 if model is FidelityModel.LAMB_DICKE else params.eta
+    values, vectors = _motional_eigenpairs(params.n_max, eta, model)
     return Pulse(collective_spin(sigma_phi(phi_plus), params.n_ions), values, vectors,
                  np.exp(1j * phi_minus * np.arange(params.motion_dim)))
 
@@ -265,20 +286,26 @@ def apply_propagator(pulse: Pulse, area: float, amplitudes: np.ndarray) -> np.nd
 
     That is sum_a |s_a><s_a| (x) exp(-i area s_a M): every spin eigenvalue
     s_a reuses the one motional eigenbasis, where the propagator is a phase.
+    The spin branches sit side by side as one (motion_dim, s * K) block, so
+    the basis change is one real product each way for all of them.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     s_vals, s_vecs = pulse.spin_eigenpairs
-    branches = s_vecs.conj().T @ amps.reshape(s_vals.size, -1)
-    branches = branches.reshape(s_vals.size, pulse.motion_values.size, -1)
+    s, m = s_vals.size, pulse.motion_values.size
+    branches = (s_vecs.conj().T @ amps.reshape(s, -1)).reshape(s, m, -1)
     phases = np.exp(-1j * area * np.outer(s_vals, pulse.motion_values))[:, :, None]
     if pulse.motion_vectors is None:
         branches *= phases
     else:
-        vecs, gauge = pulse.motion_vectors, pulse.gauge[:, None]
-        for a, branch in enumerate(branches):
-            rotated = _real_product(vecs.T, gauge.conj() * branch)
-            branches[a] = gauge * _real_product(vecs, phases[a] * rotated)
-    return (s_vecs @ branches.reshape(s_vals.size, -1)).reshape(amps.shape)
+        vecs, gauge = pulse.motion_vectors, pulse.gauge[:, None, None]
+        block = np.ascontiguousarray(branches.transpose(1, 0, 2))    # (m, s, K)
+        block *= gauge.conj()
+        block = _real_product(vecs.T, block.reshape(m, -1)).reshape(m, s, -1)
+        block *= phases.transpose(1, 0, 2)
+        block = _real_product(vecs, block.reshape(m, -1)).reshape(m, s, -1)
+        block *= gauge
+        branches = block.transpose(1, 0, 2)
+    return (s_vecs @ branches.reshape(s, -1)).reshape(amps.shape)
 
 
 def evolve(state: SpinMotionState, pulse: Pulse, area: float,

@@ -256,7 +256,11 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def exact_position_densities(ensembles, grid: np.ndarray,
                              check_coverage: bool = True) -> np.ndarray:
-    """Densities of several ensembles (row i: ensembles[i]) from one Hermite table."""
+    """Densities of several ensembles (row i: ensembles[i]) from one Hermite table.
+
+    The real table multiplies the members' (re, im) columns, so no complex
+    copy of it is made; the squared pairs are summed with each member's weight.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         raise ValueError("grid needs at least two points")
@@ -264,8 +268,8 @@ def exact_position_densities(ensembles, grid: np.ndarray,
     if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * abs(h)):
         raise ValueError("grid must be uniformly spaced")
     phi = hermite_functions(max(e.params.n_max for e in ensembles), grid)
-    out = np.array([e.weights() @ np.abs(e.member_matrix().T @ phi[:e.params.motion_dim]) ** 2
-                    for e in ensembles])
+    out = np.array([(phi[:e.params.motion_dim].T @ e.member_matrix().view(np.float64)) ** 2
+                    @ np.repeat(e.weights(), 2) for e in ensembles])
     mass = float(np.min(np.sum(out, axis=1)) * h)
     if check_coverage and mass < 0.999:
         raise GridCoverageError(

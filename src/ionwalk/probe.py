@@ -12,6 +12,9 @@ distorted, which is what the reconstruction forward models undo.
 Scans are evaluated in closed form, not by one propagation per k: from
 one tridiagonal eigendecomposition of G, <O(k)> is a sum over its
 eigenvalues weighted by the ensemble's populations in its eigenbasis.
+That eigendecomposition is the one dynamics computes once per
+(n_max, eta, model) and process: the x probe, the p probe and the walk's
+displacement differ only in the gauge, so they share it.
 
 The probe always attaches a single effective spin: for two-ion ensembles
 the collective pulse conjugates each ion's sigma_z exactly as in the
@@ -125,18 +128,11 @@ def scan_observable(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     phi_minus = 0.0 if axis == "x" else np.pi / 2.0
     pulse = dynamics.bichromatic_pulse(ensemble.params, 0.0, phi_minus, model)
-    members = pulse.gauge.conj()[:, None] * ensemble.member_matrix()
-    pops = np.abs(pulse.motion_vectors.T @ members) ** 2 @ ensemble.weights()
+    members = (pulse.gauge.conj()[:, None] * ensemble.member_matrix()).view(np.float64)
+    pops = (pulse.motion_vectors.T @ members) ** 2 @ np.repeat(ensemble.weights(), 2)
     spin = _SPIN_PREP[spin_prep]
     coherence = 0.5 * np.conj(spin[0] + spin[1]) * (spin[0] - spin[1])   # c+^* c-
     return 2.0 * np.real(coherence * (np.exp(1j * np.outer(k_grid, pulse.motion_values)) @ pops))
-
-
-def expected_observable(ensemble: MotionalEnsemble, spin_prep: str, k: float,
-                        axis: str = "x",
-                        model: FidelityModel = FidelityModel.LAMB_DICKE) -> float:
-    """Exact quantum expectation of the probe observable at one k."""
-    return float(scan_observable(ensemble, spin_prep, [k], axis, model)[0])
 
 
 def simulate_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,

@@ -107,7 +107,11 @@ def prepare_initial(params: HilbertParams,
 
 
 def quantum_walk(config: WalkConfig) -> WalkResult:
-    """Coherent walk; snapshot i is the state after i full steps."""
+    """Coherent walk; snapshot i is the state after i full steps.
+
+    With params.n_ions == 2 this is the collective-spin walk of two ions on
+    the center-of-mass mode.
+    """
     state = prepare_initial(config.params, config.model)
     (pulse_d, area_d), (pulse_c, area_c) = _walk_pulses(config)
     snapshots = [state]
@@ -239,13 +243,6 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     for step_states in per_step:
         snapshots.append(_ensemble_from_trials(step_states, p))
     return WalkResult(config, tuple(snapshots))
-
-
-def two_ion_walk(config: WalkConfig) -> WalkResult:
-    """Collective-spin walk of two ions on the center-of-mass mode."""
-    if config.params.n_ions != 2:
-        raise ValueError("two_ion_walk requires params.n_ions == 2")
-    return quantum_walk(config)
 
 
 # ---------------------------------------------------------------- summaries

@@ -195,7 +195,7 @@ def test_criterion_09_fisher_constraint_correctness():
 
 def test_criterion_10_two_ion_walk():
     p2 = HilbertParams(n_max=192, n_ions=2)
-    result = walk.two_ion_walk(walk.WalkConfig(n_steps=1, params=p2))
+    result = walk.quantum_walk(walk.WalkConfig(n_steps=1, params=p2))
     grid = np.arange(-10.0, 10.0001, 0.02)
     dens = walk.snapshot_density(result, 1, grid)
     comps = np.column_stack([np.exp(-(grid - c) ** 2 / 2) / np.sqrt(2 * np.pi)
@@ -204,7 +204,7 @@ def test_criterion_10_two_ion_walk():
     weights_ok = np.allclose(weights, [0.25, 0.5, 0.25], atol=1e-3)
 
     p2b = HilbertParams(n_max=256, n_ions=2)
-    two = walk.two_ion_walk(walk.WalkConfig(n_steps=5, params=p2b))
+    two = walk.quantum_walk(walk.WalkConfig(n_steps=5, params=p2b))
     one = walk.quantum_walk(walk.WalkConfig(n_steps=5, params=HilbertParams(n_max=128)))
     ratio = walk.width_x(two.snapshots[5]) / walk.width_x(one.snapshots[5])
     ok = weights_ok and ratio > 1.3

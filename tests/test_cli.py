@@ -202,3 +202,13 @@ def test_threads_flag_does_not_change_results(tmp_path):
 def test_missing_config_file(capsys):
     assert cli.main(["run", "/nonexistent/nowhere.json"]) == 1
     assert "stage=config" in capsys.readouterr().err
+
+
+def test_write_csv_golden_bytes(tmp_path):
+    # floats as repr(float), integers as str(int), one column at a time
+    path = tmp_path / "g.csv"
+    floats = np.array([0.1, -2.5, -0.0, 3.0, 1e-300, 1.0 / 3.0, 5e-324])
+    ints = np.array([0, -7, 12, 3, 100000, 2, 1])
+    cli.write_csv(str(path), ["x", "n"], [floats, ints])
+    assert path.read_bytes() == (b"x,n\n0.1,0\n-2.5,-7\n-0.0,12\n3.0,3\n1e-300,100000\n"
+                                 b"0.3333333333333333,2\n5e-324,1\n")

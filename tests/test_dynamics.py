@@ -3,8 +3,9 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
+from ionwalk import dynamics, probe, walk
 from ionwalk.dynamics import (
     SIGMA_X,
     SIGMA_Y,
@@ -320,3 +321,59 @@ def test_pulses_match_dense_expm(model, n_ions):
         out = apply_propagator(carrier_pulse(p, phase, model), np.pi / 4, amps)
         worst = max(worst, np.max(np.abs(out - oracle)))
     assert worst < 1e-12
+
+
+def test_walk_and_probe_pulses_share_one_motional_basis():
+    # the walk's displacement (phi- = pi/2), the x probe (0) and the p probe
+    # (pi/2 at phi+ = 0) differ only in the gauge: one read-only eigenbasis
+    for model in (FidelityModel.LAMB_DICKE, FidelityModel.ALL_ORDER):
+        p = HilbertParams(n_max=40, eta=ETA)
+        (displacement, _), _ = walk._walk_pulses(walk.WalkConfig(n_steps=1, params=p,
+                                                                 model=model))
+        x_probe = bichromatic_pulse(p, 0.0, 0.0, model)
+        p_probe = bichromatic_pulse(p, 0.0, np.pi / 2.0, model.value)
+        assert displacement.motion_vectors is x_probe.motion_vectors
+        assert p_probe.motion_vectors is x_probe.motion_vectors
+        assert p_probe.motion_values is x_probe.motion_values
+        with pytest.raises(ValueError):
+            x_probe.motion_vectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            x_probe.motion_values[0] = 1.0
+
+
+def test_motional_basis_entries_per_nmax_eta_model():
+    def vectors(n_max, eta, model):
+        return bichromatic_pulse(HilbertParams(n_max=n_max, eta=eta), 0.0, 0.0,
+                                 model).motion_vectors
+
+    base = vectors(30, ETA, FidelityModel.ALL_ORDER)
+    assert vectors(31, ETA, FidelityModel.ALL_ORDER) is not base
+    assert vectors(30, 0.1, FidelityModel.ALL_ORDER) is not base
+    assert vectors(30, ETA, FidelityModel.THIRD_ORDER) is not base
+    assert vectors(30, ETA, FidelityModel.LAMB_DICKE) is not base
+    # the Lamb-Dicke bands do not depend on eta
+    assert vectors(30, 0.1, FidelityModel.LAMB_DICKE) is vectors(30, ETA,
+                                                                FidelityModel.LAMB_DICKE)
+
+
+def test_one_eigensolve_per_walk_and_scans(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eigh_tridiagonal", counting)
+    dynamics._motional_eigenpairs.cache_clear()
+    try:
+        cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60, eta=ETA),
+                              model=FidelityModel.ALL_ORDER)
+        result = walk.quantum_walk(cfg)
+        k = np.linspace(0.0, 3.0, 7)
+        for n in (1, 2):
+            ensemble = walk.snapshot_ensemble(result, n)
+            for axis in ("x", "p"):
+                probe.scan_observable(ensemble, "plus_z", k, axis, cfg.model)
+    finally:
+        dynamics._motional_eigenpairs.cache_clear()
+    assert calls == [61]

@@ -223,3 +223,22 @@ def test_ensemble_validation():
         MotionalEnsemble(p, ((1.0, good * 2.0),))
     ens = MotionalEnsemble(p, ((0.25, fock_state(1, p)), (0.75, good)))
     assert abs(ens.mean_phonon() - 0.25) < 1e-12
+
+
+def _gaussian(grid, center):
+    return np.exp(-(grid - center) ** 2 / 2) / np.sqrt(2 * np.pi)
+
+
+def test_densities_match_closed_form_gaussians():
+    # independent oracle: |alpha> has density (2 pi)^(-1/2) exp(-(x - 2 Re alpha)^2 / 2)
+    p = HilbertParams(n_max=64)
+    grid = np.arange(-10.0, 10.0001, 0.05)
+    alphas = (0.8 + 0.6j, -1.1 - 0.4j)
+    coherent = [MotionalEnsemble.from_pure(coherent_state(a, p), p) for a in alphas]
+    mixture = MotionalEnsemble(p, ((0.3, coherent_state(alphas[0], p)),
+                                   (0.7, coherent_state(alphas[1], p))))
+    rows = exact_position_densities(coherent + [mixture], grid)
+    for row, alpha in zip(rows, alphas):
+        assert np.max(np.abs(row - _gaussian(grid, 2 * alpha.real))) < 1e-12
+    oracle = 0.3 * _gaussian(grid, 2 * alphas[0].real) + 0.7 * _gaussian(grid, 2 * alphas[1].real)
+    assert np.max(np.abs(rows[2] - oracle)) < 1e-12

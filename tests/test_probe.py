@@ -29,7 +29,7 @@ def test_ground_cosine_scan_is_gaussian(ground64):
 
 def test_symmetric_state_sine_scan_vanishes(ground64):
     for k in (0.4, 1.1, 2.3):
-        assert abs(probe.expected_observable(ground64, "plus_y", k)) < 1e-8
+        assert abs(probe.scan_observable(ground64, "plus_y", k)[0]) < 1e-8
 
 
 def test_coherent_scan_closed_form():
@@ -46,13 +46,13 @@ def test_zero_strength_probe(ground64, model):
         axis = "x"
     else:
         axis = "p"
-    assert abs(probe.expected_observable(ground64, "plus_z", 0.0, axis, model) - 1.0) < 1e-12
-    assert abs(probe.expected_observable(ground64, "plus_y", 0.0, axis, model)) < 1e-12
+    assert abs(probe.scan_observable(ground64, "plus_z", 0.0, axis, model)[0] - 1.0) < 1e-12
+    assert abs(probe.scan_observable(ground64, "plus_y", 0.0, axis, model)[0]) < 1e-12
 
 
 def test_momentum_axis_rejected_for_x_only_models(ground64):
     with pytest.raises(ValueError):
-        probe.expected_observable(ground64, "plus_z", 0.5, "p", FidelityModel.X_DIAGONAL)
+        probe.scan_observable(ground64, "plus_z", 0.5, "p", FidelityModel.X_DIAGONAL)
 
 
 def test_scan_matches_density_transform():
@@ -70,7 +70,7 @@ def test_scan_matches_density_transform():
         dens = np.abs(c @ phi) ** 2
         k = rng.uniform(0.0, 3.0)
         oracle = np.sum(dens * np.cos(k * grid)) * h
-        val = probe.expected_observable(ens, "plus_z", k)
+        val = probe.scan_observable(ens, "plus_z", k)[0]
         assert abs(val - oracle) < 1e-6
 
 

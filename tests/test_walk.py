@@ -87,7 +87,7 @@ def test_walk_density_parity_and_odd_components():
         assert abs(np.sum(grid * dens) * h) < 1e-6
     ens = walk.snapshot_ensemble(result, 6)
     for k in (0.3, 0.9, 1.7, 2.5):
-        assert abs(probe.expected_observable(ens, "plus_y", k)) < 1e-8
+        assert abs(probe.scan_observable(ens, "plus_y", k)[0]) < 1e-8
 
 
 def test_momentum_width_constant_every_step(walk15_ld):
@@ -267,16 +267,11 @@ def test_classical_reference_width_formula():
                - np.sqrt(80.0 / np.pi + 1.0)) < 1e-12
 
 
-def test_two_ion_requires_two_ions():
-    with pytest.raises(ValueError):
-        walk.two_ion_walk(walk.WalkConfig(n_steps=1, params=HilbertParams(n_max=16)))
-
-
 def test_two_ion_single_step_three_peaks():
     p = HilbertParams(n_max=192, n_ions=2)
     cfg = walk.WalkConfig(n_steps=1, params=p)
     assert cfg.step_size == 4.0
-    result = walk.two_ion_walk(cfg)
+    result = walk.quantum_walk(cfg)
     grid = np.arange(-10.0, 10.0001, 0.02)
     dens = walk.snapshot_density(result, 1, grid)
     comps = np.column_stack([np.exp(-(grid - c) ** 2 / 2) / np.sqrt(2 * np.pi)
@@ -287,7 +282,7 @@ def test_two_ion_single_step_three_peaks():
 
 def test_two_ion_five_steps_support():
     p = HilbertParams(n_max=256, n_ions=2)
-    result = walk.two_ion_walk(walk.WalkConfig(n_steps=5, params=p))
+    result = walk.quantum_walk(walk.WalkConfig(n_steps=5, params=p))
     grid = np.arange(-30.0, 30.0001, 0.05)
     dens = walk.snapshot_density(result, 5, grid)
     h = grid[1] - grid[0]
@@ -297,7 +292,7 @@ def test_two_ion_five_steps_support():
 
 def test_two_ion_ground_state_stays_gaussian():
     p = HilbertParams(n_max=32, n_ions=2)
-    result = walk.two_ion_walk(walk.WalkConfig(n_steps=0, params=p))
+    result = walk.quantum_walk(walk.WalkConfig(n_steps=0, params=p))
     grid = np.arange(-6.0, 6.0001, 0.02)
     dens = walk.snapshot_density(result, 0, grid)
     assert np.allclose(dens, np.exp(-grid ** 2 / 2) / np.sqrt(2 * np.pi), atol=1e-9)
