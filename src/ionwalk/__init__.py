@@ -10,8 +10,6 @@ least-squares reconstruction of the position density.
 from .dynamics import (
     FidelityModel,
     Pulse,
-    PulseKind,
-    PulseSpec,
     apply_propagator,
     bichromatic_hamiltonian,
     bichromatic_pulse,

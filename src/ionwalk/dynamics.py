@@ -55,75 +55,6 @@ class FidelityModel(str, enum.Enum):
     ALL_ORDER = "all_order"
 
 
-class PulseKind(str, enum.Enum):
-    BICHROMATIC = "bichromatic"
-    CARRIER = "carrier"
-
-
-@dataclasses.dataclass(frozen=True)
-class PulseSpec:
-    """One laser pulse, either by dimensionless rate or by lab parameters.
-
-    For a bichromatic pulse `rabi` is the product eta * Omega (an inverse
-    time); for a carrier pulse it is Omega itself. Alternatively supply
-    (omega [rad/s], eta, tau [s]) and the dimensionless area is derived.
-    Phases are stored reduced modulo 2 pi.
-    """
-
-    kind: PulseKind = PulseKind.BICHROMATIC
-    model: FidelityModel = FidelityModel.LAMB_DICKE
-    phi_plus: float = 0.0
-    phi_minus: float = 0.0
-    rabi: float | None = None
-    omega: float | None = None
-    eta: float | None = None
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.tau is not None and self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if self.rabi is None and (self.omega is None or self.tau is None):
-            raise ValueError("supply either rabi or (omega, tau)")
-        if (self.rabi is None and self.kind is PulseKind.BICHROMATIC
-                and self.eta is None):
-            raise ValueError("bichromatic pulses from lab parameters need eta")
-        two_pi = 2.0 * np.pi
-        object.__setattr__(self, "phi_plus", float(self.phi_plus) % two_pi)
-        object.__setattr__(self, "phi_minus", float(self.phi_minus) % two_pi)
-
-    @property
-    def area(self) -> float:
-        """Dimensionless pulse area theta in U = exp(-i theta H).
-
-        With the Hamiltonian conventions of this module this is
-        eta * Omega * tau for bichromatic pulses and Omega * tau / 2 on the
-        carrier (a pi/2 carrier pulse has area pi/4).
-        """
-        if self.kind is PulseKind.BICHROMATIC:
-            if self.rabi is not None:
-                if self.tau is None:
-                    raise ValueError("rabi-specified pulses still need tau")
-                return self.rabi * self.tau
-            return self.eta * self.omega * self.tau
-        rate = self.rabi if self.rabi is not None else self.omega
-        if self.tau is None:
-            raise ValueError("rabi-specified pulses still need tau")
-        return 0.5 * rate * self.tau
-
-    @property
-    def displacement(self) -> float:
-        """Step size in ground-state widths per unit spin eigenvalue."""
-        if self.kind is not PulseKind.BICHROMATIC:
-            raise ValueError("only bichromatic pulses displace")
-        return 2.0 * self.area
-
-    def hamiltonian(self, params: HilbertParams) -> np.ndarray:
-        if self.kind is PulseKind.BICHROMATIC:
-            return bichromatic_hamiltonian(params, self.phi_plus,
-                                           self.phi_minus, self.model)
-        return carrier_hamiltonian(params, self.phi_plus, self.model)
-
-
 def sigma_phi(phi: float) -> np.ndarray:
     """Equatorial spin operator sigma_x cos(phi) - sigma_y sin(phi)."""
     return SIGMA_X * np.cos(phi) - SIGMA_Y * np.sin(phi)

@@ -6,11 +6,17 @@ Conventions (dimensionless throughout):
 so [x_hat, pi_hat] = i, <0|x_hat^2|0> = 1 and <0|pi_hat^2|0> = 1/4.
 Momentum *widths* are usually quoted in units of the ground-state momentum
 spread, i.e. for the operator q_hat = 2*pi_hat with <0|q_hat^2|0> = 1.
+
+A mixed motional state is held as one complex factor F of shape
+(motion_dim, K) with rho = F F^dagger: column m is sqrt(w_m) psi_m, so the
+trace condition is ||F||_F = 1 and every consumer works on F directly.
+weights() (squared column norms), member_matrix() (F with normalized
+columns) and members ((weight, vector) pairs) are derived views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,6 +127,8 @@ class SpinMotionState:
             )
         object.__setattr__(self, "amplitudes", amps)
         nrm = np.linalg.norm(amps)
+        if not np.isfinite(nrm):
+            raise FloatingPointError(f"state has non-finite amplitudes (norm {nrm!r})")
         if abs(nrm - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOLERANCE}")
         if not self.leaky and self.tail_population() > TAIL_TOLERANCE:
@@ -155,45 +163,42 @@ class SpinMotionState:
 
 @dataclass(frozen=True)
 class MotionalEnsemble:
-    """Weighted mixture of pure motional states (weights sum to 1)."""
+    """Mixed motional state rho = F F^dagger, F of shape (motion_dim, K), ||F||_F = 1."""
 
     params: HilbertParams
-    members: tuple = field(default_factory=tuple)
+    factor: np.ndarray
 
     def __post_init__(self):
-        members = tuple((float(w), np.asarray(v, dtype=complex)) for w, v in self.members)
-        object.__setattr__(self, "members", members)
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        weights = np.array([w for w, _ in members])
-        if np.any(weights < -1e-12):
-            raise ValueError("ensemble weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > NORM_TOLERANCE:
-            raise ValueError(f"ensemble weights sum to {weights.sum()!r}, expected 1")
-        for _, vec in members:
-            if vec.shape != (self.params.motion_dim,):
-                raise ValueError("member dimension does not match params")
-            if abs(np.linalg.norm(vec) - 1.0) > NORM_TOLERANCE:
-                raise ValueError("ensemble members must be normalized")
+        factor = np.ascontiguousarray(self.factor, dtype=complex)
+        if factor.ndim != 2 or factor.shape[0] != self.params.motion_dim or not factor.shape[1]:
+            raise ValueError(f"factor has shape {factor.shape}, expected "
+                             f"({self.params.motion_dim}, K) with K >= 1")
+        trace = float(np.vdot(factor, factor).real)
+        if not np.isfinite(trace):
+            raise FloatingPointError(f"ensemble factor has non-finite entries (trace {trace!r})")
+        if abs(trace - 1.0) > NORM_TOLERANCE:
+            raise ValueError(f"ensemble trace {trace!r} deviates from 1 beyond {NORM_TOLERANCE}")
+        object.__setattr__(self, "factor", factor)
 
     @classmethod
     def from_pure(cls, vec: np.ndarray, params: HilbertParams) -> "MotionalEnsemble":
-        return cls(params, ((1.0, np.asarray(vec, dtype=complex)),))
-
-    def member_matrix(self) -> np.ndarray:
-        """Member vectors stacked as columns, shape (motion_dim, n_members)."""
-        return np.column_stack([v for _, v in self.members])
+        return cls(params, np.asarray(vec, dtype=complex)[:, None])
 
     def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.members])
+        """Member weights w_m: the squared column norms of F."""
+        return np.sum(np.abs(self.factor) ** 2, axis=0)
+
+    def member_matrix(self) -> np.ndarray:
+        """Normalized member vectors psi_m as columns, shape (motion_dim, K)."""
+        return self.factor / np.sqrt(self.weights())
+
+    @property
+    def members(self) -> tuple:
+        """(w_m, psi_m) pairs."""
+        return tuple(zip(self.weights(), self.member_matrix().T))
 
     def fock_populations(self) -> np.ndarray:
-        mat = np.abs(self.member_matrix()) ** 2
-        return mat @ self.weights()
-
-    def mean_phonon(self) -> float:
-        pops = self.fock_populations()
-        return float(np.dot(np.arange(len(pops)), pops))
+        return np.sum(np.abs(self.factor) ** 2, axis=1)
 
 
 def apply_position(arr: np.ndarray) -> np.ndarray:
@@ -258,8 +263,8 @@ def exact_position_densities(ensembles, grid: np.ndarray,
                              check_coverage: bool = True) -> np.ndarray:
     """Densities of several ensembles (row i: ensembles[i]) from one Hermite table.
 
-    The real table multiplies the members' (re, im) columns, so no complex
-    copy of it is made; the squared pairs are summed with each member's weight.
+    The density is sum over columns of (Phi^T F)^2; the real table multiplies
+    the factor's (re, im) columns, so no complex copy of it is made.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
@@ -268,8 +273,8 @@ def exact_position_densities(ensembles, grid: np.ndarray,
     if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * abs(h)):
         raise ValueError("grid must be uniformly spaced")
     phi = hermite_functions(max(e.params.n_max for e in ensembles), grid)
-    out = np.array([(phi[:e.params.motion_dim].T @ e.member_matrix().view(np.float64)) ** 2
-                    @ np.repeat(e.weights(), 2) for e in ensembles])
+    out = np.array([np.sum((phi[:e.params.motion_dim].T @ e.factor.view(np.float64)) ** 2,
+                           axis=1) for e in ensembles])
     mass = float(np.min(np.sum(out, axis=1)) * h)
     if check_coverage and mass < 0.999:
         raise GridCoverageError(

@@ -119,7 +119,7 @@ def scan_observable(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
 
     <O(k)> = 2 Re[c+^* c- sum_j P_j e^{i k g_j}] with c+- = <+-x|spin_prep>,
     G = D V diag(g) V^T D^* (the probe pulse's motional factor) and
-    P_j = sum_m w_m |<v_j|D^* psi_m>|^2.
+    P_j = sum over columns of |V^T D^* F|^2, the diagonal of rho in G's eigenbasis.
     """
     if spin_prep not in _SPIN_PREP:
         raise ValueError(f"spin_prep must be one of {sorted(_SPIN_PREP)}")
@@ -128,8 +128,8 @@ def scan_observable(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     phi_minus = 0.0 if axis == "x" else np.pi / 2.0
     pulse = dynamics.bichromatic_pulse(ensemble.params, 0.0, phi_minus, model)
-    members = (pulse.gauge.conj()[:, None] * ensemble.member_matrix()).view(np.float64)
-    pops = (pulse.motion_vectors.T @ members) ** 2 @ np.repeat(ensemble.weights(), 2)
+    gauged = (pulse.gauge.conj()[:, None] * ensemble.factor).view(np.float64)
+    pops = np.sum((pulse.motion_vectors.T @ gauged) ** 2, axis=1)
     spin = _SPIN_PREP[spin_prep]
     coherence = 0.5 * np.conj(spin[0] + spin[1]) * (spin[0] - spin[1])   # c+^* c-
     return 2.0 * np.real(coherence * (np.exp(1j * np.outer(k_grid, pulse.motion_values)) @ pops))

@@ -184,18 +184,20 @@ def _spin_phase_column(phases: np.ndarray, params: HilbertParams) -> np.ndarray:
 
 
 def _ensemble_from_trials(columns: np.ndarray, params: HilbertParams) -> MotionalEnsemble:
-    """Uniform mixture over trial columns, each recombined over spin branches."""
+    """Uniform mixture over trial columns, each recombined over spin branches.
+
+    Trial t's spin branch s becomes factor column t * spin_dim + s, of weight
+    |branch|^2 / trials; branches of weight <= _BRANCH_CUTOFF are dropped and
+    the factor is trace-normalized once.
+    """
     trials = columns.shape[1]
-    branches = columns.T.reshape(trials, params.spin_dim, params.motion_dim)
-    weights = np.sum(np.abs(branches) ** 2, axis=2) / trials
-    members = []
-    for t in range(trials):
-        for s in range(params.spin_dim):
-            w = float(weights[t, s])
-            if w > _BRANCH_CUTOFF:
-                members.append((w, branches[t, s] / np.linalg.norm(branches[t, s])))
-    total = sum(w for w, _ in members)
-    return MotionalEnsemble(params, tuple((w / total, v) for w, v in members))
+    factor = columns.reshape(params.spin_dim, params.motion_dim, trials).transpose(1, 2, 0)
+    factor = factor.reshape(params.motion_dim, -1)
+    weights = np.sum(np.abs(factor) ** 2, axis=0) / trials
+    keep = weights > _BRANCH_CUTOFF
+    if not keep.all():
+        factor, weights = factor[:, keep], weights[keep]
+    return MotionalEnsemble(params, factor / np.sqrt(trials * np.sum(weights)))
 
 
 def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
@@ -226,7 +228,7 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
             states = dynamics.apply_propagator(pulse_d, area_d, states)
             states = dynamics.apply_propagator(pulse_c, area_c, states)
             states = diag * states
-            out.append(states.copy())
+            out.append(states)
         return out
 
     if threads <= 1:
@@ -247,20 +249,19 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
 
 # ---------------------------------------------------------------- summaries
 
+def _motional_rows(obj) -> np.ndarray:
+    """Rows r_i with rho_motion = sum_i |r_i><r_i|: spin branches, or the columns of F."""
+    return obj.branch_matrix() if isinstance(obj, SpinMotionState) else obj.factor.T
+
+
 def second_moment_x(obj) -> float:
-    """<x_hat^2> of a SpinMotionState or MotionalEnsemble."""
-    if isinstance(obj, SpinMotionState):
-        return float(np.sum(np.abs(apply_position(obj.branch_matrix())) ** 2))
-    mat = obj.member_matrix().T
-    return float(np.dot(obj.weights(), np.sum(np.abs(apply_position(mat)) ** 2, axis=1)))
+    """<x_hat^2> = ||X R||_F^2 of a SpinMotionState or MotionalEnsemble."""
+    return float(np.sum(np.abs(apply_position(_motional_rows(obj))) ** 2))
 
 
 def second_moment_q(obj) -> float:
     """<q_hat^2> with q_hat = 2*pi_hat (ground state gives 1)."""
-    if isinstance(obj, SpinMotionState):
-        return float(np.sum(np.abs(apply_momentum(obj.branch_matrix())) ** 2))
-    mat = obj.member_matrix().T
-    return float(np.dot(obj.weights(), np.sum(np.abs(apply_momentum(mat)) ** 2, axis=1)))
+    return float(np.sum(np.abs(apply_momentum(_motional_rows(obj))) ** 2))
 
 
 def width_x(obj) -> float:

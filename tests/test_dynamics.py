@@ -203,28 +203,6 @@ def test_step_size_paper_parameters():
     assert abs(d - 2.051) < 0.01
 
 
-def test_pulse_spec_areas_and_phases():
-    from ionwalk.dynamics import PulseKind, PulseSpec
-
-    pulse = PulseSpec(kind=PulseKind.BICHROMATIC, phi_minus=np.pi / 2 + 4 * np.pi,
-                      omega=2 * np.pi * 68e3, eta=0.06, tau=40e-6)
-    assert abs(pulse.displacement - 2.051) < 0.01
-    assert abs(pulse.phi_minus - np.pi / 2) < 1e-12
-    same = PulseSpec(kind=PulseKind.BICHROMATIC, rabi=0.06 * 2 * np.pi * 68e3,
-                     tau=40e-6)
-    assert abs(same.area - pulse.area) < 1e-12
-    p = HilbertParams(n_max=12, eta=0.06)
-    h = pulse.hamiltonian(p)
-    assert np.max(np.abs(h - bichromatic_hamiltonian(p, 0.0, np.pi / 2,
-                                                     FidelityModel.LAMB_DICKE))) < 1e-12
-    coin = PulseSpec(kind=PulseKind.CARRIER, rabi=1.0, tau=np.pi / 2)
-    assert abs(coin.area - np.pi / 4) < 1e-12
-    with pytest.raises(ValueError):
-        PulseSpec(kind=PulseKind.CARRIER, rabi=1.0, tau=-1.0)
-    with pytest.raises(ValueError):
-        PulseSpec(kind=PulseKind.BICHROMATIC, omega=1e5, tau=1e-5)   # eta missing
-
-
 def _displacement_unitary(d, p):
     """exp(-i (d/2) H) of the phi- = pi/2 displacement pulse, as a dense matrix."""
     pulse = bichromatic_pulse(p, 0.0, np.pi / 2.0, FidelityModel.LAMB_DICKE)

@@ -19,6 +19,7 @@ from ionwalk.fock import (
     number_operator,
     quadrature_operators,
 )
+from ionwalk import walk
 
 
 def test_params_validation():
@@ -164,8 +165,8 @@ def test_coherent_density_shifted_gaussian():
 
 def test_mixture_density_moments():
     p = HilbertParams(n_max=64)
-    ens = MotionalEnsemble(p, ((0.5, coherent_state(1.0, p)),
-                               (0.5, coherent_state(-1.0, p))))
+    ens = MotionalEnsemble(p, np.sqrt(0.5) * np.column_stack([coherent_state(1.0, p),
+                                                              coherent_state(-1.0, p)]))
     grid = np.arange(-10, 10.0001, 0.02)
     dens = exact_position_density(ens, grid)
     h = grid[1] - grid[0]
@@ -218,11 +219,35 @@ def test_ensemble_validation():
     p = HilbertParams(n_max=8)
     good = fock_state(0, p)
     with pytest.raises(ValueError):
-        MotionalEnsemble(p, ((0.7, good), (0.7, good)))
+        MotionalEnsemble(p, np.sqrt(0.7) * np.column_stack([good, good]))   # trace 1.4
     with pytest.raises(ValueError):
-        MotionalEnsemble(p, ((1.0, good * 2.0),))
-    ens = MotionalEnsemble(p, ((0.25, fock_state(1, p)), (0.75, good)))
-    assert abs(ens.mean_phonon() - 0.25) < 1e-12
+        MotionalEnsemble(p, 2.0 * good[:, None])                           # trace 4
+    with pytest.raises(ValueError):
+        MotionalEnsemble(p, good)                                          # not 2-D
+    with pytest.raises(ValueError):
+        MotionalEnsemble(p, good[:-1, None])                               # wrong motion_dim
+    with pytest.raises(ValueError):
+        MotionalEnsemble(p, np.zeros((p.motion_dim, 0)))                   # no columns
+    ens = MotionalEnsemble(p, np.column_stack([0.5 * fock_state(1, p), np.sqrt(0.75) * good]))
+    assert abs(walk.mean_phonon(ens) - 0.25) < 1e-12
+    assert np.allclose(ens.weights(), [0.25, 0.75], rtol=0, atol=1e-15)
+    assert np.allclose(ens.member_matrix(), np.column_stack([fock_state(1, p), good]),
+                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_states_rejected(bad):
+    # abs(norm - 1) > tol is False for NaN, so the norm checks alone let it through
+    p = HilbertParams(n_max=8)
+    amps = np.zeros(p.dim, dtype=complex)
+    amps[0] = 1.0
+    amps[1] = bad
+    with pytest.raises(FloatingPointError):
+        SpinMotionState(p, amps)
+    factor = np.column_stack([fock_state(0, p), fock_state(1, p)]) / np.sqrt(2.0)
+    factor[2, 1] = bad
+    with pytest.raises(FloatingPointError):
+        MotionalEnsemble(p, factor)
 
 
 def _gaussian(grid, center):
@@ -235,8 +260,8 @@ def test_densities_match_closed_form_gaussians():
     grid = np.arange(-10.0, 10.0001, 0.05)
     alphas = (0.8 + 0.6j, -1.1 - 0.4j)
     coherent = [MotionalEnsemble.from_pure(coherent_state(a, p), p) for a in alphas]
-    mixture = MotionalEnsemble(p, ((0.3, coherent_state(alphas[0], p)),
-                                   (0.7, coherent_state(alphas[1], p))))
+    mixture = MotionalEnsemble(p, np.column_stack([np.sqrt(0.3) * coherent_state(alphas[0], p),
+                                                   np.sqrt(0.7) * coherent_state(alphas[1], p)]))
     rows = exact_position_densities(coherent + [mixture], grid)
     for row, alpha in zip(rows, alphas):
         assert np.max(np.abs(row - _gaussian(grid, 2 * alpha.real))) < 1e-12

@@ -13,7 +13,10 @@ from ionwalk.fock import (
     MotionalEnsemble,
     SpinMotionState,
     coherent_state,
+    exact_position_densities,
     exact_position_density,
+    hermite_functions,
+    quadrature_operators,
 )
 from ionwalk import probe, walk
 
@@ -184,6 +187,7 @@ def test_recombine_pure_spin_state():
     state = SpinMotionState.from_product(np.array([1.0, 0.0]),
                                          coherent_state(1.0, p), p)
     ens = walk.recombine_spin(state)
+    assert ens.factor.shape == (p.motion_dim, 1)
     assert len(ens.members) == 1
     w, vec = ens.members[0]
     assert abs(w - 1.0) < 1e-12
@@ -353,3 +357,55 @@ def test_walks_match_dense_expm(model, n_ions):
             if np.linalg.norm(branch) > 1e-6:
                 members.append(branch / np.linalg.norm(branch))
     assert np.max(np.abs(final.member_matrix() - np.column_stack(members))) < 1e-12
+
+
+def _factor_case(name):
+    """(ensemble, dense rho) for a random 3-member mixture or a recombined two-ion walk."""
+    if name == "mixture":
+        p = HilbertParams(n_max=30)
+        rng = np.random.default_rng(17)
+        decay = np.exp(-np.arange(p.motion_dim) / 4.0)
+        cols = (rng.normal(size=(p.motion_dim, 3))
+                + 1j * rng.normal(size=(p.motion_dim, 3))) * decay[:, None]
+        cols *= np.sqrt([0.5, 0.3, 0.2]) / np.linalg.norm(cols, axis=0)
+        return MotionalEnsemble(p, cols), cols @ cols.conj().T
+    cfg = walk.WalkConfig(n_steps=1, params=HilbertParams(n_max=30, n_ions=2),
+                          model=FidelityModel.ALL_ORDER, coin_phase=0.3)
+    state = walk.quantum_walk(cfg).snapshots[-1]
+    psi = state.amplitudes
+    rho_full = np.outer(psi, psi.conj()).reshape(4, 31, 4, 31)
+    return walk.recombine_spin(state), np.einsum("sasb->ab", rho_full)   # Tr_spin
+
+
+@pytest.mark.parametrize("name", ["mixture", "two_ion_walk"])
+def test_factor_consumers_match_dense_rho(name):
+    # test-only oracle: every consumer of F against the dense rho = F F^dagger
+    ens, rho = _factor_case(name)
+    p = ens.params
+    assert np.max(np.abs(ens.factor @ ens.factor.conj().T - rho)) < 1e-12
+    assert np.max(np.abs(ens.fock_populations() - np.diag(rho).real)) < 1e-12
+
+    grid = np.linspace(-16.0, 16.0, 321)
+    phi = hermite_functions(p.n_max, grid)
+    dens = np.einsum("ix,ij,jx->x", phi, rho, phi).real
+    assert np.max(np.abs(exact_position_densities([ens], grid)[0] - dens)) < 1e-12
+
+    x, pi = quadrature_operators(p)
+    assert abs(walk.second_moment_x(ens) - np.trace(rho @ x @ x).real) < 1e-12
+    assert abs(walk.second_moment_q(ens) - np.trace(rho @ (4.0 * pi @ pi)).real) < 1e-12
+
+    ks = np.linspace(0.0, 3.0, 7)
+    m = p.motion_dim
+    for axis in ("x", "p"):
+        h = bichromatic_hamiltonian(HilbertParams(n_max=p.n_max), 0.0,
+                                    0.0 if axis == "x" else np.pi / 2, FidelityModel.ALL_ORDER)
+        for prep, spin in (("plus_z", np.array([1.0, 0.0])),
+                           ("plus_y", np.array([1.0, 1.0j]) / np.sqrt(2))):
+            rho_in = np.kron(np.outer(spin, spin.conj()), rho)
+            oracle = []
+            for k in ks:
+                u = expm(-0.5j * k * h)
+                out = np.diag(u @ rho_in @ u.conj().T).real
+                oracle.append(out[:m].sum() - out[m:].sum())
+            vals = probe.scan_observable(ens, prep, ks, axis, FidelityModel.ALL_ORDER)
+            assert np.max(np.abs(vals - np.array(oracle))) < 1e-12
