@@ -15,7 +15,6 @@ from .dynamics import (
     bichromatic_pulse,
     carrier_hamiltonian,
     carrier_pulse,
-    evolve,
     step_size,
 )
 from .fock import (

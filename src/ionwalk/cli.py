@@ -149,15 +149,6 @@ def _walk_config(cfg: dict, seed: int) -> walk.WalkConfig:
     )
 
 
-def derived_quantities(cfg: dict) -> dict:
-    out = {}
-    if "pulses" in cfg:
-        eta = cfg["hilbert"].get("eta", 0.06)
-        omega = 2.0 * np.pi * cfg["pulses"]["omega_hz"]
-        out["step_size_from_pulse"] = step_size(eta, omega, cfg["pulses"]["tau_s"])
-    return out
-
-
 def validate_config(cfg: dict) -> tuple[bool, list[str]]:
     """Physics adequacy report (without running the experiment)."""
     lines = []
@@ -174,17 +165,18 @@ def validate_config(cfg: dict) -> tuple[bool, list[str]]:
         )
     rec = {**_RECON_DEFAULTS, **cfg.get("reconstruction", {})}
     extent = rec["grid_extent"]
-    auto = wcfg.n_steps * wcfg.step_size + 6.0
     if extent is None:
-        lines.append(f"OK: reconstruction grid extent auto = s*N + 6 = {auto:g}")
+        lines.append(f"OK: reconstruction grid extent auto = s*N + 6 = {_auto_extent(wcfg):g}")
     elif extent >= wcfg.n_steps * wcfg.step_size + 2.0:
         lines.append(f"OK: reconstruction grid extent {extent:g}")
     else:
         ok = False
         lines.append(f"FAIL: grid extent {extent:g} below walk support "
                      f"{wcfg.n_steps * wcfg.step_size:g} + 2")
-    for key, val in derived_quantities(cfg).items():
-        lines.append(f"OK: {key} = {val:.4g}")
+    if "pulses" in cfg:
+        omega = 2.0 * np.pi * cfg["pulses"]["omega_hz"]
+        d = step_size(wcfg.params.eta, omega, cfg["pulses"]["tau_s"])
+        lines.append(f"OK: step_size_from_pulse = {d:.4g}")
     return ok, lines
 
 
@@ -221,12 +213,24 @@ def write_json(path: str, payload: dict) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _auto_extent(wcfg: walk.WalkConfig) -> float:
+    """Default grid half-width: the walk's reach s*N plus 6 ground-state widths."""
+    return wcfg.n_steps * wcfg.step_size + 6.0
+
+
+def _grid(wcfg: walk.WalkConfig, extent: float | None,
+          spacing: float) -> reconstruct.PositionGrid:
+    """Symmetric grid of the given (else the default) extent; too coarse is a ConfigError."""
+    extent = extent or _auto_extent(wcfg)
+    try:
+        return reconstruct.PositionGrid.symmetric(extent, spacing)
+    except ValueError as exc:
+        raise ConfigError(f"grid of extent {extent:g} and spacing {spacing:g}: {exc}") from exc
+
+
 def _density_grid(cfg: dict, wcfg: walk.WalkConfig) -> np.ndarray:
     dg = cfg.get("density_grid", {})
-    extent = dg.get("extent") or wcfg.n_steps * wcfg.step_size + 6.0
-    spacing = dg.get("spacing", 0.05)
-    n = int(round(extent / spacing))
-    return np.arange(-n, n + 1) * spacing
+    return _grid(wcfg, dg.get("extent"), dg.get("spacing", 0.05)).points
 
 
 # -------------------------------------------------------------- experiments
@@ -270,15 +274,10 @@ def _scan_settings(cfg: dict) -> dict:
     return {**_SCAN_DEFAULTS, **cfg.get("scan", {})}
 
 
-def _final_ensemble(cfg: dict, seed: int):
-    wcfg = _walk_config(cfg, seed)
-    result = walk.quantum_walk(wcfg)
-    return wcfg, walk.snapshot_ensemble(result, wcfg.n_steps)
-
-
 def _run_scan(cfg: dict, prefix: str, seed: int) -> None:
     sc = _scan_settings(cfg)
-    wcfg, ensemble = _final_ensemble(cfg, seed)
+    wcfg = _walk_config(cfg, seed)
+    ensemble = walk.snapshot_ensemble(walk.quantum_walk(wcfg), wcfg.n_steps)
     k_grid = np.linspace(0.0, sc["k_max"], sc["n_points"])
     if sc["noiseless"]:
         scan = probe.exact_scan(ensemble, sc["spin_prep"], k_grid, sc["axis"], wcfg.model)
@@ -298,8 +297,7 @@ def _run_reconstruct(cfg: dict, prefix: str, seed: int) -> None:
     result = walk.quantum_walk(wcfg)
     steps = rc["steps"] if rc["steps"] is not None else [wcfg.n_steps]
     k_grid = np.linspace(0.0, sc["k_max"], sc["n_points"])
-    extent = rc["grid_extent"] or wcfg.n_steps * wcfg.step_size + 6.0
-    grid = reconstruct.PositionGrid.symmetric(extent, rc["grid_spacing"])
+    grid = _grid(wcfg, rc["grid_extent"], rc["grid_spacing"])
     kind = rc["kind"]
     if kind is None:
         # match the kernel to the probe physics: the linear kernel is exact

@@ -18,6 +18,9 @@ the bichromatic M depends only on (n_max, eta, model), so that eigensolve
 runs once per (n_max, eta, model) per process and its read-only eigenpairs
 are shared by the walk's displacement and both probe quadratures. The dense
 *_hamiltonian builders serve as reference.
+
+apply_propagator acts on a state vector or a (dim, K) block of them and does
+not check truncation: SpinMotionState and the walk's step loop do.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_genlaguerre, eval_laguerre
 
-from .fock import HilbertParams, LeakyStateError, SpinMotionState, ladder_operators
+from .fock import HilbertParams, ladder_operators
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -112,24 +115,20 @@ def bichromatic_hamiltonian(params: HilbertParams, phi_plus: float,
     return 0.5 * (h + h.conj().T)
 
 
-def carrier_hamiltonian(params: HilbertParams, phase: float, model: FidelityModel,
-                        include_debye_waller: bool = False) -> np.ndarray:
+def carrier_hamiltonian(params: HilbertParams, phase: float,
+                        model: FidelityModel) -> np.ndarray:
     """Carrier (spin-only resonance) Hamiltonian, in units of Omega_0.
 
-    For ALL_ORDER the coupling of level n carries the factor L_n(eta^2);
-    include_debye_waller additionally multiplies by exp(-eta^2/2) (whether
-    that factor is absorbed in Omega_0 is a calibration convention; it
-    rescales the time axis only).
+    For ALL_ORDER the coupling of level n carries the factor L_n(eta^2); the
+    Debye-Waller factor exp(-eta^2/2) is taken as absorbed in Omega_0.
     """
-    pulse = carrier_pulse(params, phase, model, include_debye_waller)
+    pulse = carrier_pulse(params, phase, model)
     return np.kron(pulse.spin, np.diag(pulse.motion_values))
 
 
-def carrier_coupling_ratios(params: HilbertParams,
-                            include_debye_waller: bool = False) -> np.ndarray:
+def carrier_coupling_ratios(params: HilbertParams) -> np.ndarray:
     """Rabi frequencies Omega_{n,n}/Omega_0 = L_n(eta^2) on the carrier."""
-    ratios = eval_laguerre(np.arange(params.motion_dim), params.eta ** 2)
-    return ratios * np.exp(-0.5 * params.eta ** 2) if include_debye_waller else ratios
+    return eval_laguerre(np.arange(params.motion_dim), params.eta ** 2)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -199,10 +198,9 @@ def bichromatic_pulse(params: HilbertParams, phi_plus: float, phi_minus: float,
                  np.exp(1j * phi_minus * np.arange(params.motion_dim)))
 
 
-def carrier_pulse(params: HilbertParams, phase: float, model: FidelityModel,
-                  include_debye_waller: bool = False) -> Pulse:
+def carrier_pulse(params: HilbertParams, phase: float, model: FidelityModel) -> Pulse:
     """Factored form of carrier_hamiltonian: S_c (x) diag(L_n), or S_c (x) 1."""
-    motion = (carrier_coupling_ratios(params, include_debye_waller)
+    motion = (carrier_coupling_ratios(params)
               if model is FidelityModel.ALL_ORDER else np.ones(params.motion_dim))
     return Pulse(collective_spin(sigma_phi(phase), params.n_ions), motion)
 
@@ -237,20 +235,6 @@ def apply_propagator(pulse: Pulse, area: float, amplitudes: np.ndarray) -> np.nd
         block *= gauge
         branches = block.transpose(1, 0, 2)
     return (s_vecs @ branches.reshape(s, -1)).reshape(amps.shape)
-
-
-def evolve(state: SpinMotionState, pulse: Pulse, area: float,
-           allow_leaky: bool = False) -> SpinMotionState:
-    """Evolve a state by exp(-i * area * S (x) M), re-checking truncation health."""
-    out = apply_propagator(pulse, area, state.amplitudes)
-    new = SpinMotionState(state.params, out, leaky=True)
-    tail = new.tail_population()
-    if tail > 1e-6 and not allow_leaky:
-        raise LeakyStateError(
-            f"evolution pushed {tail:.2e} population into the top Fock levels; "
-            f"increase n_max (currently {state.params.n_max})"
-        )
-    return SpinMotionState(state.params, out, leaky=allow_leaky or state.leaky)
 
 
 def step_size(eta: float, omega: float, tau: float) -> float:

@@ -107,8 +107,22 @@ def coherent_state(alpha: complex, params: HilbertParams) -> np.ndarray:
     return vec
 
 
-def _tail_levels(motion_dim: int) -> int:
-    return max(1, int(np.ceil(TAIL_FRACTION * motion_dim)))
+def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "") -> float:
+    """Largest spin-traced population of the top TAIL_FRACTION Fock levels.
+
+    Over the columns of a state vector or (dim, K) block; above TAIL_TOLERANCE
+    it raises LeakyStateError, if not finite FloatingPointError, the message
+    prefixed with where.
+    """
+    k = max(1, int(np.ceil(TAIL_FRACTION * params.motion_dim)))
+    top = amplitudes.reshape(params.spin_dim, params.motion_dim, -1)[:, -k:]
+    tail = float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
+    if not np.isfinite(tail):
+        raise FloatingPointError(f"{where}state has non-finite amplitudes")
+    if tail > TAIL_TOLERANCE:
+        raise LeakyStateError(f"{where}tail population {tail:.2e} exceeds {TAIL_TOLERANCE}; "
+                              f"increase n_max (currently {params.n_max})")
+    return tail
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,6 @@ class SpinMotionState:
 
     params: HilbertParams
     amplitudes: np.ndarray
-    leaky: bool = False
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -131,25 +144,19 @@ class SpinMotionState:
             raise FloatingPointError(f"state has non-finite amplitudes (norm {nrm!r})")
         if abs(nrm - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOLERANCE}")
-        if not self.leaky and self.tail_population() > TAIL_TOLERANCE:
-            raise LeakyStateError(
-                f"tail population {self.tail_population():.2e} exceeds {TAIL_TOLERANCE}; "
-                f"increase n_max (currently {self.params.n_max})"
-            )
+        check_tail(self.params, amps)
 
     @classmethod
     def from_product(cls, spin: np.ndarray, motion: np.ndarray,
-                     params: HilbertParams, leaky: bool = False) -> "SpinMotionState":
-        return cls(params, np.kron(np.asarray(spin, dtype=complex), motion), leaky=leaky)
+                     params: HilbertParams) -> "SpinMotionState":
+        return cls(params, np.kron(np.asarray(spin, dtype=complex), motion))
 
     def branch_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (spin_dim, motion_dim)."""
         return self.amplitudes.reshape(self.params.spin_dim, self.params.motion_dim)
 
     def tail_population(self) -> float:
-        branches = self.branch_matrix()
-        k = _tail_levels(self.params.motion_dim)
-        return float(np.sum(np.abs(branches[:, -k:]) ** 2))
+        return check_tail(self.params, self.amplitudes)
 
     def motional_populations(self) -> np.ndarray:
         """Fock populations P_n, traced over spin."""

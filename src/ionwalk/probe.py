@@ -58,7 +58,6 @@ class ProbeScan:
     estimates: np.ndarray
     shots: int | None
     model: FidelityModel
-    probe_rabi: float | None = None
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
@@ -87,7 +86,6 @@ class RabiScan:
 
     times: np.ndarray
     excitation: np.ndarray
-    shots: int | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -138,8 +136,7 @@ def scan_observable(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
 def simulate_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
                   axis: str = "x",
                   model: FidelityModel = FidelityModel.LAMB_DICKE,
-                  shots: int = DEFAULT_SHOTS, seed=None,
-                  probe_rabi: float | None = None) -> ProbeScan:
+                  shots: int = DEFAULT_SHOTS, seed=None) -> ProbeScan:
     """Scan with binomial shot noise; deterministic for a fixed seed.
 
     Each point draws `shots` two-outcome measurements with success
@@ -157,18 +154,17 @@ def simulate_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
         ups = np.random.default_rng(ss).binomial(shots, p)
         est[i] = 2.0 * ups / shots - 1.0
     return ProbeScan(axis=axis, spin_prep=spin_prep, k=k_grid, estimates=est,
-                     shots=shots, model=model, probe_rabi=probe_rabi)
+                     shots=shots, model=model)
 
 
 def exact_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
                axis: str = "x",
-               model: FidelityModel = FidelityModel.LAMB_DICKE,
-               probe_rabi: float | None = None) -> ProbeScan:
+               model: FidelityModel = FidelityModel.LAMB_DICKE) -> ProbeScan:
     """Noiseless ProbeScan (shots = None) holding the exact expectations."""
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     exact = scan_observable(ensemble, spin_prep, k_grid, axis, model)
     return ProbeScan(axis=axis, spin_prep=spin_prep, k=k_grid, estimates=exact,
-                     shots=None, model=model, probe_rabi=probe_rabi)
+                     shots=None, model=model)
 
 
 def default_k_grid(k_max: float = DEFAULT_K_MAX, n_points: int = DEFAULT_K_POINTS) -> np.ndarray:
@@ -214,23 +210,16 @@ def width_from_curvature(scan: ProbeScan) -> WidthEstimate:
                          fit_residual=resid, monotone=monotone)
 
 
-def carrier_rabi_scan(ensemble: MotionalEnsemble, times, shots: int | None = None,
-                      seed=None, include_debye_waller: bool = False) -> RabiScan:
-    """Excitation sum_n P_n sin^2(Omega_nn t / 2) on the carrier transition."""
+def carrier_rabi_scan(ensemble: MotionalEnsemble, times) -> RabiScan:
+    """Exact excitation sum_n P_n sin^2(Omega_nn t / 2) on the carrier transition."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    pops = ensemble.fock_populations()
-    ratios = dynamics.carrier_coupling_ratios(ensemble.params, include_debye_waller)
-    exc = np.sin(0.5 * np.outer(times, ratios)) ** 2 @ pops
-    if shots is not None:
-        seeds = np.random.SeedSequence(seed).spawn(times.size)
-        exc = np.array([np.random.default_rng(ss).binomial(shots, p) / shots
-                        for p, ss in zip(np.clip(exc, 0, 1), seeds)])
-    return RabiScan(times=times, excitation=exc, shots=shots)
+    ratios = dynamics.carrier_coupling_ratios(ensemble.params)
+    exc = np.sin(0.5 * np.outer(times, ratios)) ** 2 @ ensemble.fock_populations()
+    return RabiScan(times=times, excitation=exc)
 
 
 def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
-                    n_cap: int | None = None, expected_nbar: float | None = None,
-                    include_debye_waller: bool = False) -> PhononFit:
+                    n_cap: int | None = None, expected_nbar: float | None = None) -> PhononFit:
     """Fock populations and <n> from a carrier Rabi scan.
 
     Nonnegative least squares on the sin^2 basis with the normalization
@@ -249,7 +238,7 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
         raise ValueError(
             f"{np.unique(times).size} distinct times cannot resolve {n_cap} populations"
         )
-    ratios = dynamics.carrier_coupling_ratios(params, include_debye_waller)[:n_cap]
+    ratios = dynamics.carrier_coupling_ratios(params)[:n_cap]
     a = np.sin(0.5 * np.outer(times, ratios)) ** 2
     penalty = 100.0 * max(1.0, float(np.linalg.norm(a, np.inf)))
     a_aug = np.vstack([a, penalty * np.ones(n_cap)])

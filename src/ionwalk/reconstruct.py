@@ -9,7 +9,8 @@ where F is the discretized Fisher-information functional
 F(p) = h * sum_i ((p_{i+1} - p_{i-1}) / 2h)^2 / p_i, a convex constraint
 excluding densities whose kinetic energy would exceed the measured one
 (equality holds for wavefunctions without phase gradients, e.g. the ground
-state where F = 4 <pi^2> = 1).
+state where F = 4 <pi^2> = 1). Without sine data the solution is the even
+density that fits the cosine rows: the Newton steps are symmetrized.
 
 The solver is a log-barrier Newton method (Boyd & Vandenberghe, Convex
 Optimization, ch. 11). From the uniform density (F = 0, strictly feasible)
@@ -80,10 +81,6 @@ class PositionGrid:
         return float(self.points[1] - self.points[0])
 
     @property
-    def extent(self) -> float:
-        return float(self.points[-1])
-
-    @property
     def is_symmetric(self) -> bool:
         return bool(np.allclose(self.points, -self.points[::-1], atol=1e-12))
 
@@ -149,7 +146,6 @@ class DensityEstimate:
     iterations: int
     gap: float
     multiplier: float = 0.0
-    odd_residual: float | None = None
 
 
 def estimate_kinetic_bound(p_scan: ProbeScan) -> float:
@@ -297,48 +293,28 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
 
 
 def reconstruct_density(model: ForwardModel, c_values, s_values=None,
-                        kinetic_bound: float | None = None,
-                        even_only: bool | None = None,
-                        weights=None) -> DensityEstimate:
+                        kinetic_bound: float | None = None) -> DensityEstimate:
     """Constrained least-squares density estimate.
 
     c_values are the measured cosine components on model.k; s_values the
     sine components or None, in which case the solution is constrained to
     be even (reconstructing the symmetric part). kinetic_bound is <pi^2>;
-    the Fisher functional of the result is kept below 4 times it. weights
-    optionally scales the residual rows (e.g. inverse shot-noise sigma).
+    the Fisher functional of the result is kept below 4 times it.
     Raises RuntimeError when the barrier method cannot certify its gap.
     """
     c = np.asarray(c_values, dtype=float)
     if c.shape != model.k.shape:
         raise ValueError("c_values must match the model's k grid")
-    if even_only is None:
-        even_only = s_values is None
-    if even_only and not model.grid.is_symmetric:
-        raise ValueError("even-only reconstruction needs a symmetric grid")
-    rows = [model.ccos]
-    data = [c]
-    odd_residual = None
-    if s_values is not None:
+    even = s_values is None
+    if even:
+        if not model.grid.is_symmetric:
+            raise ValueError("even reconstruction needs a symmetric grid")
+        a, b = model.ccos, c
+    else:
         s = np.asarray(s_values, dtype=float)
         if s.shape != model.k.shape:
             raise ValueError("s_values must match the model's k grid")
-        if even_only:
-            odd_residual = float(np.linalg.norm(s))
-        else:
-            rows.append(model.csin)
-            data.append(s)
-    a = np.vstack(rows)
-    b = np.concatenate(data)
-    if weights is not None:
-        wts = np.asarray(weights, dtype=float)
-        if wts.size != b.size:
-            raise ValueError("weights must match the stacked residual rows")
-        if np.any(wts <= 0):
-            raise ValueError("weights must be positive")
-        wts = np.sqrt(wts / wts.mean())   # only relative weights matter
-        a = a * wts[:, None]
-        b = b * wts
+        a, b = np.vstack([model.ccos, model.csin]), np.concatenate([c, s])
 
     h = model.grid.spacing
     bound = None
@@ -350,7 +326,7 @@ def reconstruct_density(model: ForwardModel, c_values, s_values=None,
                 f"{minimum_fisher(model.grid):.4g}; no density is feasible"
             )
 
-    p, steps, gap, multiplier = _barrier_newton(a, b, h, bound, even_only)
+    p, steps, gap, multiplier = _barrier_newton(a, b, h, bound, even)
     p = p / (p.sum() * h)
     fisher = fisher_functional(p, h)
     if bound is not None and fisher > bound + FEASIBILITY_TOL:
@@ -358,7 +334,7 @@ def reconstruct_density(model: ForwardModel, c_values, s_values=None,
     r = a @ p - b
     return DensityEstimate(grid=model.grid, density=p, objective=float(r @ r),
                            fisher=fisher, converged=True, iterations=steps, gap=gap,
-                           multiplier=multiplier, odd_residual=odd_residual)
+                           multiplier=multiplier)
 
 
 def _kkt_on_support(a: np.ndarray, b: np.ndarray, spacing: float,
@@ -387,8 +363,7 @@ def _kkt_on_support(a: np.ndarray, b: np.ndarray, spacing: float,
     raise RuntimeError("active-set shrink did not terminate")
 
 
-def solve_qp_active_set(a: np.ndarray, b: np.ndarray, spacing: float,
-                        max_iter: int | None = None) -> np.ndarray:
+def solve_qp_active_set(a: np.ndarray, b: np.ndarray, spacing: float) -> np.ndarray:
     """Active-set solve of min ||Ap - b||^2, p >= 0, spacing * sum(p) = 1.
 
     Independent small-grid oracle for certifying the barrier solver when
@@ -400,8 +375,6 @@ def solve_qp_active_set(a: np.ndarray, b: np.ndarray, spacing: float,
     from scipy.optimize import nnls
 
     m = a.shape[1]
-    if max_iter is None:
-        max_iter = 20 * m
     penalty = 100.0 * max(1.0, float(np.abs(a).max())) / spacing
     a_aug = np.vstack([a, penalty * spacing * np.ones(m)])
     b_aug = np.concatenate([b, [penalty]])
@@ -419,7 +392,7 @@ def solve_qp_active_set(a: np.ndarray, b: np.ndarray, spacing: float,
 
     p, nu, free = _kkt_on_support(a, b, spacing, free)
     best = objective(p)
-    for _ in range(max_iter):
+    for _ in range(20 * m):
         mu = (gfull @ p + cvec) - nu * spacing
         clamped = np.where(~free)[0]
         if clamped.size == 0 or float(np.min(mu[clamped])) >= -1e-9 * grad_scale:

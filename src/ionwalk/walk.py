@@ -7,6 +7,9 @@ whose laser phase is offset by pi/2 from the preparation pulse so that its
 spin axis is orthogonal to the displacement axis (a coin along sigma_x
 would commute with the displacement and produce no interference).
 coin_phase shifts the coin axis away from that default.
+
+Every walk runs through one step loop, _steps, on a (dim, K) block of
+amplitude columns; it checks the truncation tail after each step.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .fock import (
     SpinMotionState,
     apply_momentum,
     apply_position,
+    check_tail,
     exact_position_densities,
     fock_state,
 )
@@ -83,14 +87,41 @@ def required_n_max(n_steps: int, step_size: float) -> int:
     return max(16, int(np.ceil((alpha + 3.0) ** 2)))
 
 
-def _walk_pulses(config: WalkConfig, reverse: bool = False):
-    """(pulse, area) for the displacement and coin pulses of one step."""
+def _walk_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
+    """(pulse, area) pairs of one step in the order they act.
+
+    Displacement then coin; in reverse, the inverse coin then the inverse
+    displacement (pi-phase-shifted pulses).
+    """
     p = config.params
     phi_plus = np.pi if reverse else 0.0
     coin_phase = config.coin_phase + np.pi / 2.0 + (np.pi if reverse else 0.0)
     displacement = dynamics.bichromatic_pulse(p, phi_plus, np.pi / 2.0, config.model)
     coin = dynamics.carrier_pulse(p, coin_phase, config.model)
-    return (displacement, 0.5 * config.pulse_displacement), (coin, COIN_AREA)
+    pairs = ((displacement, 0.5 * config.pulse_displacement), (coin, COIN_AREA))
+    return pairs[::-1] if reverse else pairs
+
+
+def _steps(params: HilbertParams, columns: np.ndarray, pulses, n_steps: int,
+           phases: np.ndarray | None = None, label: str = "step"):
+    """Advance a (dim, K) amplitude block by n_steps walk steps; yield it after each.
+
+    pulses are one step's (pulse, area) pairs in the order they act. phases,
+    if given, has shape (n_steps, K): step k of column j runs with every
+    pulse phase shifted by phases[k, j]. The spin-traced tail population of
+    every column is checked once per step, after its last pulse (the carrier
+    and the phase diagonal leave it unchanged); LeakyStateError names the step.
+    """
+    for step in range(n_steps):
+        if phases is not None:
+            diag = _spin_phase_column(phases[step], params)
+            columns = diag.conj() * columns
+        for pulse, area in pulses:
+            columns = dynamics.apply_propagator(pulse, area, columns)
+        if phases is not None:
+            columns = diag * columns
+        check_tail(params, columns, f"{label} {step + 1}: ")
+        yield columns
 
 
 def prepare_initial(params: HilbertParams,
@@ -102,8 +133,16 @@ def prepare_initial(params: HilbertParams,
     """
     spin_down = np.zeros(params.spin_dim, dtype=complex)
     spin_down[-1] = 1.0
-    state = SpinMotionState.from_product(spin_down, fock_state(0, params), params)
-    return dynamics.evolve(state, dynamics.carrier_pulse(params, 0.0, model), COIN_AREA)
+    amps = np.kron(spin_down, fock_state(0, params))
+    pulse = dynamics.carrier_pulse(params, 0.0, model)
+    return SpinMotionState(params, dynamics.apply_propagator(pulse, COIN_AREA, amps))
+
+
+def _coherent_snapshots(config: WalkConfig, start: SpinMotionState, reverse: bool) -> list:
+    """States after each of n_steps forward (or reverse) steps from start."""
+    blocks = _steps(config.params, start.amplitudes[:, None], _walk_pulses(config, reverse),
+                    config.n_steps, label="reverse step" if reverse else "step")
+    return [SpinMotionState(config.params, block[:, 0]) for block in blocks]
 
 
 def quantum_walk(config: WalkConfig) -> WalkResult:
@@ -112,39 +151,18 @@ def quantum_walk(config: WalkConfig) -> WalkResult:
     With params.n_ions == 2 this is the collective-spin walk of two ions on
     the center-of-mass mode.
     """
-    state = prepare_initial(config.params, config.model)
-    (pulse_d, area_d), (pulse_c, area_c) = _walk_pulses(config)
-    snapshots = [state]
-    for step in range(config.n_steps):
-        try:
-            state = dynamics.evolve(state, pulse_d, area_d)
-            state = dynamics.evolve(state, pulse_c, area_c)
-        except Exception as exc:
-            raise type(exc)(f"step {step + 1}: {exc}") from exc
-        snapshots.append(state)
-    return WalkResult(config, tuple(snapshots))
+    initial = prepare_initial(config.params, config.model)
+    return WalkResult(config, (initial, *_coherent_snapshots(config, initial, False)))
 
 
 def reversed_walk(config: WalkConfig) -> WalkResult:
     """n_steps forward, then the exact inverse pulse sequence.
 
-    Each reverse step undoes the most recent step: coin inverse first, then
-    displacement inverse, both realized as pi-phase-shifted pulses. The
-    result holds 2*n_steps + 1 snapshots; the last one should match the
-    initial state.
+    Each reverse step undoes the most recent step. The result holds
+    2*n_steps + 1 snapshots; the last one should match the initial state.
     """
-    forward = quantum_walk(config)
-    state = forward.snapshots[-1]
-    (pulse_d, area_d), (pulse_c, area_c) = _walk_pulses(config, reverse=True)
-    snapshots = list(forward.snapshots)
-    for step in range(config.n_steps):
-        try:
-            state = dynamics.evolve(state, pulse_c, area_c)
-            state = dynamics.evolve(state, pulse_d, area_d)
-        except Exception as exc:
-            raise type(exc)(f"reverse step {step + 1}: {exc}") from exc
-        snapshots.append(state)
-    return WalkResult(config, tuple(snapshots))
+    forward = quantum_walk(config).snapshots
+    return WalkResult(config, (*forward, *_coherent_snapshots(config, forward[-1], True)))
 
 
 def reversal_fidelity(result: WalkResult) -> float:
@@ -154,17 +172,13 @@ def reversal_fidelity(result: WalkResult) -> float:
     return float(abs(np.vdot(a, b)) ** 2)
 
 
-def recombine_spin(state: SpinMotionState, new_spin: str = "plus_z") -> MotionalEnsemble:
+def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
     """Incoherent recombination of the internal-state populations.
 
     Models optical pumping of all spin populations into a single level with
     negligible motional disturbance: the motional state becomes the mixture
     of the spin-branch wavefunctions weighted by the branch populations.
-    new_spin names the spin state re-prepared afterwards for the probe
-    ('plus_z' or 'plus_y'); it does not affect the returned mixture.
     """
-    if new_spin not in ("plus_z", "plus_y"):
-        raise ValueError(f"new_spin must be 'plus_z' or 'plus_y', got {new_spin!r}")
     return _ensemble_from_trials(state.amplitudes[:, None], state.params)
 
 
@@ -175,10 +189,7 @@ def _spin_phase_column(phases: np.ndarray, params: HilbertParams) -> np.ndarray:
     with this diagonal, so a random-phase step costs two extra elementwise
     multiplies instead of a new pulse.
     """
-    if params.n_ions == 1:
-        mz = np.array([1.0, -1.0])
-    else:
-        mz = np.array([2.0, 0.0, 0.0, -2.0])
+    mz = np.diag(dynamics.collective_spin(np.diag([1.0, -1.0]), params.n_ions)).real
     per_spin = np.exp(0.5j * np.outer(mz, phases))          # (spin_dim, trials)
     return np.repeat(per_spin, params.motion_dim, axis=0)   # (dim, trials)
 
@@ -207,7 +218,9 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     step by one uniform random offset (the displacement-coin pair stays
     coherent within a step). Trials use generators spawned from the master
     seed, so results do not depend on batching or thread count. Snapshots
-    are motional ensembles (spin recombined, uniform weight over trials).
+    are motional ensembles (spin recombined, uniform weight over trials),
+    built as each step ends. With threads > 1 the trials are split into
+    chunks whose step loops advance one step at a time in a thread pool.
     """
     p = config.params
     rng_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
@@ -215,35 +228,20 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     for t, ss in enumerate(rng_seeds):
         phases[:, t] = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, config.n_steps)
 
-    initial = prepare_initial(p, config.model)
-    (pulse_d, area_d), (pulse_c, area_c) = _walk_pulses(config)
-    snapshots = [_ensemble_from_trials(initial.amplitudes[:, None], p)]
-
-    def run_block(cols: np.ndarray, block_phases: np.ndarray) -> list:
-        states = np.repeat(cols, block_phases.shape[1], axis=1)
-        out = []
-        for step in range(config.n_steps):
-            diag = _spin_phase_column(block_phases[step], p)
-            states = diag.conj() * states
-            states = dynamics.apply_propagator(pulse_d, area_d, states)
-            states = dynamics.apply_propagator(pulse_c, area_c, states)
-            states = diag * states
-            out.append(states)
-        return out
-
-    if threads <= 1:
-        per_step = run_block(initial.amplitudes[:, None], phases)
+    initial = prepare_initial(p, config.model).amplitudes[:, None]
+    pulses = _walk_pulses(config)
+    snapshots = [_ensemble_from_trials(initial, p)]
+    chunks = [_steps(p, np.repeat(initial, idx.size, axis=1), pulses, config.n_steps,
+                     phases[:, idx])
+              for idx in np.array_split(np.arange(config.trials), max(threads, 1)) if idx.size]
+    if len(chunks) == 1:
+        for block in chunks[0]:
+            snapshots.append(_ensemble_from_trials(block, p))
     else:
-        bounds = np.array_split(np.arange(config.trials), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_block, initial.amplitudes[:, None], phases[:, idx])
-                       for idx in bounds if idx.size]
-            blocks = [f.result() for f in futures]
-        per_step = [np.concatenate([b[s] for b in blocks], axis=1)
-                    for s in range(config.n_steps)]
-
-    for step_states in per_step:
-        snapshots.append(_ensemble_from_trials(step_states, p))
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            for _ in range(config.n_steps):
+                block = np.concatenate(list(pool.map(next, chunks)), axis=1)
+                snapshots.append(_ensemble_from_trials(block, p))
     return WalkResult(config, tuple(snapshots))
 
 

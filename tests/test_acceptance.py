@@ -181,7 +181,7 @@ def test_criterion_09_fisher_constraint_correctness():
         target = rng.dirichlet(np.ones(31)) / small.spacing
         c_vals = fm.ccos @ target + rng.normal(0.0, 0.01, kk.size)
         s_vals = fm.csin @ target + rng.normal(0.0, 0.01, kk.size)
-        est = rec.reconstruct_density(fm, c_vals, s_values=s_vals, even_only=False)
+        est = rec.reconstruct_density(fm, c_vals, s_values=s_vals)
         a = np.vstack([fm.ccos, fm.csin])
         b = np.concatenate([c_vals, s_vals])
         oracle = rec.solve_qp_active_set(a, b, small.spacing)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ionwalk import cli
 
@@ -100,6 +101,31 @@ def test_run_grid_too_narrow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stage=walk: GridCoverageError:" in err
     assert "Traceback" not in err
+
+
+def test_run_classical_leaky_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="classical", hilbert={"n_max": 30},
+              walk={"n_steps": 15, "trials": 50})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "stage=classical: LeakyStateError: step 4:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment, section", [
+    ("walk", {"density_grid": {"extent": 0.01, "spacing": 0.05}}),
+    ("reconstruct", {"reconstruction": {"grid_extent": 0.04, "grid_spacing": 0.05}}),
+], ids=["density_grid", "reconstruction"])
+def test_run_grid_too_coarse_exits_1(tmp_path, capsys, experiment, section):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment=experiment, walk={"n_steps": 1},
+              scan={"noiseless": True, "n_points": 41}, **section)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "g")]) == 1
+    err = capsys.readouterr().err
+    assert f"stage={experiment}: grid of extent" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("g_*"))
 
 
 def test_run_reverse_experiment(tmp_path):

@@ -211,8 +211,6 @@ def test_state_norm_and_tail_validation():
     leaky[p.motion_dim - 1] = np.sqrt(1e-4)
     with pytest.raises(LeakyStateError):
         SpinMotionState(p, leaky)
-    state = SpinMotionState(p, leaky, leaky=True)
-    assert state.tail_population() > 1e-6
 
 
 def test_ensemble_validation():

@@ -161,13 +161,10 @@ def test_infeasible_bound_rejected():
         rec.reconstruct_density(model, np.ones(31), kinetic_bound=0.05)
 
 
-def test_even_mode_reports_odd_residual(ground_setup, ground64):
+def test_even_mode_is_mirror_symmetric(ground_setup, ground64):
     ks, grid, model, _ = ground_setup
     c_vals = probe.scan_observable(ground64, "plus_z", ks)
-    s_vals = np.full_like(c_vals, 0.01)
-    est = rec.reconstruct_density(model, c_vals, s_values=s_vals, even_only=True)
-    assert est.odd_residual is not None
-    assert abs(est.odd_residual - np.linalg.norm(s_vals)) < 1e-12
+    est = rec.reconstruct_density(model, c_vals)
     mirrored = est.density[::-1]
     assert np.max(np.abs(est.density - mirrored)) < 1e-10
 
@@ -181,7 +178,7 @@ def test_solver_agrees_with_active_set_oracle():
         target = rng.dirichlet(np.ones(31)) / grid.spacing
         c_vals = model.ccos @ target + rng.normal(0.0, 0.01, ks.size)
         s_vals = model.csin @ target + rng.normal(0.0, 0.01, ks.size)
-        est = rec.reconstruct_density(model, c_vals, s_values=s_vals, even_only=False)
+        est = rec.reconstruct_density(model, c_vals, s_values=s_vals)
         stacked_a = np.vstack([model.ccos, model.csin])
         stacked_b = np.concatenate([c_vals, s_vals])
         p_oracle = rec.solve_qp_active_set(stacked_a, stacked_b, grid.spacing)
@@ -203,15 +200,6 @@ def test_noise_robustness_ground(ground_setup, ground64):
         assert np.all(est.density >= 0)
         tvs.append(tv_distance(est.density, truth, grid.spacing))
     assert np.percentile(tvs, 90) <= 0.08
-
-
-def test_variance_weighting_flag(ground_setup, ground64):
-    ks, grid, model, truth = ground_setup
-    scan = probe.simulate_scan(ground64, "plus_z", ks, shots=250, seed=5)
-    sigma_sq = (1.0 - scan.estimates ** 2) / 250 + 1e-4
-    est = rec.reconstruct_density(model, scan.estimates, kinetic_bound=0.275,
-                                  weights=1.0 / sigma_sq)
-    assert tv_distance(est.density, truth, grid.spacing) < 0.1
 
 
 def _trust_constr_oracle(a, b, h, bound):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,6 +12,7 @@ from ionwalk.dynamics import (
 )
 from ionwalk.fock import (
     HilbertParams,
+    LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
     coherent_state,
@@ -192,8 +195,6 @@ def test_recombine_pure_spin_state():
     w, vec = ens.members[0]
     assert abs(w - 1.0) < 1e-12
     assert abs(abs(np.vdot(vec, coherent_state(1.0, p))) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        walk.recombine_spin(state, new_spin="plus_x")
 
 
 def test_recombine_one_step_branches():
@@ -269,6 +270,23 @@ def test_classical_reference_width_formula():
     assert abs(walk.classical_width_reference(0, 2.0) - 1.0) < 1e-12
     assert abs(walk.classical_width_reference(10, 2.0)
                - np.sqrt(80.0 / np.pi + 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_classical_walk_truncation_raises(threads):
+    # n_max 30 cannot hold 15 steps: 2.9% of the population reaches the top
+    # levels and the width falls to 5.9 instead of sqrt(61)
+    cfg = walk.WalkConfig(n_steps=15, params=HilbertParams(n_max=30), seed=0, trials=50)
+    with pytest.raises(LeakyStateError, match=r"^step 4: tail population"):
+        walk.classical_walk(cfg, threads=threads)
+
+
+def test_walk_failures_name_the_step():
+    cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=40), coin_phase=np.nan)
+    with pytest.raises(FloatingPointError, match=r"^step 1: "):
+        walk.quantum_walk(cfg)
+    with pytest.raises(FloatingPointError, match=r"^step 1: "):
+        walk.classical_walk(dataclasses.replace(cfg, trials=4))
 
 
 def test_two_ion_single_step_three_peaks():
