@@ -2,7 +2,8 @@
 
 Each invocation runs one experiment deterministically for a fixed seed and
 writes machine-readable outputs (densities and tables as CSV, scalar
-summaries as JSON, all written atomically). No plotting, no interaction.
+summaries as JSON), published together once the experiment has succeeded.
+No plotting, no interaction.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
 failure (leaky state, infeasible bound, non-convergence) with the failing
@@ -15,9 +16,11 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import jsonschema
@@ -106,22 +109,33 @@ CONFIG_SCHEMA = {
     },
 }
 
-_SCAN_DEFAULTS = {"axis": "x", "spin_prep": "plus_z", "k_max": probe.DEFAULT_K_MAX,
-                  "n_points": probe.DEFAULT_K_POINTS, "shots": probe.DEFAULT_SHOTS,
-                  "noiseless": False}
-_RECON_DEFAULTS = {"kind": None, "grid_extent": None,
-                   "grid_spacing": 0.1, "use_kinetic_bound": True, "steps": None}
+# section -> defaults, merged into the config's own values once by _resolve
+_DEFAULTS = {
+    "scan": {"axis": "x", "spin_prep": "plus_z", "k_max": probe.DEFAULT_K_MAX,
+             "n_points": probe.DEFAULT_K_POINTS, "shots": probe.DEFAULT_SHOTS,
+             "noiseless": False},
+    "reconstruction": {"kind": None, "grid_extent": None, "grid_spacing": 0.1,
+                       "use_kinetic_bound": True, "steps": None},
+    "density_grid": {"extent": None, "spacing": 0.05},
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         jsonschema.validate(raw, CONFIG_SCHEMA)
@@ -130,49 +144,88 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _params(cfg: dict) -> HilbertParams:
-    hil = cfg["hilbert"]
-    return HilbertParams(n_max=hil["n_max"], eta=hil.get("eta", 0.06),
-                         n_ions=hil.get("n_ions", 1))
+@dataclass(frozen=True)
+class _Run:
+    """A config resolved for one seed (wcfg.seed): everything a runner reads.
+
+    grid is the density or reconstruction grid (None where the experiment
+    has none); steps are the walk steps the experiment reports.
+    """
+
+    experiment: str
+    wcfg: walk.WalkConfig
+    scan: dict
+    recon: dict
+    k_grid: np.ndarray
+    grid: reconstruct.PositionGrid | None
+    steps: list[int]
 
 
-def _walk_config(cfg: dict, seed: int) -> walk.WalkConfig:
-    w = cfg["walk"]
-    return walk.WalkConfig(
-        n_steps=w["n_steps"],
-        params=_params(cfg),
-        model=FidelityModel(w.get("model", "lamb_dicke")),
-        step_size=w.get("step_size"),
-        coin_phase=w.get("coin_phase", 0.0),
-        seed=seed,
-        trials=w.get("trials", 200),
-    )
+def _grid(wcfg: walk.WalkConfig, extent: float | None,
+          spacing: float) -> reconstruct.PositionGrid:
+    """Symmetric grid of the given extent, by default the walk's reach s*N plus 6 widths."""
+    extent = extent or wcfg.n_steps * wcfg.step_size + 6.0
+    try:
+        return reconstruct.PositionGrid.symmetric(extent, spacing)
+    except ValueError as exc:
+        raise ConfigError(f"grid of extent {extent:g} and spacing {spacing:g}: {exc}") from exc
+
+
+def _resolve(cfg: dict, seed: int) -> _Run:
+    """Merge the section defaults and build the walk, grid and steps; ConfigError if unusable."""
+    experiment, hil, w = cfg["experiment"], cfg["hilbert"], cfg["walk"]
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be >= 0")
+    sec = {name: {**defaults, **cfg.get(name, {})} for name, defaults in _DEFAULTS.items()}
+    try:
+        wcfg = walk.WalkConfig(
+            n_steps=w["n_steps"],
+            params=HilbertParams(n_max=hil["n_max"], eta=hil.get("eta", 0.06),
+                                 n_ions=hil.get("n_ions", 1)),
+            model=FidelityModel(w.get("model", "lamb_dicke")),
+            step_size=w.get("step_size"),
+            coin_phase=w.get("coin_phase", 0.0),
+            seed=seed,
+            trials=w.get("trials", 200),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if experiment == "two_ion" and wcfg.params.n_ions != 2:
+        raise ConfigError("two_ion experiment requires hilbert.n_ions = 2")
+    n, rec, dg = wcfg.n_steps, sec["reconstruction"], sec["density_grid"]
+    grid, steps = None, list(range(n + 1))
+    if experiment == "reconstruct":
+        grid = _grid(wcfg, rec["grid_extent"], rec["grid_spacing"])
+        steps = [n] if rec["steps"] is None else rec["steps"]
+        beyond = [s for s in steps if s > n]
+        if beyond:
+            raise ConfigError(f"reconstruction.steps {beyond} beyond walk.n_steps = {n}")
+        if rec["kind"] is None:
+            # match the kernel to the probe physics: the linear kernel is exact
+            # for lamb_dicke scans, the x-diagonal one undoes all_order probes
+            rec["kind"] = (reconstruct.KIND_LINEAR if wcfg.model is FidelityModel.LAMB_DICKE
+                           else reconstruct.KIND_X_DIAGONAL)
+    elif experiment in ("walk", "classical", "reverse", "two_ion"):
+        grid = _grid(wcfg, dg["extent"], dg["spacing"])
+    sc = sec["scan"]
+    return _Run(experiment, wcfg, sc, rec,
+                np.linspace(0.0, sc["k_max"], sc["n_points"]), grid, steps)
 
 
 def validate_config(cfg: dict) -> tuple[bool, list[str]]:
-    """Physics adequacy report (without running the experiment)."""
-    lines = []
-    ok = True
-    wcfg = _walk_config(cfg, seed=cfg.get("seed", 0))
+    """Physics adequacy report without running; ConfigError where run would raise one."""
+    run = _resolve(cfg, cfg.get("seed", 0))
+    wcfg = run.wcfg
     needed = walk.required_n_max(wcfg.n_steps, wcfg.step_size)
-    if wcfg.params.n_max >= needed:
-        lines.append(f"OK: n_max {wcfg.params.n_max} >= (s*N/2 + 3)^2 = {needed}")
-    else:
-        ok = False
-        lines.append(
-            f"FAIL: n_max {wcfg.params.n_max} below the truncation heuristic "
-            f"(s*N/2 + 3)^2 = {needed} for N={wcfg.n_steps}, s={wcfg.step_size:g}"
-        )
-    rec = {**_RECON_DEFAULTS, **cfg.get("reconstruction", {})}
-    extent = rec["grid_extent"]
-    if extent is None:
-        lines.append(f"OK: reconstruction grid extent auto = s*N + 6 = {_auto_extent(wcfg):g}")
-    elif extent >= wcfg.n_steps * wcfg.step_size + 2.0:
-        lines.append(f"OK: reconstruction grid extent {extent:g}")
-    else:
-        ok = False
-        lines.append(f"FAIL: grid extent {extent:g} below walk support "
-                     f"{wcfg.n_steps * wcfg.step_size:g} + 2")
+    ok = wcfg.params.n_max >= needed
+    lines = [f"{'OK' if ok else 'FAIL'}: n_max {wcfg.params.n_max}, truncation heuristic "
+             f"(s*N/2 + 3)^2 = {needed} for N={wcfg.n_steps}, s={wcfg.step_size:g}"]
+    if run.grid is not None:
+        extent, support = run.grid.points[-1], wcfg.n_steps * wcfg.step_size + 2.0
+        fits = extent >= support
+        ok = ok and fits
+        lines.append(f"{'OK' if fits else 'FAIL'}: grid extent {extent:g}, "
+                     f"walk support s*N + 2 = {support:g}")
     if "pulses" in cfg:
         omega = 2.0 * np.pi * cfg["pulses"]["omega_hz"]
         d = step_size(wcfg.params.eta, omega, cfg["pulses"]["tau_s"])
@@ -191,16 +244,9 @@ def _format_column(column: np.ndarray) -> list[str]:
 
 
 def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write one output file; run_experiment stages the set and publishes it whole."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -213,119 +259,72 @@ def write_json(path: str, payload: dict) -> None:
     write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _auto_extent(wcfg: walk.WalkConfig) -> float:
-    """Default grid half-width: the walk's reach s*N plus 6 ground-state widths."""
-    return wcfg.n_steps * wcfg.step_size + 6.0
-
-
-def _grid(wcfg: walk.WalkConfig, extent: float | None,
-          spacing: float) -> reconstruct.PositionGrid:
-    """Symmetric grid of the given (else the default) extent; too coarse is a ConfigError."""
-    extent = extent or _auto_extent(wcfg)
-    try:
-        return reconstruct.PositionGrid.symmetric(extent, spacing)
-    except ValueError as exc:
-        raise ConfigError(f"grid of extent {extent:g} and spacing {spacing:g}: {exc}") from exc
-
-
-def _density_grid(cfg: dict, wcfg: walk.WalkConfig) -> np.ndarray:
-    dg = cfg.get("density_grid", {})
-    return _grid(wcfg, dg.get("extent"), dg.get("spacing", 0.05)).points
-
-
 # -------------------------------------------------------------- experiments
 
-def _run_walk(cfg: dict, prefix: str, seed: int, threads: int,
-              classical: bool = False) -> None:
-    wcfg = _walk_config(cfg, seed)
+def _scan(run: _Run, ensemble, spin_prep: str, axis: str, seed: int) -> probe.ProbeScan:
+    """Exact scan with scan.noiseless, else scan.shots shots per point."""
+    if run.scan["noiseless"]:
+        return probe.exact_scan(ensemble, spin_prep, run.k_grid, axis, run.wcfg.model)
+    return probe.simulate_scan(ensemble, spin_prep, run.k_grid, axis, run.wcfg.model,
+                               shots=run.scan["shots"], seed=seed)
+
+
+def _run_walk(run: _Run, out: str, threads: int) -> None:
     t0 = time.perf_counter()
-    if classical:
-        result = walk.classical_walk(wcfg, threads=threads)
+    if run.experiment == "classical":
+        result = walk.classical_walk(run.wcfg, threads=threads)
     else:
-        result = walk.quantum_walk(wcfg)
+        result = walk.quantum_walk(run.wcfg)
     log.info("walk finished in %.2fs", time.perf_counter() - t0)
-    grid = _density_grid(cfg, wcfg)
-    steps = np.arange(wcfg.n_steps + 1)
-    for n, dens in zip(steps, walk.snapshot_densities(result, steps, grid)):
-        write_csv(f"{prefix}_step{n:02d}_density.csv", ["x", "p"], [grid, dens])
+    grid = run.grid.points
+    for n, dens in zip(run.steps, walk.snapshot_densities(result, run.steps, grid)):
+        write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"], [grid, dens])
     summary = {
-        "step": steps,
+        "step": np.array(run.steps),
         "w_x": np.array([walk.width_x(s) for s in result.snapshots]),
         "w_p": np.array([walk.width_p(s) for s in result.snapshots]),
         "nbar": np.array([walk.mean_phonon(s) for s in result.snapshots]),
     }
-    write_csv(f"{prefix}_summary.csv", list(summary), list(summary.values()))
+    write_csv(f"{out}_summary.csv", list(summary), list(summary.values()))
 
 
-def _run_reverse(cfg: dict, prefix: str, seed: int) -> None:
-    wcfg = _walk_config(cfg, seed)
-    result = walk.reversed_walk(wcfg)
-    grid = _density_grid(cfg, wcfg)
-    densities = walk.snapshot_densities(result, [0, wcfg.n_steps, -1], grid)
+def _run_reverse(run: _Run, out: str, threads: int) -> None:
+    result = walk.reversed_walk(run.wcfg)
+    grid = run.grid.points
+    densities = walk.snapshot_densities(result, [0, run.wcfg.n_steps, -1], grid)
     for name, dens in zip(("initial", "turn", "final"), densities):
-        write_csv(f"{prefix}_{name}_density.csv", ["x", "p"], [grid, dens])
-    write_json(f"{prefix}_summary.json", {
-        "n_steps": wcfg.n_steps,
+        write_csv(f"{out}_{name}_density.csv", ["x", "p"], [grid, dens])
+    write_json(f"{out}_summary.json", {
+        "n_steps": run.wcfg.n_steps,
         "fidelity": walk.reversal_fidelity(result),
     })
 
 
-def _scan_settings(cfg: dict) -> dict:
-    return {**_SCAN_DEFAULTS, **cfg.get("scan", {})}
+def _run_scan(run: _Run, out: str, threads: int) -> None:
+    ensemble = walk.snapshot_ensemble(walk.quantum_walk(run.wcfg), run.wcfg.n_steps)
+    scan = _scan(run, ensemble, run.scan["spin_prep"], run.scan["axis"], run.wcfg.seed)
+    shots = 0 if run.scan["noiseless"] else run.scan["shots"]
+    write_csv(f"{out}_scan.csv", ["k", "estimate", "shots"],
+              [scan.k, scan.estimates, np.full(scan.k.size, shots)])
 
 
-def _run_scan(cfg: dict, prefix: str, seed: int) -> None:
-    sc = _scan_settings(cfg)
-    wcfg = _walk_config(cfg, seed)
-    ensemble = walk.snapshot_ensemble(walk.quantum_walk(wcfg), wcfg.n_steps)
-    k_grid = np.linspace(0.0, sc["k_max"], sc["n_points"])
-    if sc["noiseless"]:
-        scan = probe.exact_scan(ensemble, sc["spin_prep"], k_grid, sc["axis"], wcfg.model)
-        shots_col = np.zeros(k_grid.size, dtype=int)
-    else:
-        scan = probe.simulate_scan(ensemble, sc["spin_prep"], k_grid, sc["axis"],
-                                   wcfg.model, shots=sc["shots"], seed=seed)
-        shots_col = np.full(k_grid.size, sc["shots"])
-    write_csv(f"{prefix}_scan.csv", ["k", "estimate", "shots"],
-              [scan.k, scan.estimates, shots_col])
-
-
-def _run_reconstruct(cfg: dict, prefix: str, seed: int) -> None:
-    sc = _scan_settings(cfg)
-    rc = {**_RECON_DEFAULTS, **cfg.get("reconstruction", {})}
-    wcfg = _walk_config(cfg, seed)
-    result = walk.quantum_walk(wcfg)
-    steps = rc["steps"] if rc["steps"] is not None else [wcfg.n_steps]
-    k_grid = np.linspace(0.0, sc["k_max"], sc["n_points"])
-    grid = _grid(wcfg, rc["grid_extent"], rc["grid_spacing"])
-    kind = rc["kind"]
-    if kind is None:
-        # match the kernel to the probe physics: the linear kernel is exact
-        # for lamb_dicke scans, the x-diagonal one undoes all_order probes
-        kind = (reconstruct.KIND_LINEAR if wcfg.model is FidelityModel.LAMB_DICKE
-                else reconstruct.KIND_X_DIAGONAL)
-    model = reconstruct.build_forward_model(k_grid, grid, kind, wcfg.params.eta)
+def _run_reconstruct(run: _Run, out: str, threads: int) -> None:
+    result = walk.quantum_walk(run.wcfg)
+    model = reconstruct.build_forward_model(run.k_grid, run.grid, run.recon["kind"],
+                                            run.wcfg.params.eta)
     diagnostics = {}
-    for n in steps:
-        ensemble = walk.snapshot_ensemble(result, int(n))
-        if sc["noiseless"]:
-            cos_scan = probe.exact_scan(ensemble, "plus_z", k_grid, "x", wcfg.model)
-        else:
-            cos_scan = probe.simulate_scan(ensemble, "plus_z", k_grid, "x", wcfg.model,
-                                           shots=sc["shots"], seed=seed + 7919 * (n + 1))
+    for n in run.steps:
+        ensemble = walk.snapshot_ensemble(result, n)
+        cos_scan = _scan(run, ensemble, "plus_z", "x", run.wcfg.seed + 7919 * (n + 1))
         bound = None
-        if rc["use_kinetic_bound"]:
-            if sc["noiseless"]:
-                p_scan = probe.exact_scan(ensemble, "plus_z", k_grid, "p", wcfg.model)
-            else:
-                p_scan = probe.simulate_scan(ensemble, "plus_z", k_grid, "p", wcfg.model,
-                                             shots=sc["shots"], seed=seed + 104729 * (n + 1))
+        if run.recon["use_kinetic_bound"]:
+            p_scan = _scan(run, ensemble, "plus_z", "p", run.wcfg.seed + 104729 * (n + 1))
             bound = reconstruct.estimate_kinetic_bound(p_scan)
         est = reconstruct.reconstruct_density(model, cos_scan.estimates,
                                               kinetic_bound=bound)
-        write_csv(f"{prefix}_step{int(n):02d}_density.csv", ["x", "p"],
-                  [grid.points, est.density])
-        diagnostics[str(int(n))] = {
+        write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"],
+                  [run.grid.points, est.density])
+        diagnostics[str(n)] = {
             "objective": est.objective,
             "fisher": est.fisher,
             "kinetic_bound": bound,
@@ -334,62 +333,58 @@ def _run_reconstruct(cfg: dict, prefix: str, seed: int) -> None:
             "gap": est.gap,
             "multiplier": est.multiplier,
         }
-    write_json(f"{prefix}_diagnostics.json", diagnostics)
+    write_json(f"{out}_diagnostics.json", diagnostics)
 
 
-def _run_width_curve(cfg: dict, prefix: str, seed: int, threads: int) -> None:
-    wcfg = _walk_config(cfg, seed)
-    quantum = walk.quantum_walk(wcfg)
-    classical = walk.classical_walk(wcfg, threads=threads)
-    steps = np.arange(wcfg.n_steps + 1)
-    write_csv(f"{prefix}_widths.csv",
+def _run_width_curve(run: _Run, out: str, threads: int) -> None:
+    quantum = walk.quantum_walk(run.wcfg)
+    classical = walk.classical_walk(run.wcfg, threads=threads)
+    write_csv(f"{out}_widths.csv",
               ["N", "w_x", "w_x_classical", "w_x_classical_ref", "w_p", "nbar"],
-              [steps,
+              [np.array(run.steps),
                np.array([walk.width_x(s) for s in quantum.snapshots]),
                np.array([walk.width_x(s) for s in classical.snapshots]),
-               np.array([walk.classical_width_reference(int(n), wcfg.step_size) for n in steps]),
+               np.array([walk.classical_width_reference(n, run.wcfg.step_size)
+                         for n in run.steps]),
                np.array([walk.width_p(s) for s in quantum.snapshots]),
                np.array([walk.mean_phonon(s) for s in quantum.snapshots])])
 
 
-def _run_nbar_curve(cfg: dict, prefix: str, seed: int) -> None:
-    wcfg = _walk_config(cfg, seed)
-    result = walk.quantum_walk(wcfg)
+def _run_nbar_curve(run: _Run, out: str, threads: int) -> None:
+    result = walk.quantum_walk(run.wcfg)
     times = np.linspace(0.0, 250.0, 200)
-    steps = np.arange(wcfg.n_steps + 1)
     exact = np.array([walk.mean_phonon(s) for s in result.snapshots])
     fitted = np.empty_like(exact)
-    for n in steps:
-        ensemble = walk.snapshot_ensemble(result, int(n))
-        scan = probe.carrier_rabi_scan(ensemble, times)
-        fit = probe.fit_mean_phonon(scan, wcfg.params, expected_nbar=max(exact[n], 1.0))
-        fitted[n] = fit.nbar
-    write_csv(f"{prefix}_nbar.csv", ["N", "nbar_exact", "nbar_fit"],
-              [steps, exact, fitted])
+    for n in run.steps:
+        scan = probe.carrier_rabi_scan(walk.snapshot_ensemble(result, n), times)
+        fitted[n] = probe.fit_mean_phonon(scan, run.wcfg.params,
+                                          expected_nbar=max(exact[n], 1.0)).nbar
+    write_csv(f"{out}_nbar.csv", ["N", "nbar_exact", "nbar_fit"],
+              [np.array(run.steps), exact, fitted])
+
+
+_RUNNERS = {
+    "walk": _run_walk, "classical": _run_walk, "two_ion": _run_walk,
+    "reverse": _run_reverse, "scan": _run_scan, "reconstruct": _run_reconstruct,
+    "width_curve": _run_width_curve, "nbar_curve": _run_nbar_curve,
+}
 
 
 def run_experiment(cfg: dict, prefix: str, seed: int, threads: int) -> None:
-    experiment = cfg["experiment"]
-    if experiment == "walk":
-        _run_walk(cfg, prefix, seed, threads)
-    elif experiment == "two_ion":
-        if _params(cfg).n_ions != 2:
-            raise ConfigError("two_ion experiment requires hilbert.n_ions = 2")
-        _run_walk(cfg, prefix, seed, threads)
-    elif experiment == "classical":
-        _run_walk(cfg, prefix, seed, threads, classical=True)
-    elif experiment == "reverse":
-        _run_reverse(cfg, prefix, seed)
-    elif experiment == "scan":
-        _run_scan(cfg, prefix, seed)
-    elif experiment == "reconstruct":
-        _run_reconstruct(cfg, prefix, seed)
-    elif experiment == "width_curve":
-        _run_width_curve(cfg, prefix, seed, threads)
-    elif experiment == "nbar_curve":
-        _run_nbar_curve(cfg, prefix, seed)
-    else:  # unreachable behind the schema
-        raise ConfigError(f"unknown experiment {experiment!r}")
+    """Run one experiment; its files appear at prefix only if it succeeds."""
+    run = _resolve(cfg, seed)
+    directory, base = os.path.split(prefix)
+    directory = directory or os.curdir
+    try:
+        staging = tempfile.mkdtemp(prefix=f".{base}.", suffix=".staging", dir=directory)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs next to {prefix}: {exc}") from exc
+    try:
+        _RUNNERS[run.experiment](run, os.path.join(staging, base), threads)
+        for name in sorted(os.listdir(staging)):
+            os.replace(os.path.join(staging, name), os.path.join(directory, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 # --------------------------------------------------------------------- CLI
@@ -422,22 +417,19 @@ def main(argv=None) -> int:
         print(f"stage=config: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
-        ok, lines = validate_config(cfg)
-        for line in lines:
-            print(line)
-        print("OK" if ok else "VALIDATION FAILED")
-        return 0 if ok else 1
-
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("IONWALK_THREADS", "1"))
-    prefix = args.out or cfg.get("output_prefix") or cfg["experiment"]
-
-    stage = "setup"
+    stage = cfg["experiment"]
     try:
-        stage = cfg["experiment"]
+        if args.command == "validate":
+            ok, lines = validate_config(cfg)
+            for line in lines:
+                print(line)
+            print("OK" if ok else "VALIDATION FAILED")
+            return 0 if ok else 1
+        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        threads = args.threads
+        if threads is None:
+            threads = int(os.environ.get("IONWALK_THREADS", "1"))
+        prefix = args.out or cfg.get("output_prefix") or stage
         t0 = time.perf_counter()
         run_experiment(cfg, prefix, seed, threads)
         log.info("experiment %s done in %.2fs", stage, time.perf_counter() - t0)

@@ -156,6 +156,11 @@ class Pulse:
         object.__setattr__(self, "spin_eigenpairs", np.linalg.eigh(spin))
 
 
+def x_diagonal_position(x, eta: float):
+    """The x_diagonal model's coupling g(x) = x (1 - eta^2/8 (x^2 + 1)) at positions x."""
+    return x * (1.0 - 0.125 * eta ** 2 * (x ** 2 + 1.0))
+
+
 @functools.lru_cache(maxsize=4)
 def _motional_eigenpairs(n_max: int, eta: float,
                          model: FidelityModel) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +180,7 @@ def _motional_eigenpairs(n_max: int, eta: float,
         off *= 1.0 - 0.25 * eta2 * (2.0 * n + 1.0)
     values, vectors = eigh_tridiagonal(diag, off)
     if model is FidelityModel.X_DIAGONAL:
-        values = values * (1.0 - 0.125 * eta2 * (values ** 2 + 1.0))
+        values = x_diagonal_position(values, eta)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return values, vectors

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsysv as _sysv
 
+from .dynamics import x_diagonal_position
 from .probe import ProbeScan, width_from_curvature
 
 KIND_LINEAR = "linear"
@@ -104,7 +105,7 @@ def kernel_positions(x: np.ndarray, kind: str, eta: float) -> np.ndarray:
     if kind == KIND_X_DIAGONAL:
         if not 0.0 < eta < 1.0:
             raise ValueError(f"x_diagonal kernel requires 0 < eta < 1, got {eta}")
-        return x * (1.0 - (eta ** 2 / 8.0) * (x ** 2 + 1.0))
+        return x_diagonal_position(x, eta)
     raise ValueError(f"unknown forward-model kind {kind!r}")
 
 

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionwalk import cli
+from ionwalk import cli, reconstruct
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def write_cfg(path, **overrides):
@@ -126,6 +129,8 @@ def test_run_grid_too_coarse_exits_1(tmp_path, capsys, experiment, section):
     assert f"stage={experiment}: grid of extent" in err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("g_*"))
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert f"stage={experiment}: grid of extent" in capsys.readouterr().err
 
 
 def test_run_reverse_experiment(tmp_path):
@@ -238,3 +243,81 @@ def test_write_csv_golden_bytes(tmp_path):
     cli.write_csv(str(path), ["x", "n"], [floats, ints])
     assert path.read_bytes() == (b"x,n\n0.1,0\n-2.5,-7\n-0.0,12\n3.0,3\n1e-300,100000\n"
                                  b"0.3333333333333333,2\n5e-324,1\n")
+
+
+def assert_rejected(tmp_path, capsys, cfg, stage, message):
+    """Both commands exit 1 naming the stage; run leaves no file and no staging directory."""
+    for command in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        assert cli.main(command) == 1
+        err = capsys.readouterr().err
+        assert f"stage={stage}: " in err and message in err
+        assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_rejected(tmp_path, capsys, token):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, walk={"n_steps": 2, "coin_phase": 0.5})
+    cfg.write_text(cfg.read_text().replace("0.5", token))
+    assert_rejected(tmp_path, capsys, cfg, "config", "not finite")
+
+
+@pytest.mark.parametrize("model", ["third_order", "x_diagonal"])
+def test_x_only_walk_model_rejected(tmp_path, capsys, model):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, walk={"n_steps": 2, "model": model})
+    assert_rejected(tmp_path, capsys, cfg, "walk", "only corrects the x quadrature")
+
+
+def test_reconstruction_step_beyond_walk_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="reconstruct", walk={"n_steps": 6},
+              scan={"noiseless": True, "n_points": 41},
+              reconstruction={"steps": [1, 9]})
+    assert_rejected(tmp_path, capsys, cfg, "reconstruct", "beyond walk.n_steps = 6")
+
+
+def test_out_into_missing_directory_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "nowhere" / "w")]) == 1
+    err = capsys.readouterr().err
+    assert "stage=walk: cannot write outputs" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_negative_seed_flag_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="classical", walk={"n_steps": 1, "trials": 4})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "stage=classical: seed -1 must be >= 0" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_failed_run_publishes_nothing(tmp_path, capsys, monkeypatch):
+    solve = reconstruct.reconstruct_density
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "reconstruct_density", fail_second)
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="reconstruct", walk={"n_steps": 2},
+              scan={"noiseless": True, "n_points": 41},
+              reconstruction={"kind": "linear", "steps": [1, 2]})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "rec")]) == 2
+    assert "stage=reconstruct: RuntimeError: injected failure" in capsys.readouterr().err
+    assert len(calls) == 2
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_shipped_configs_validate(path, capsys):
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK"
