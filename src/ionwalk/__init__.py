@@ -54,7 +54,6 @@ from .reconstruct import (
     estimate_kinetic_bound,
     fisher_functional,
     reconstruct_density,
-    solve_qp_active_set,
 )
 from .walk import (
     WalkConfig,

@@ -399,11 +399,25 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config")
     run_p.add_argument("--out", help="output path prefix")
     run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--threads", type=int,
+    run_p.add_argument("--threads",
                        help="worker threads (else IONWALK_THREADS, else 1)")
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config")
     return parser
+
+
+def _thread_count(flag: str | None) -> int:
+    """Positive worker count from --threads, else IONWALK_THREADS, else 1."""
+    source, raw = "--threads", flag
+    if flag is None:
+        source, raw = "IONWALK_THREADS", os.environ.get("IONWALK_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"{source} {raw!r} must be a positive integer")
+    return threads
 
 
 def main(argv=None) -> int:
@@ -426,9 +440,7 @@ def main(argv=None) -> int:
             print("OK" if ok else "VALIDATION FAILED")
             return 0 if ok else 1
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("IONWALK_THREADS", "1"))
+        threads = _thread_count(args.threads)
         prefix = args.out or cfg.get("output_prefix") or stage
         t0 = time.perf_counter()
         run_experiment(cfg, prefix, seed, threads)

@@ -10,15 +10,19 @@ F(p) = h * sum_i ((p_{i+1} - p_{i-1}) / 2h)^2 / p_i, a convex constraint
 excluding densities whose kinetic energy would exceed the measured one
 (equality holds for wavefunctions without phase gradients, e.g. the ground
 state where F = 4 <pi^2> = 1). Without sine data the solution is the even
-density that fits the cosine rows: the Newton steps are symmetrized.
+density that fits the cosine rows: each mirrored pair of grid points shares
+one variable of weight 2 (an odd-count grid's centre point keeps weight 1),
+so the solve runs on ceil(n/2) variables.
 
 The solver is a log-barrier Newton method (Boyd & Vandenberghe, Convex
 Optimization, ch. 11). From the uniform density (F = 0, strictly feasible)
 it minimizes t (lsq + eps F) - sum log p_i - log(4 kinetic_bound - F) on
 h sum p = 1, for t growing 20-fold until m / t <= 1e-12 (m = n + 1
-inequalities). Each Newton step solves the KKT system in the scaled
-variables dp / p with one dense symmetric solve; the Fisher gradient and
-pentadiagonal Hessian are in closed form. The Fisher term of the Hessian
+inequalities). Each Newton step solves one dense symmetric KKT system of
+size k + 2 (k variables: ceil(n/2) for an even solve, n otherwise) in the
+scaled variables du / u, where the weighted log barrier is diag(weights);
+the Fisher gradient and pentadiagonal Hessian are in closed form and their
+bands are folded straight into that matrix. The Fisher term of the Hessian
 uses a primal-dual estimate of the multiplier, and the Fisher slack may at
 most halve per step: a pure barrier Hessian let the slack collapse far below
 its central value and then crawled for hundreds of steps. The tie-break
@@ -26,8 +30,7 @@ eps = 1e-8 (only with a bound) selects the least-Fisher, smoothest minimizer
 where noiseless data leave the least-squares minimizer non-unique; it moves
 the objective by at most eps * 4 kinetic_bound. The result carries the
 certificate gap = m / t + eps * 4 kinetic_bound, a bound on lsq(p) - lsq* at
-the central point. A small dense active-set quadratic program is provided
-as an independent optimality oracle for the unconstrained-in-F case.
+the central point.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsysv as _sysv
+from scipy.linalg.lapack import dsysv as _sysv, dsysv_lwork as _sysv_lwork
 
 from .dynamics import x_diagonal_position
 from .probe import ProbeScan, width_from_curvature
@@ -166,34 +169,60 @@ def _fisher_change(p: np.ndarray, dp: np.ndarray, spacing: float) -> float:
                                   / (mid * (mid + dmid))))
 
 
-def _fisher_derivatives(p: np.ndarray, spacing: float):
-    """Gradient and pentadiagonal Hessian (as a dense matrix) of F at p.
+def _fisher_bands(p: np.ndarray, spacing: float):
+    """Gradient of F at p and the bands of diag(p) H diag(p), H its Hessian.
 
     Each interior term h d_i^2 / p_i is quadratic-over-linear, so its Hessian
-    is (2h / p_i) w_i w_i^T with w_i = (-1/2h, -d_i/p_i, 1/2h) at
-    (i-1, i, i+1). Exact for p > 0 (no floor): the barrier keeps p positive.
+    is (2h / p_i) v_i v_i^T with v_i = (-1/2h, -d_i/p_i, 1/2h) at
+    (i-1, i, i+1): H is pentadiagonal. The bands come concatenated in the
+    order of _band_slots: the diagonal p_i^2 H[i, i], then p_i p_{i+1}
+    H[i, i+1] twice (upper and lower), then p_i p_{i+2} H[i, i+2] twice.
+    Exact for p > 0 (no floor): the barrier keeps p positive.
     """
-    n = p.size
-    i = np.arange(1, n - 1)
     d = (p[2:] - p[:-2]) / (2.0 * spacing)
     ratio = d / p[1:-1]
-    grad = np.zeros(n)
+    grad = np.zeros(p.size)
     grad[2:] += ratio
     grad[:-2] -= ratio
     grad[1:-1] -= spacing * ratio ** 2
-    c = 2.0 * spacing / p[1:-1]
+    inv = 1.0 / p[1:-1]
     e = 0.5 / spacing
-    hess = np.zeros((n, n))
-    hess[i - 1, i - 1] += c * e * e
-    hess[i + 1, i + 1] += c * e * e
-    hess[i, i] += c * ratio ** 2
-    hess[i - 1, i + 1] -= c * e * e
-    hess[i + 1, i - 1] -= c * e * e
-    hess[i - 1, i] += c * e * ratio
-    hess[i, i - 1] += c * e * ratio
-    hess[i, i + 1] -= c * e * ratio
-    hess[i + 1, i] -= c * e * ratio
-    return grad, hess
+    band0 = np.zeros(p.size)
+    band0[:-2] += e * inv
+    band0[2:] += e * inv
+    band0[1:-1] += 2.0 * spacing * ratio * ratio * inv
+    band0 *= p * p
+    band1 = np.zeros(p.size - 1)
+    band1[:-1] += ratio * inv
+    band1[1:] -= ratio * inv
+    band1 *= p[:-1] * p[1:]
+    band2 = -e * inv * p[:-2] * p[2:]
+    return grad, np.concatenate([band0, band1, band1, band2, band2])
+
+
+def _mirror_fold(n: int, even: bool):
+    """Folded variable j(i) of each grid point and the weight of each variable.
+
+    An even solve gives each mirrored pair (i, n-1-i) one variable of weight 2;
+    the centre point of an odd-count grid keeps weight 1. Otherwise every point
+    is its own variable of weight 1. The weights are the column sums of the
+    0/1 matrix E with p = E u.
+    """
+    i = np.arange(n)
+    j = np.minimum(i, i[::-1]) if even else i
+    return j, np.bincount(j).astype(float)
+
+
+def _band_slots(j: np.ndarray, size: int) -> np.ndarray:
+    """Flat indices in a size x size matrix receiving _fisher_bands' values.
+
+    Entry (i, i') of the full-grid Hessian lands at (j(i), j(i')), so adding
+    the bands at these slots (np.add.at: slots repeat) adds E^T diag(p) H
+    diag(p) E to the leading block.
+    """
+    rows = np.concatenate([j, j[:-1], j[1:], j[:-2], j[2:]])
+    cols = np.concatenate([j, j[1:], j[:-1], j[2:], j[:-2]])
+    return rows * size + cols
 
 
 def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
@@ -201,18 +230,36 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
     """Log-barrier Newton method for the problem in the module docstring.
 
     Minimizes phi_t = t (||Ap - b||^2 + eps F) - sum log p_i - log(bound - F)
-    over h sum p = 1 for t = t0, 20 t0, ... until m / t <= GAP_TARGET.
-    Returns (p, newton_steps, gap, multiplier of the Fisher bound).
+    over h sum p = 1 for t = t0, 20 t0, ... until m / t <= GAP_TARGET. The
+    variables are u with p = E u (see _mirror_fold): k = ceil(n/2) of them
+    with weights w for an even solve, n of weight 1 otherwise. In u the
+    barrier is -sum w_j log u_j, the mass row h w.u, the least-squares term
+    ||A E u - b||^2, and F's gradient and Hessian fold to E^T g and E^T H E.
+    Each Newton step solves one dense symmetric KKT system of size k + 2
+    (k + 1 without a bound) in the scaled variables du / u, where the barrier
+    Hessian is diag(w). Returns (p, newton_steps, gap, multiplier of the
+    Fisher bound).
     """
     n = a.shape[1]
-    q = 2.0 * (a.T @ a)
-    qb = 2.0 * (a.T @ b)
+    j, w = _mirror_fold(n, even)
+    k = w.size
+    af = np.zeros((a.shape[0], k))
+    np.add.at(af, (slice(None), j), a)       # A E: mirrored columns summed
+    q = 2.0 * (af.T @ af)
+    qb = 2.0 * (af.T @ b)
     eps = FISHER_TIEBREAK if bound is not None else 0.0
     m = n + (bound is not None)
-    size = n + 1 + (bound is not None)
-    diag = np.diag_indices(n)
-    p = np.full(n, 1.0 / (n * spacing))   # F = 0: strictly feasible
-    r = a @ p - b
+    size = k + 1 + (bound is not None)
+    # every entry is rewritten on each step: the solve overwrites the matrix
+    kkt = np.zeros((size, size))
+    # the optimal workspace selects LAPACK's blocked factorization; the
+    # default (size) falls back to the unblocked one, several times slower
+    lwork = int(_sysv_lwork(size)[0])
+    slots = _band_slots(j, size)
+    diag = np.diag_indices(k)
+    u = np.full(k, 1.0 / (n * spacing))   # F = 0: strictly feasible
+    p = u[j]
+    r = af @ u - b
     t = m / max(float(r @ r), 1.0)
     # slack = bound - F is tracked through accurate increments: near the
     # optimum it falls far below the rounding error of F itself.
@@ -221,43 +268,45 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
     mu = 1.0 / bound if bound is not None else 0.0
     steps = 0
     while True:
+        tq = t * q
         for _ in range(MAX_CENTERING_STEPS):
-            grad = t * (q @ p - qb) - 1.0 / p
-            hess = t * q
-            kkt = np.zeros((size, size))
+            # scaled variables y = du / u: the log barrier becomes diag(w)
+            dg = u * (tq @ u - t * qb) - w
+            np.multiply(tq, u[:, None], out=kkt[:k, :k])   # diag(u) t Q diag(u)
+            kkt[:k, :k] *= u
+            kkt[diag] += w
+            kkt[:k, k] = kkt[k, :k] = spacing * w * u
+            kkt[k:, k:] = 0.0
             if bound is not None:
-                gf, hf = _fisher_derivatives(p, spacing)
-                grad += (t * eps + 1.0 / slack) * gf
+                gf, bands = _fisher_bands(p, spacing)
+                gfu = u * np.bincount(j, gf, minlength=k)      # u * E^T gf
+                dg += (t * eps + 1.0 / slack) * gfu
                 # primal-dual Hessian of -log(bound - F): mu in place of
                 # 1 / slack, so a slack that dropped below its central value
                 # does not freeze the steps; the rank-one part
                 # (mu / slack) gf gf^T is bordered, keeping it out of the matrix
-                hess = hess + (t * eps + mu) * hf
-                kkt[:n, n + 1] = kkt[n + 1, :n] = p * gf
-                kkt[n + 1, n + 1] = -slack / mu
-            # scaled variables y = dp / p: the log barrier becomes the identity
-            dg = p * grad
-            kkt[:n, :n] = hess * np.outer(p, p)
-            kkt[diag] += 1.0
-            kkt[:n, n] = kkt[n, :n] = spacing * p
+                np.add.at(kkt.reshape(-1), slots, (t * eps + mu) * bands)
+                kkt[:k, k + 1] = kkt[k + 1, :k] = gfu
+                kkt[k + 1, k + 1] = -slack / mu
             rhs = np.zeros(size)
-            rhs[:n] = -dg
-            *_, sol, info = _sysv(kkt, rhs, overwrite_a=True)
+            rhs[:k] = -dg
+            # kkt is symmetric, so its transpose is the same matrix in the
+            # Fortran order LAPACK factors in place
+            *_, sol, info = _sysv(kkt.T, rhs, lwork=lwork, overwrite_a=True)
             if info != 0:
                 raise RuntimeError(f"singular barrier KKT system (LAPACK info {info})")
-            y = sol[:n]
-            if even:
-                y = 0.5 * (y + y[::-1])
+            y = sol[:k]
             decrement = -float(dg @ y)
             if decrement <= 2.0 * NEWTON_TOL:
                 break
             neg = y < 0.0
             s = min(1.0, 0.99 / float(np.max(-y[neg]))) if neg.any() else 1.0
-            dp = p * y
-            ad = a @ dp
+            du = u * y
+            dp = du[j]
+            ad = af @ du
             rad, adad = 2.0 * float(r @ ad), float(ad @ ad)
             for _ in range(MAX_BACKTRACKS):
-                change = t * (s * rad + s * s * adad) - float(np.sum(np.log1p(s * y)))
+                change = t * (s * rad + s * s * adad) - float(w @ np.log1p(s * y))
                 if bound is not None:
                     f_step = _fisher_change(p, s * dp, spacing)
                     if f_step >= 0.5 * slack:   # the slack at most halves per step
@@ -273,8 +322,9 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
                 if not decrement <= m:
                     raise RuntimeError(f"barrier line search failed at t = {t:.3g}")
                 break
-            p = p + s * dp
-            r = a @ p - b
+            u = u + s * du
+            p = u[j]
+            r = af @ u - b
             steps += 1
             if bound is not None:
                 # the dual takes the full Newton step of mu * slack = 1 (fewer
@@ -336,75 +386,3 @@ def reconstruct_density(model: ForwardModel, c_values, s_values=None,
     return DensityEstimate(grid=model.grid, density=p, objective=float(r @ r),
                            fisher=fisher, converged=True, iterations=steps, gap=gap,
                            multiplier=multiplier)
-
-
-def _kkt_on_support(a: np.ndarray, b: np.ndarray, spacing: float,
-                    free: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Equality-constrained LSQ on a support, shrinking out negative entries."""
-    m = a.shape[1]
-    free = free.copy()
-    for _ in range(m + 1):
-        nf = int(np.count_nonzero(free))
-        if nf == 0:
-            raise RuntimeError("active-set support collapsed")
-        af = a[:, free]
-        gmat = 2.0 * (af.T @ af)
-        gmat[np.diag_indices_from(gmat)] += 1e-13 * max(1.0, np.trace(gmat) / nf)
-        ones = np.full(nf, spacing)
-        kkt = np.block([[gmat, ones[:, None]], [ones[None, :], np.zeros((1, 1))]])
-        rhs = np.concatenate([2.0 * (af.T @ b), [1.0]])
-        sol = np.linalg.solve(kkt, rhs)
-        q = sol[:nf]
-        if np.all(q >= -1e-11):
-            p = np.zeros(m)
-            p[free] = np.maximum(q, 0.0)
-            return p, float(sol[nf]), free
-        drop = np.where(free)[0][q < -1e-11]
-        free[drop] = False
-    raise RuntimeError("active-set shrink did not terminate")
-
-
-def solve_qp_active_set(a: np.ndarray, b: np.ndarray, spacing: float) -> np.ndarray:
-    """Active-set solve of min ||Ap - b||^2, p >= 0, spacing * sum(p) = 1.
-
-    Independent small-grid oracle for certifying the barrier solver when
-    no Fisher bound is given. A Lawson-Hanson nonnegative least squares pass
-    (with the normalization embedded as a heavily weighted row) proposes the
-    active set; exact KKT solves on the support plus multiplier-driven releases
-    then finish the constrained problem to machine accuracy.
-    """
-    from scipy.optimize import nnls
-
-    m = a.shape[1]
-    penalty = 100.0 * max(1.0, float(np.abs(a).max())) / spacing
-    a_aug = np.vstack([a, penalty * spacing * np.ones(m)])
-    b_aug = np.concatenate([b, [penalty]])
-    p0, _ = nnls(a_aug, b_aug, maxiter=max(300, 30 * m))
-    free = p0 > 1e-12
-    if not free.any():
-        free[:] = True
-    gfull = 2.0 * (a.T @ a)
-    cvec = -2.0 * (a.T @ b)
-    grad_scale = 1.0 + float(np.abs(cvec).max())
-
-    def objective(p):
-        r = a @ p - b
-        return float(r @ r)
-
-    p, nu, free = _kkt_on_support(a, b, spacing, free)
-    best = objective(p)
-    for _ in range(20 * m):
-        mu = (gfull @ p + cvec) - nu * spacing
-        clamped = np.where(~free)[0]
-        if clamped.size == 0 or float(np.min(mu[clamped])) >= -1e-9 * grad_scale:
-            return p
-        trial = free.copy()
-        trial[clamped[np.argmin(mu[clamped])]] = True
-        p_new, nu_new, free_new = _kkt_on_support(a, b, spacing, trial)
-        obj_new = objective(p_new)
-        # the cosine kernel makes mirrored grid points exactly degenerate;
-        # once releases stop paying off we are at (numerical) optimality
-        if obj_new >= best - 1e-14 * max(1.0, best):
-            return p
-        p, nu, free, best = p_new, nu_new, free_new, obj_new
-    raise RuntimeError("active-set solver did not converge")

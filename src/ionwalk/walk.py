@@ -278,8 +278,13 @@ def mean_phonon(obj) -> float:
 
 
 def classical_width_reference(n_steps: int, step_size: float) -> float:
-    """Random-walk width law sqrt(2 s^2 N / pi + 1) in ground-state widths."""
-    return float(np.sqrt(2.0 * step_size ** 2 * n_steps / np.pi + 1.0))
+    """RMS width sqrt(1 + s^2 N) of the one-ion classical walk, in ground-state widths.
+
+    Each step moves the packet by +-s; the random coin phases make the signs
+    of successive steps independent, so <x^2> grows by s^2 per step from the
+    ground state's 1.
+    """
+    return float(np.sqrt(1.0 + step_size ** 2 * n_steps))
 
 
 def snapshot_ensemble(result: WalkResult, step: int) -> MotionalEnsemble:

@@ -18,6 +18,7 @@ from ionwalk import probe, walk
 from ionwalk import reconstruct as rec
 
 from conftest import split_halves
+from oracles import solve_qp_active_set
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -184,7 +185,7 @@ def test_criterion_09_fisher_constraint_correctness():
         est = rec.reconstruct_density(fm, c_vals, s_values=s_vals)
         a = np.vstack([fm.ccos, fm.csin])
         b = np.concatenate([c_vals, s_vals])
-        oracle = rec.solve_qp_active_set(a, b, small.spacing)
+        oracle = solve_qp_active_set(a, b, small.spacing)
         gap = abs(float(np.sum((a @ est.density - b) ** 2))
                   - float(np.sum((a @ oracle - b) ** 2)))
         worst_gap = max(worst_gap, gap)

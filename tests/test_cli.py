@@ -205,7 +205,7 @@ def test_run_width_curve(tmp_path):
     assert cli.main(["run", str(cfg), "--out", str(prefix)]) == 0
     header, data = read_csv(prefix.parent / f"{prefix.name}_widths.csv")
     assert header == ["N", "w_x", "w_x_classical", "w_x_classical_ref", "w_p", "nbar"]
-    ref = [np.sqrt(8 * n / np.pi + 1) for n in range(4)]
+    ref = [np.sqrt(4 * n + 1) for n in range(4)]       # step size 2
     assert np.allclose(data[:, 3], ref, atol=1e-9)
 
 
@@ -228,6 +228,21 @@ def test_threads_flag_does_not_change_results(tmp_path):
     s1 = (p1.parent / f"{p1.name}_summary.csv").read_bytes()
     s2 = (p2.parent / f"{p2.name}_summary.csv").read_bytes()
     assert s1 == s2
+
+
+@pytest.mark.parametrize("flag,env", [(None, "abc"), (None, "0"), ("-3", None), ("1.5", None)])
+def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("IONWALK_THREADS", env)
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="width_curve", walk={"n_steps": 1, "trials": 4})
+    argv = ["run", str(cfg), "--out", str(tmp_path / "wc")]
+    assert cli.main(argv + (["--threads", flag] if flag is not None else [])) == 1
+    err = capsys.readouterr().err
+    source = "--threads" if flag is not None else "IONWALK_THREADS"
+    assert f"stage=width_curve: {source} '{flag or env}' must be a positive integer" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
 def test_missing_config_file(capsys):

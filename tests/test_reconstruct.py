@@ -14,6 +14,8 @@ from ionwalk.fock import (
 from ionwalk import cli, probe, walk
 from ionwalk import reconstruct as rec
 
+from oracles import fisher_derivatives, solve_qp_active_set
+
 
 @pytest.fixture(scope="module")
 def ground64():
@@ -181,7 +183,7 @@ def test_solver_agrees_with_active_set_oracle():
         est = rec.reconstruct_density(model, c_vals, s_values=s_vals)
         stacked_a = np.vstack([model.ccos, model.csin])
         stacked_b = np.concatenate([c_vals, s_vals])
-        p_oracle = rec.solve_qp_active_set(stacked_a, stacked_b, grid.spacing)
+        p_oracle = solve_qp_active_set(stacked_a, stacked_b, grid.spacing)
         obj_est = float(np.sum((stacked_a @ est.density - stacked_b) ** 2))
         obj_oracle = float(np.sum((stacked_a @ p_oracle - stacked_b) ** 2))
         assert abs(obj_est - obj_oracle) <= 1e-6
@@ -236,7 +238,7 @@ def _trust_constr_oracle(a, b, h, bound):
     return res.x, fisher(res.x)
 
 
-@pytest.mark.parametrize("n_points,extent", [(31, 3.0), (41, 4.0)])
+@pytest.mark.parametrize("n_points,extent", [(31, 3.0), (30, 3.0), (41, 4.0)])
 def test_fisher_constrained_solver_agrees_with_trust_constr(ground64, n_points, extent):
     # the active-set oracle covers only the problem without the Fisher bound;
     # here the bound is active and an interior-point solve from scipy is the
@@ -257,6 +259,44 @@ def test_fisher_constrained_solver_agrees_with_trust_constr(ground64, n_points, 
         # scipy stops within about 4e-7 of the optimum, above it
         assert abs(est.objective - obj_oracle) <= 1e-6
         assert est.objective <= obj_oracle + est.gap
+
+
+@pytest.mark.parametrize("n_points", [31, 30])
+@pytest.mark.parametrize("kinetic_bound", [0.275, 1000.0])
+def test_even_fold_matches_general_path(ground64, n_points, kinetic_bound):
+    # without sine data the solver works on half the grid (mirrored pairs
+    # share a variable of weight 2; an odd grid's centre keeps weight 1);
+    # zero sine data give the same problem on the full grid
+    ks = probe.default_k_grid()
+    grid = rec.PositionGrid(np.linspace(-3.0, 3.0, n_points))
+    model = rec.build_forward_model(ks, grid)
+    c_vals = probe.simulate_scan(ground64, "plus_z", ks, shots=250, seed=4).estimates
+    even = rec.reconstruct_density(model, c_vals, kinetic_bound=kinetic_bound)
+    full = rec.reconstruct_density(model, c_vals, s_values=np.zeros_like(ks),
+                                   kinetic_bound=kinetic_bound)
+    assert (even.fisher > 4 * kinetic_bound - 1e-6) == (kinetic_bound == 0.275)
+    assert np.max(np.abs(even.density - even.density[::-1])) < 1e-10
+    assert abs(even.objective - full.objective) <= 1e-9 * full.objective
+    assert abs(even.gap - full.gap) <= 1e-9 * full.gap
+    assert abs(even.multiplier - full.multiplier) <= 1e-4 * full.multiplier
+
+
+@pytest.mark.parametrize("n,even", [(11, True), (10, True), (11, False), (10, False)])
+def test_banded_fisher_block_matches_dense_hessian(n, even):
+    rng = np.random.default_rng(n)
+    h = 0.3
+    j, w = rec._mirror_fold(n, even)
+    k = w.size
+    fold = (j[:, None] == np.arange(k)).astype(float)     # E, with p = E u
+    assert np.array_equal(fold.T @ fold, np.diag(w))
+    p = fold @ rng.uniform(0.5, 2.0, k)
+    grad, bands = rec._fisher_bands(p, h)
+    block = np.zeros((k, k))
+    np.add.at(block.reshape(-1), rec._band_slots(j, k), bands)
+    dense_grad, dense_hess = fisher_derivatives(p, h)
+    expected = fold.T @ (p[:, None] * dense_hess * p) @ fold
+    assert np.max(np.abs(block - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
 
 
 def test_fisher_bound_reaches_exact_density_objective(tmp_path):

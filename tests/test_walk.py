@@ -267,9 +267,12 @@ def test_classical_walk_deterministic_and_thread_independent():
 
 
 def test_classical_reference_width_formula():
-    assert abs(walk.classical_width_reference(0, 2.0) - 1.0) < 1e-12
-    assert abs(walk.classical_width_reference(10, 2.0)
-               - np.sqrt(80.0 / np.pi + 1.0)) < 1e-12
+    # the reference is the RMS width of the binomial law that
+    # test_classical_walk_matches_binomial_second_moment checks the walk
+    # against: <x^2> = 1 + s^2 N
+    for n in range(16):
+        for s in (1.0, 2.0, 4.0):
+            assert abs(walk.classical_width_reference(n, s) ** 2 - (1.0 + s * s * n)) < 1e-12
 
 
 @pytest.mark.parametrize("threads", [1, 2])
