@@ -5,9 +5,9 @@ writes machine-readable outputs (densities and tables as CSV, scalar
 summaries as JSON), published together once the experiment has succeeded.
 No plotting, no interaction.
 
-Exit codes: 0 success, 1 configuration/validation failure, 2 numerical
-failure (leaky state, infeasible bound, non-convergence) with the failing
-stage named on stderr.
+Exit codes: 0 success, 1 usage or configuration/validation failure, 2
+numerical failure (leaky state, infeasible bound, non-convergence) with the
+failing stage named on stderr.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ CONFIG_SCHEMA = {
                 "step_size": {"type": "number", "exclusiveMinimum": 0},
                 "model": {"enum": [m.value for m in FidelityModel]},
                 "coin_phase": {"type": "number"},
-                "trials": {"type": "integer", "minimum": 1},
             },
         },
         "pulses": {
@@ -186,7 +185,6 @@ def _resolve(cfg: dict, seed: int) -> _Run:
             step_size=w.get("step_size"),
             coin_phase=w.get("coin_phase", 0.0),
             seed=seed,
-            trials=w.get("trials", 200),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -269,10 +267,10 @@ def _scan(run: _Run, ensemble, spin_prep: str, axis: str, seed: int) -> probe.Pr
                                shots=run.scan["shots"], seed=seed)
 
 
-def _run_walk(run: _Run, out: str, threads: int) -> None:
+def _run_walk(run: _Run, out: str) -> None:
     t0 = time.perf_counter()
     if run.experiment == "classical":
-        result = walk.classical_walk(run.wcfg, threads=threads)
+        result = walk.classical_walk(run.wcfg)
     else:
         result = walk.quantum_walk(run.wcfg)
     log.info("walk finished in %.2fs", time.perf_counter() - t0)
@@ -288,7 +286,7 @@ def _run_walk(run: _Run, out: str, threads: int) -> None:
     write_csv(f"{out}_summary.csv", list(summary), list(summary.values()))
 
 
-def _run_reverse(run: _Run, out: str, threads: int) -> None:
+def _run_reverse(run: _Run, out: str) -> None:
     result = walk.reversed_walk(run.wcfg)
     grid = run.grid.points
     densities = walk.snapshot_densities(result, [0, run.wcfg.n_steps, -1], grid)
@@ -300,7 +298,7 @@ def _run_reverse(run: _Run, out: str, threads: int) -> None:
     })
 
 
-def _run_scan(run: _Run, out: str, threads: int) -> None:
+def _run_scan(run: _Run, out: str) -> None:
     ensemble = walk.snapshot_ensemble(walk.quantum_walk(run.wcfg), run.wcfg.n_steps)
     scan = _scan(run, ensemble, run.scan["spin_prep"], run.scan["axis"], run.wcfg.seed)
     shots = 0 if run.scan["noiseless"] else run.scan["shots"]
@@ -308,7 +306,7 @@ def _run_scan(run: _Run, out: str, threads: int) -> None:
               [scan.k, scan.estimates, np.full(scan.k.size, shots)])
 
 
-def _run_reconstruct(run: _Run, out: str, threads: int) -> None:
+def _run_reconstruct(run: _Run, out: str) -> None:
     result = walk.quantum_walk(run.wcfg)
     model = reconstruct.build_forward_model(run.k_grid, run.grid, run.recon["kind"],
                                             run.wcfg.params.eta)
@@ -329,16 +327,15 @@ def _run_reconstruct(run: _Run, out: str, threads: int) -> None:
             "fisher": est.fisher,
             "kinetic_bound": bound,
             "iterations": est.iterations,
-            "converged": bool(est.converged),
             "gap": est.gap,
             "multiplier": est.multiplier,
         }
     write_json(f"{out}_diagnostics.json", diagnostics)
 
 
-def _run_width_curve(run: _Run, out: str, threads: int) -> None:
+def _run_width_curve(run: _Run, out: str) -> None:
     quantum = walk.quantum_walk(run.wcfg)
-    classical = walk.classical_walk(run.wcfg, threads=threads)
+    classical = walk.classical_walk(run.wcfg)
     write_csv(f"{out}_widths.csv",
               ["N", "w_x", "w_x_classical", "w_x_classical_ref", "w_p", "nbar"],
               [np.array(run.steps),
@@ -350,7 +347,7 @@ def _run_width_curve(run: _Run, out: str, threads: int) -> None:
                np.array([walk.mean_phonon(s) for s in quantum.snapshots])])
 
 
-def _run_nbar_curve(run: _Run, out: str, threads: int) -> None:
+def _run_nbar_curve(run: _Run, out: str) -> None:
     result = walk.quantum_walk(run.wcfg)
     times = np.linspace(0.0, 250.0, 200)
     exact = np.array([walk.mean_phonon(s) for s in result.snapshots])
@@ -370,8 +367,11 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: dict, prefix: str, seed: int, threads: int) -> None:
-    """Run one experiment; its files appear at prefix only if it succeeds."""
+def run_experiment(cfg: dict, prefix: str, seed: int, threads: int | None = None) -> None:
+    """Run one experiment; its files appear at prefix only if it succeeds.
+
+    threads is ignored; it stays only because bench/workloads.py passes it.
+    """
     run = _resolve(cfg, seed)
     directory, base = os.path.split(prefix)
     directory = directory or os.curdir
@@ -380,7 +380,7 @@ def run_experiment(cfg: dict, prefix: str, seed: int, threads: int) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot write outputs next to {prefix}: {exc}") from exc
     try:
-        _RUNNERS[run.experiment](run, os.path.join(staging, base), threads)
+        _RUNNERS[run.experiment](run, os.path.join(staging, base))
         for name in sorted(os.listdir(staging)):
             os.replace(os.path.join(staging, name), os.path.join(directory, name))
     finally:
@@ -399,31 +399,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config")
     run_p.add_argument("--out", help="output path prefix")
     run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--threads",
-                       help="worker threads (else IONWALK_THREADS, else 1)")
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config")
     return parser
 
 
-def _thread_count(flag: str | None) -> int:
-    """Positive worker count from --threads, else IONWALK_THREADS, else 1."""
-    source, raw = "--threads", flag
-    if flag is None:
-        source, raw = "IONWALK_THREADS", os.environ.get("IONWALK_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"{source} {raw!r} must be a positive integer")
-    return threads
-
-
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(name)s: %(message)s")
     log.setLevel(logging.INFO if os.environ.get("IONWALK_DEBUG") else logging.WARNING)
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 0 after -h and 2 on a usage error
+        return 0 if exc.code == 0 else 1
 
     try:
         cfg = load_config(args.config)
@@ -440,10 +427,9 @@ def main(argv=None) -> int:
             print("OK" if ok else "VALIDATION FAILED")
             return 0 if ok else 1
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        threads = _thread_count(args.threads)
         prefix = args.out or cfg.get("output_prefix") or stage
         t0 = time.perf_counter()
-        run_experiment(cfg, prefix, seed, threads)
+        run_experiment(cfg, prefix, seed)
         log.info("experiment %s done in %.2fs", stage, time.perf_counter() - t0)
     except ConfigError as exc:
         print(f"stage={stage}: {exc}", file=sys.stderr)

@@ -108,15 +108,15 @@ def coherent_state(alpha: complex, params: HilbertParams) -> np.ndarray:
 
 
 def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "") -> float:
-    """Largest spin-traced population of the top TAIL_FRACTION Fock levels.
+    """Spin-traced population of the top TAIL_FRACTION Fock levels.
 
-    Over the columns of a state vector or (dim, K) block; above TAIL_TOLERANCE
-    it raises LeakyStateError, if not finite FloatingPointError, the message
-    prefixed with where.
+    Of a state vector, or of rho = F F^dagger for a (dim, K) factor F (summed
+    over its columns); above TAIL_TOLERANCE it raises LeakyStateError, if not
+    finite FloatingPointError, the message prefixed with where.
     """
     k = max(1, int(np.ceil(TAIL_FRACTION * params.motion_dim)))
     top = amplitudes.reshape(params.spin_dim, params.motion_dim, -1)[:, -k:]
-    tail = float(np.max(np.sum(np.abs(top) ** 2, axis=(0, 1))))
+    tail = float(np.sum(np.abs(top) ** 2))
     if not np.isfinite(tail):
         raise FloatingPointError(f"{where}state has non-finite amplitudes")
     if tail > TAIL_TOLERANCE:

@@ -146,7 +146,6 @@ class DensityEstimate:
     density: np.ndarray
     objective: float
     fisher: float
-    converged: bool
     iterations: int
     gap: float
     multiplier: float = 0.0
@@ -384,5 +383,4 @@ def reconstruct_density(model: ForwardModel, c_values, s_values=None,
         raise RuntimeError("solver returned an infeasible density")
     r = a @ p - b
     return DensityEstimate(grid=model.grid, density=p, objective=float(r @ r),
-                           fisher=fisher, converged=True, iterations=steps, gap=gap,
-                           multiplier=multiplier)
+                           fisher=fisher, iterations=steps, gap=gap, multiplier=multiplier)

@@ -1,4 +1,4 @@
-"""Quantum, classical (phase-randomized), reversed and two-ion walks.
+"""Quantum, classical (dephased), reversed and two-ion walks.
 
 One walk step is a displacement pulse followed by a coin pulse. The
 displacement drives the bichromatic interaction at phi_minus = pi/2 along
@@ -8,14 +8,17 @@ spin axis is orthogonal to the displacement axis (a coin along sigma_x
 would commute with the displacement and produce no interference).
 coin_phase shifts the coin axis away from that default.
 
-Every walk runs through one step loop, _steps, on a (dim, K) block of
-amplitude columns; it checks the truncation tail after each step.
+Every walk runs through one step loop, _steps, on a (dim, K) factor F of
+rho = F F^dagger (one column for a pure state); it checks the truncation
+tail after each step. The classical walk is the exact limit of randomizing
+the laser phase at every step: after each step its factor is split into
+the S_z sectors of the spin, so it needs no trials, seed or threads.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .fock import (
 
 COIN_AREA = np.pi / 4.0
 _BRANCH_CUTOFF = 1e-12
+_RANK_CUTOFF = 1e-9       # relative singular-value cut of the dephased factor
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,9 @@ class WalkConfig:
     step_size is the outermost displacement per step in ground-state widths:
     2.0 by default for one ion; for two ions it is the displacement of the
     |++>_x / |-->_x branches and defaults to 4.0 (same drive strength).
+    seed feeds the CLI's shot-noise scans; no walk reads it. trials is
+    ignored: the classical walk is exact. It stays only because
+    bench/workloads.py passes it and bench/tracing.py reads it.
     """
 
     n_steps: int
@@ -57,8 +64,6 @@ class WalkConfig:
         object.__setattr__(self, "model", FidelityModel(self.model))
         if self.n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
             raise ValueError(
                 f"{self.model.value} only corrects the x quadrature and cannot "
@@ -103,25 +108,40 @@ def _walk_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
 
 
 def _steps(params: HilbertParams, columns: np.ndarray, pulses, n_steps: int,
-           phases: np.ndarray | None = None, label: str = "step"):
-    """Advance a (dim, K) amplitude block by n_steps walk steps; yield it after each.
+           label: str = "step", dephase: bool = False):
+    """Advance a (dim, K) factor F by n_steps walk steps; yield it after each.
 
-    pulses are one step's (pulse, area) pairs in the order they act. phases,
-    if given, has shape (n_steps, K): step k of column j runs with every
-    pulse phase shifted by phases[k, j]. The spin-traced tail population of
-    every column is checked once per step, after its last pulse (the carrier
-    and the phase diagonal leave it unchanged); LeakyStateError names the step.
+    pulses are one step's (pulse, area) pairs in the order they act. The
+    spin-traced tail population of rho = F F^dagger is checked once per step,
+    after its last pulse (the carrier leaves it unchanged); LeakyStateError
+    names the step. With dephase, F is then replaced by _dephase(params, F).
     """
     for step in range(n_steps):
-        if phases is not None:
-            diag = _spin_phase_column(phases[step], params)
-            columns = diag.conj() * columns
         for pulse, area in pulses:
             columns = dynamics.apply_propagator(pulse, area, columns)
-        if phases is not None:
-            columns = diag * columns
         check_tail(params, columns, f"{label} {step + 1}: ")
+        if dephase:
+            columns = _dephase(params, columns)
         yield columns
+
+
+def _dephase(params: HilbertParams, columns: np.ndarray) -> np.ndarray:
+    """Factor of sum_m Pi_m F F^dagger Pi_m for F = columns, Pi_m the S_z = m projector.
+
+    Each sector's rows are compressed by an SVD that drops the singular
+    values below _RANK_CUTOFF of the sector's largest.
+    """
+    mz = np.diag(dynamics.collective_spin(np.diag([1.0, -1.0]), params.n_ions)).real
+    blocks = columns.reshape(params.spin_dim, params.motion_dim, -1)
+    parts = []
+    for m in np.unique(mz):
+        rows = mz == m
+        u, s, _ = np.linalg.svd(blocks[rows].reshape(-1, columns.shape[1]), full_matrices=False)
+        keep = s > _RANK_CUTOFF * s[0]
+        part = np.zeros((params.spin_dim, params.motion_dim, np.count_nonzero(keep)), complex)
+        part[rows] = (u[:, keep] * s[keep]).reshape(np.count_nonzero(rows), params.motion_dim, -1)
+        parts.append(part)
+    return np.concatenate(parts, axis=2).reshape(params.dim, -1)
 
 
 def prepare_initial(params: HilbertParams,
@@ -179,70 +199,46 @@ def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
     negligible motional disturbance: the motional state becomes the mixture
     of the spin-branch wavefunctions weighted by the branch populations.
     """
-    return _ensemble_from_trials(state.amplitudes[:, None], state.params)
+    return _recombine(state.params, state.amplitudes[:, None])
 
 
-def _spin_phase_column(phases: np.ndarray, params: HilbertParams) -> np.ndarray:
-    """Per-trial diagonal of exp(i * phase * Sz / 2) on the full space.
+def _recombine(params: HilbertParams, columns: np.ndarray,
+               cutoff: float = _BRANCH_CUTOFF) -> MotionalEnsemble:
+    """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) factor F = columns.
 
-    Shifting every pulse phase of one step by c conjugates its propagator
-    with this diagonal, so a random-phase step costs two extra elementwise
-    multiplies instead of a new pulse.
+    Column k's spin branch s becomes factor column k * spin_dim + s; branches
+    of weight <= cutoff are dropped and the factor is trace-normalized once.
     """
-    mz = np.diag(dynamics.collective_spin(np.diag([1.0, -1.0]), params.n_ions)).real
-    per_spin = np.exp(0.5j * np.outer(mz, phases))          # (spin_dim, trials)
-    return np.repeat(per_spin, params.motion_dim, axis=0)   # (dim, trials)
-
-
-def _ensemble_from_trials(columns: np.ndarray, params: HilbertParams) -> MotionalEnsemble:
-    """Uniform mixture over trial columns, each recombined over spin branches.
-
-    Trial t's spin branch s becomes factor column t * spin_dim + s, of weight
-    |branch|^2 / trials; branches of weight <= _BRANCH_CUTOFF are dropped and
-    the factor is trace-normalized once.
-    """
-    trials = columns.shape[1]
-    factor = columns.reshape(params.spin_dim, params.motion_dim, trials).transpose(1, 2, 0)
+    factor = columns.reshape(params.spin_dim, params.motion_dim, -1).transpose(1, 2, 0)
     factor = factor.reshape(params.motion_dim, -1)
-    weights = np.sum(np.abs(factor) ** 2, axis=0) / trials
-    keep = weights > _BRANCH_CUTOFF
+    weights = np.sum(np.abs(factor) ** 2, axis=0)
+    keep = weights > cutoff
     if not keep.all():
         factor, weights = factor[:, keep], weights[keep]
-    return MotionalEnsemble(params, factor / np.sqrt(trials * np.sum(weights)))
+    return MotionalEnsemble(params, factor / np.sqrt(np.sum(weights)))
 
 
 def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
-    """Phase-randomized walk, averaged over config.trials independent runs.
+    """Dephased walk: the exact average over a random laser phase at every step.
 
-    Every step of every trial shifts the laser phase of both pulses of that
-    step by one uniform random offset (the displacement-coin pair stays
-    coherent within a step). Trials use generators spawned from the master
-    seed, so results do not depend on batching or thread count. Snapshots
-    are motional ensembles (spin recombined, uniform weight over trials),
-    built as each step ends. With threads > 1 the trials are split into
-    chunks whose step loops advance one step at a time in a thread pool.
+    Shifting both pulse phases of a step by one uniform random c conjugates
+    the step's unitary U by D_c = exp(i c S_z / 2). Averaged over c, each
+    spin block of rho keeps its coherence order, and the motion reads only
+    the blocks inside one S_z sector, so a step is
+    rho -> sum_m Pi_m U rho U^dagger Pi_m with Pi_m the S_z = m projector
+    (Brun, Carteret & Ambainis, PRL 91, 130602 (2003)). rho = F F^dagger is
+    held as a factor F on the full spin (x) motion space, split by sector and
+    compressed by an SVD after every step (_dephase); the result needs no
+    trials and no seed. Snapshots are motional ensembles (spin recombined),
+    built as each step ends; they drop only the exact zeros outside each
+    column's sector, since the SVD cut already bounds what is left out.
+    threads is ignored; it stays only because bench/workloads.py passes it.
     """
     p = config.params
-    rng_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
-    phases = np.empty((config.n_steps, config.trials))
-    for t, ss in enumerate(rng_seeds):
-        phases[:, t] = np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, config.n_steps)
-
-    initial = prepare_initial(p, config.model).amplitudes[:, None]
-    pulses = _walk_pulses(config)
-    snapshots = [_ensemble_from_trials(initial, p)]
-    chunks = [_steps(p, np.repeat(initial, idx.size, axis=1), pulses, config.n_steps,
-                     phases[:, idx])
-              for idx in np.array_split(np.arange(config.trials), max(threads, 1)) if idx.size]
-    if len(chunks) == 1:
-        for block in chunks[0]:
-            snapshots.append(_ensemble_from_trials(block, p))
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for _ in range(config.n_steps):
-                block = np.concatenate(list(pool.map(next, chunks)), axis=1)
-                snapshots.append(_ensemble_from_trials(block, p))
-    return WalkResult(config, tuple(snapshots))
+    columns = _dephase(p, prepare_initial(p, config.model).amplitudes[:, None])
+    blocks = _steps(p, columns, _walk_pulses(config), config.n_steps, dephase=True)
+    return WalkResult(config, tuple(_recombine(p, b, cutoff=0.0)
+                                    for b in itertools.chain([columns], blocks)))
 
 
 # ---------------------------------------------------------------- summaries

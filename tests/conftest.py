@@ -20,9 +20,8 @@ def walk15_ld():
 
 @pytest.fixture(scope="session")
 def classical15():
-    """15-step phase-randomized walk, 200 trials, fixed seed."""
-    cfg = walk.WalkConfig(n_steps=15, params=HilbertParams(n_max=400),
-                          seed=11, trials=200)
+    """15-step classical (dephased) walk."""
+    cfg = walk.WalkConfig(n_steps=15, params=HilbertParams(n_max=400))
     return walk.classical_walk(cfg)
 
 

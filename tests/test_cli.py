@@ -109,7 +109,7 @@ def test_run_grid_too_narrow_exits_2(tmp_path, capsys):
 def test_run_classical_leaky_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment="classical", hilbert={"n_max": 30},
-              walk={"n_steps": 15, "trials": 50})
+              walk={"n_steps": 15})
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "stage=classical: LeakyStateError: step 4:" in err
@@ -157,12 +157,11 @@ def test_run_scan_experiment(tmp_path):
 
 def test_run_classical_experiment(tmp_path):
     cfg = tmp_path / "c.json"
-    write_cfg(cfg, experiment="classical",
-              walk={"n_steps": 2, "trials": 40})
+    write_cfg(cfg, experiment="classical", walk={"n_steps": 2})
     prefix = tmp_path / "cl"
     assert cli.main(["run", str(cfg), "--out", str(prefix)]) == 0
     header, data = read_csv(prefix.parent / f"{prefix.name}_summary.csv")
-    assert abs(data[2, 1] ** 2 - 9.0) < 1.5    # <x^2> near 4N+1
+    assert np.allclose(data[:, 1] ** 2, [1.0, 5.0, 9.0], atol=1e-10)    # <x^2> = 4N + 1
 
 
 def test_run_two_ion_requires_two_ions(tmp_path, capsys):
@@ -191,22 +190,22 @@ def test_run_reconstruct_experiment(tmp_path):
     diag = json.loads(first)["1"]
     assert diag["fisher"] <= 4 * diag["kinetic_bound"] + 1e-6
     assert set(diag) == {"objective", "fisher", "kinetic_bound", "iterations",
-                         "converged", "gap", "multiplier"}
-    assert diag["converged"] and 0.0 < diag["gap"] < 1e-7 and diag["multiplier"] >= 0.0
+                         "gap", "multiplier"}
+    assert 0.0 < diag["gap"] < 1e-7 and diag["multiplier"] >= 0.0
     assert cli.main(["run", str(cfg), "--out", str(prefix)]) == 0
     assert diag_path.read_bytes() == first
 
 
 def test_run_width_curve(tmp_path):
     cfg = tmp_path / "c.json"
-    write_cfg(cfg, experiment="width_curve",
-              walk={"n_steps": 3, "trials": 30})
+    write_cfg(cfg, experiment="width_curve", walk={"n_steps": 3})
     prefix = tmp_path / "wc"
     assert cli.main(["run", str(cfg), "--out", str(prefix)]) == 0
     header, data = read_csv(prefix.parent / f"{prefix.name}_widths.csv")
     assert header == ["N", "w_x", "w_x_classical", "w_x_classical_ref", "w_p", "nbar"]
     ref = [np.sqrt(4 * n + 1) for n in range(4)]       # step size 2
     assert np.allclose(data[:, 3], ref, atol=1e-9)
+    assert np.allclose(data[:, 2], ref, atol=1e-10)    # the dephased walk is exact
 
 
 def test_run_nbar_curve(tmp_path):
@@ -219,30 +218,25 @@ def test_run_nbar_curve(tmp_path):
     assert np.allclose(data[:, 1], data[:, 2], atol=0.15)
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
-    cfg = tmp_path / "c.json"
-    write_cfg(cfg, experiment="classical", walk={"n_steps": 2, "trials": 24})
-    p1, p2 = tmp_path / "t1", tmp_path / "t2"
-    assert cli.main(["run", str(cfg), "--out", str(p1), "--threads", "1"]) == 0
-    assert cli.main(["run", str(cfg), "--out", str(p2), "--threads", "3"]) == 0
-    s1 = (p1.parent / f"{p1.name}_summary.csv").read_bytes()
-    s2 = (p2.parent / f"{p2.name}_summary.csv").read_bytes()
-    assert s1 == s2
-
-
-@pytest.mark.parametrize("flag,env", [(None, "abc"), (None, "0"), ("-3", None), ("1.5", None)])
-def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("IONWALK_THREADS", env)
-    cfg = tmp_path / "c.json"
-    write_cfg(cfg, experiment="width_curve", walk={"n_steps": 1, "trials": 4})
-    argv = ["run", str(cfg), "--out", str(tmp_path / "wc")]
-    assert cli.main(argv + (["--threads", flag] if flag is not None else [])) == 1
+@pytest.mark.parametrize("argv", [["run", "c.json", "--threads", "2"], ["run"], ["validate"]],
+                         ids=["threads_flag", "run_without_config", "validate_without_config"])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 is reserved for numerical failures, so argparse's own 2 becomes 1
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    source = "--threads" if flag is not None else "IONWALK_THREADS"
-    assert f"stage=width_curve: {source} '{flag or env}' must be a positive integer" in err
-    assert "Traceback" not in err
-    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["run", "-h"]) == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_trials_key_rejected(tmp_path, capsys):
+    # the classical walk is exact, so a trial count is a config error
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="width_curve", walk={"n_steps": 1, "trials": 200})
+    assert_rejected(tmp_path, capsys, cfg, "config", "'trials' was unexpected")
 
 
 def test_missing_config_file(capsys):
@@ -304,7 +298,7 @@ def test_out_into_missing_directory_exits_1(tmp_path, capsys):
 
 def test_negative_seed_flag_exits_1(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    write_cfg(cfg, experiment="classical", walk={"n_steps": 1, "trials": 4})
+    write_cfg(cfg, experiment="classical", walk={"n_steps": 1})
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
     assert "stage=classical: seed -1 must be >= 0" in err and "Traceback" not in err

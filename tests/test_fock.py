@@ -10,6 +10,7 @@ from ionwalk.fock import (
     TruncationError,
     apply_momentum,
     apply_position,
+    check_tail,
     coherent_state,
     exact_position_densities,
     exact_position_density,
@@ -211,6 +212,16 @@ def test_state_norm_and_tail_validation():
     leaky[p.motion_dim - 1] = np.sqrt(1e-4)
     with pytest.raises(LeakyStateError):
         SpinMotionState(p, leaky)
+
+
+def test_check_tail_sums_factor_columns():
+    # the tail of rho = F F^dagger: two columns of 0.8e-6 each leak together
+    p = HilbertParams(n_max=32)
+    factor = np.zeros((p.dim, 2), dtype=complex)
+    factor[0], factor[p.motion_dim - 1] = np.sqrt(0.5 - 0.8e-6), np.sqrt(0.8e-6)
+    assert check_tail(p, factor[:, :1]) == pytest.approx(0.8e-6, rel=1e-12)
+    with pytest.raises(LeakyStateError, match=r"^step 3: tail population 1\.60e-06"):
+        check_tail(p, factor, "step 3: ")
 
 
 def test_ensemble_validation():

@@ -57,8 +57,6 @@ def test_config_validation():
     p = HilbertParams(n_max=16)
     with pytest.raises(ValueError):
         walk.WalkConfig(n_steps=-1, params=p)
-    with pytest.raises(ValueError):
-        walk.WalkConfig(n_steps=1, params=p, trials=0)
     assert walk.WalkConfig(n_steps=1, params=p).step_size == 2.0
     p2 = HilbertParams(n_max=16, n_ions=2)
     assert walk.WalkConfig(n_steps=1, params=p2).step_size == 4.0
@@ -230,58 +228,57 @@ def test_recombination_preserves_position_density():
     assert np.max(np.abs(dens_ens - dens_direct)) < 1e-10
 
 
+def _dense_rho(ensemble: MotionalEnsemble) -> np.ndarray:
+    return ensemble.factor @ ensemble.factor.conj().T
+
+
 def test_classical_single_step_matches_quantum_distribution():
-    # phase randomization cannot matter in one step on average; at finite
-    # trials the peak weights fluctuate by ~0.7/sqrt(trials)
-    trials = 4000
-    cfg = walk.WalkConfig(n_steps=1, params=HilbertParams(n_max=48),
-                          seed=123, trials=trials)
-    result = walk.classical_walk(cfg)
-    grid = np.arange(-8.0, 8.0001, 0.02)
-    dens = exact_position_density(result.snapshots[1], grid)
-    left, right = split_halves(grid, dens)
-    tol = 4.0 * 0.71 / np.sqrt(2 * trials)
-    assert abs(left - 0.5) < tol and abs(right - 0.5) < tol
+    # one lamb_dicke step reads the spin only through its sigma_x populations
+    # (1/2 each, dephased or not), and recombination drops the coherence the
+    # coin builds, so the dephased and the coherent step agree exactly
+    cfg = walk.WalkConfig(n_steps=1, params=HilbertParams(n_max=48))
+    classical = walk.classical_walk(cfg)
+    quantum = walk.quantum_walk(cfg)
+    for c_snap, q_snap in zip(classical.snapshots, quantum.snapshots, strict=True):
+        want = _dense_rho(walk.recombine_spin(q_snap))
+        assert np.max(np.abs(_dense_rho(c_snap) - want)) < 1e-12
 
 
 def test_classical_walk_matches_binomial_second_moment():
-    cfg = walk.WalkConfig(n_steps=6, params=HilbertParams(n_max=128),
-                          seed=9, trials=300)
+    cfg = walk.WalkConfig(n_steps=6, params=HilbertParams(n_max=128))
     result = walk.classical_walk(cfg)
     for n, snap in enumerate(result.snapshots):
-        expected = 4.0 * n + 1.0
-        sigma = 4.0 * n / np.sqrt(cfg.trials) * 1.5 + 0.3
-        assert abs(walk.second_moment_x(snap) - expected) < 4 * sigma
+        assert abs(walk.second_moment_x(snap) - (4.0 * n + 1.0)) < 1e-10
 
 
 def test_classical_walk_deterministic_and_thread_independent():
-    cfg = walk.WalkConfig(n_steps=4, params=HilbertParams(n_max=64),
-                          seed=21, trials=32)
-    r1 = walk.classical_walk(cfg, threads=1)
-    r2 = walk.classical_walk(cfg, threads=3)
-    r3 = walk.classical_walk(cfg, threads=1)
-    for a, b in ((r1, r2), (r1, r3)):
-        for sa, sb in zip(a.snapshots, b.snapshots):
-            assert np.allclose(sa.member_matrix(), sb.member_matrix(), atol=1e-13)
-            assert np.allclose(sa.weights(), sb.weights(), atol=1e-15)
+    # seed, trials and threads are accepted and ignored: the walk is exact
+    cfg = walk.WalkConfig(n_steps=4, params=HilbertParams(n_max=64))
+    runs = (walk.classical_walk(cfg),
+            walk.classical_walk(dataclasses.replace(cfg, seed=21, trials=32), threads=3),
+            walk.classical_walk(cfg))
+    for other in runs[1:]:
+        for sa, sb in zip(runs[0].snapshots, other.snapshots, strict=True):
+            assert np.array_equal(sa.factor, sb.factor)
 
 
 def test_classical_reference_width_formula():
-    # the reference is the RMS width of the binomial law that
-    # test_classical_walk_matches_binomial_second_moment checks the walk
-    # against: <x^2> = 1 + s^2 N
-    for n in range(16):
-        for s in (1.0, 2.0, 4.0):
-            assert abs(walk.classical_width_reference(n, s) ** 2 - (1.0 + s * s * n)) < 1e-12
+    # the exact one-ion lamb_dicke walk has <x^2> = 1 + s^2 N
+    for s in (1.0, 2.0, 3.0):
+        cfg = walk.WalkConfig(n_steps=12, params=HilbertParams(n_max=walk.required_n_max(12, s)),
+                              step_size=s)
+        widths = [walk.width_x(snap) for snap in walk.classical_walk(cfg).snapshots]
+        for n, w in enumerate(widths):
+            assert abs(w - walk.classical_width_reference(n, s)) < 1e-10
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_classical_walk_truncation_raises(threads):
-    # n_max 30 cannot hold 15 steps: 2.9% of the population reaches the top
-    # levels and the width falls to 5.9 instead of sqrt(61)
-    cfg = walk.WalkConfig(n_steps=15, params=HilbertParams(n_max=30), seed=0, trials=50)
-    with pytest.raises(LeakyStateError, match=r"^step 4: tail population"):
-        walk.classical_walk(cfg, threads=threads)
+@pytest.mark.parametrize("n_ions, step", [(1, 4), (2, 2)], ids=["1", "2"])
+def test_classical_walk_truncation_raises(n_ions, step):
+    # n_max 30 cannot hold 15 steps: the summed tail of rho passes 1e-6 at
+    # step 4 for one ion (steps of 2 widths) and at step 2 for two (4 widths)
+    cfg = walk.WalkConfig(n_steps=15, params=HilbertParams(n_max=30, n_ions=n_ions))
+    with pytest.raises(LeakyStateError, match=rf"^step {step}: tail population"):
+        walk.classical_walk(cfg)
 
 
 def test_walk_failures_name_the_step():
@@ -289,7 +286,7 @@ def test_walk_failures_name_the_step():
     with pytest.raises(FloatingPointError, match=r"^step 1: "):
         walk.quantum_walk(cfg)
     with pytest.raises(FloatingPointError, match=r"^step 1: "):
-        walk.classical_walk(dataclasses.replace(cfg, trials=4))
+        walk.classical_walk(cfg)
 
 
 def test_two_ion_single_step_three_peaks():
@@ -332,7 +329,7 @@ def test_leak_error_names_the_step():
 def _dense_step(cfg, shift=0.0, reverse=False):
     """Test-only oracle: one walk step (or its inverse) from dense expm.
 
-    shift adds one phase to both pulses, as a classical-walk trial does.
+    shift adds one phase to both pulses, as the classical walk's random phase does.
     """
     p, model = cfg.params, cfg.model
     flip = np.pi if reverse else 0.0
@@ -354,7 +351,7 @@ def _dense_initial(cfg):
 @pytest.mark.parametrize("model", [FidelityModel.LAMB_DICKE, FidelityModel.ALL_ORDER])
 def test_walks_match_dense_expm(model, n_ions):
     cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60, n_ions=n_ions),
-                          model=model, coin_phase=0.3, seed=4, trials=3)
+                          model=model, coin_phase=0.3)
     result = walk.reversed_walk(cfg)
     state = _dense_initial(cfg)
     oracle = [state]
@@ -364,20 +361,20 @@ def test_walks_match_dense_expm(model, n_ions):
     for snap, want in zip(result.snapshots, oracle, strict=True):
         assert np.max(np.abs(snap.amplitudes - want)) < 1e-12
 
-    # classical walk: trial t shifts both pulses of step n by phases[n, t]
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    phases = [np.random.default_rng(ss).uniform(0.0, 2.0 * np.pi, cfg.n_steps)
-              for ss in seeds]
-    final = walk.classical_walk(cfg).snapshots[-1]
-    members = []
-    for trial_phases in phases:
-        state = _dense_initial(cfg)
-        for phase in trial_phases:
-            state = _dense_step(cfg, shift=phase) @ state
-        for branch in state.reshape(cfg.params.spin_dim, -1):
-            if np.linalg.norm(branch) > 1e-6:
-                members.append(branch / np.linalg.norm(branch))
-    assert np.max(np.abs(final.member_matrix() - np.column_stack(members))) < 1e-12
+    # classical walk: the phase average of every step, as a quadrature over
+    # M equispaced phases on all M^N trajectories. A step's phase enters rho
+    # as exp(i n c) with |n| <= 2 n_ions < M, so the average is exact. Steps
+    # of 2 widths keep three of them inside n_max 60 for two ions too.
+    cfg = dataclasses.replace(cfg, n_steps=3, step_size=2.0)
+    m = 5
+    steps = [_dense_step(cfg, shift=2.0 * np.pi * j / m) for j in range(m)]
+    trajectories = [_dense_initial(cfg)]
+    for n, snap in enumerate(walk.classical_walk(cfg).snapshots):
+        if n:
+            trajectories = [u @ state for state in trajectories for u in steps]
+        branches = np.array(trajectories).reshape(len(trajectories), cfg.params.spin_dim, -1)
+        rho = np.einsum("tsa,tsb->ab", branches, branches.conj()) / len(trajectories)
+        assert np.max(np.abs(_dense_rho(snap) - rho)) < 1e-12
 
 
 def _factor_case(name):
