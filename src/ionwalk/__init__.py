@@ -11,9 +11,7 @@ from .dynamics import (
     FidelityModel,
     Pulse,
     apply_propagator,
-    bichromatic_hamiltonian,
     bichromatic_pulse,
-    carrier_hamiltonian,
     carrier_pulse,
     step_size,
 )

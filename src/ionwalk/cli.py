@@ -108,6 +108,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate re-checks the schema against its meta-schema
+# on every call, about 100 times the cost of the validation (test_cli checks it)
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 # section -> defaults, merged into the config's own values once by _resolve
 _DEFAULTS = {
     "scan": {"axis": "x", "spin_prep": "plus_z", "k_max": probe.DEFAULT_K_MAX,
@@ -136,10 +140,9 @@ def load_config(path: str) -> dict:
             raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return raw
 
 
@@ -247,9 +250,11 @@ def write_atomic(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def write_csv(path: str, header: list[str], columns: list) -> None:
+    """One CSV row per entry; a column is an array or its _format_column cells."""
+    cells = [c if isinstance(c, list) else _format_column(c) for c in columns]
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_format_column, columns))))
+    lines.extend(map(",".join, zip(*cells)))
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -275,8 +280,9 @@ def _run_walk(run: _Run, out: str) -> None:
         result = walk.quantum_walk(run.wcfg)
     log.info("walk finished in %.2fs", time.perf_counter() - t0)
     grid = run.grid.points
+    x_cells = _format_column(grid)
     for n, dens in zip(run.steps, walk.snapshot_densities(result, run.steps, grid)):
-        write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"], [grid, dens])
+        write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"], [x_cells, dens])
     summary = {
         "step": np.array(run.steps),
         "w_x": np.array([walk.width_x(s) for s in result.snapshots]),
@@ -290,8 +296,9 @@ def _run_reverse(run: _Run, out: str) -> None:
     result = walk.reversed_walk(run.wcfg)
     grid = run.grid.points
     densities = walk.snapshot_densities(result, [0, run.wcfg.n_steps, -1], grid)
+    x_cells = _format_column(grid)
     for name, dens in zip(("initial", "turn", "final"), densities):
-        write_csv(f"{out}_{name}_density.csv", ["x", "p"], [grid, dens])
+        write_csv(f"{out}_{name}_density.csv", ["x", "p"], [x_cells, dens])
     write_json(f"{out}_summary.json", {
         "n_steps": run.wcfg.n_steps,
         "fidelity": walk.reversal_fidelity(result),
@@ -310,7 +317,7 @@ def _run_reconstruct(run: _Run, out: str) -> None:
     result = walk.quantum_walk(run.wcfg)
     model = reconstruct.build_forward_model(run.k_grid, run.grid, run.recon["kind"],
                                             run.wcfg.params.eta)
-    diagnostics = {}
+    diagnostics, x_cells = {}, _format_column(run.grid.points)
     for n in run.steps:
         ensemble = walk.snapshot_ensemble(result, n)
         cos_scan = _scan(run, ensemble, "plus_z", "x", run.wcfg.seed + 7919 * (n + 1))
@@ -320,8 +327,7 @@ def _run_reconstruct(run: _Run, out: str) -> None:
             bound = reconstruct.estimate_kinetic_bound(p_scan)
         est = reconstruct.reconstruct_density(model, cos_scan.estimates,
                                               kinetic_bound=bound)
-        write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"],
-                  [run.grid.points, est.density])
+        write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"], [x_cells, est.density])
         diagnostics[str(n)] = {
             "objective": est.objective,
             "fisher": est.fisher,

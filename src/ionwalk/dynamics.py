@@ -16,8 +16,12 @@ or 4x4 eigh and one tridiagonal eigensolve of size n_max + 1, never a dense
 eigendecomposition of the full space. After the gauge D_n = e^{i n phi_minus}
 the bichromatic M depends only on (n_max, eta, model), so that eigensolve
 runs once per (n_max, eta, model) per process and its read-only eigenpairs
-are shared by the walk's displacement and both probe quadratures. The dense
-*_hamiltonian builders serve as reference.
+are shared by the walk's displacement and both probe quadratures.
+
+The all_order couplings need the Laguerre polynomials L_n(eta^2) and
+L_n^(1)(eta^2) for every n <= n_max: laguerre() runs their recurrence once
+over n, in the difference form that scipy.special uses, so the module needs
+only numpy and scipy.linalg.
 
 apply_propagator acts on a state vector or a (dim, K) block of them and does
 not check truncation: SpinMotionState and the walk's step loop do.
@@ -31,9 +35,8 @@ import functools
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import eval_genlaguerre, eval_laguerre
 
-from .fock import HilbertParams, ladder_operators
+from .fock import HilbertParams
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -79,56 +82,34 @@ def _check_x_only(phi_minus: float, model: FidelityModel) -> None:
         )
 
 
-def _motional_quadrature(params: HilbertParams, phi_minus: float,
-                         model: FidelityModel) -> np.ndarray:
-    """Motional factor of the bichromatic Hamiltonian, in eta*Omega units."""
-    a, adag = ladder_operators(params)
-    eta = params.eta
-    if model is FidelityModel.LAMB_DICKE:
-        return (a + adag) * np.cos(phi_minus) + 1j * (adag - a) * np.sin(phi_minus)
-    if model is FidelityModel.ALL_ORDER:
-        n = np.arange(params.n_max)
-        coupling = np.exp(-0.5 * eta ** 2) * eval_genlaguerre(n, 1, eta ** 2) / np.sqrt(n + 1.0)
-        return (np.diag(coupling * np.exp(1j * phi_minus), -1)
-                + np.diag(coupling * np.exp(-1j * phi_minus), 1))
-    _check_x_only(phi_minus, model)
-    x = float(np.cos(phi_minus)) * (a + adag)
-    if model is FidelityModel.THIRD_ORDER:
-        nop = adag @ a
-        return x - (eta ** 2 / 4.0) * (x @ nop + nop @ x + np.eye(params.motion_dim))
-    if model is FidelityModel.X_DIAGONAL:
-        return x - (eta ** 2 / 8.0) * (x @ x @ x + x)
-    raise ValueError(f"unknown model {model}")
+def laguerre(n_max: int, alpha: int, x: float) -> np.ndarray:
+    """Generalized Laguerre polynomials L_n^(alpha)(x), n = 0..n_max, alpha 0 or 1.
 
-
-def bichromatic_hamiltonian(params: HilbertParams, phi_plus: float,
-                            phi_minus: float, model: FidelityModel) -> np.ndarray:
-    """Spin-dependent displacement Hamiltonian on spin (x) motion, eta*Omega = 1.
-
-    In the Lamb-Dicke model this is
-        (sigma_x cos(phi+) - sigma_y sin(phi+)) (x) [x_hat cos(phi-) + 2 pi_hat sin(phi-)]
-    summed over ions; the other models replace the motional factor by the
-    corresponding corrected coupling.
+    The recurrence runs on p_n = L_n^(alpha) / binom(n + alpha, n) through
+    the differences d_n = p_{n+1} - p_n (scipy.special's eval_genlaguerre):
+        d <- -x/(k+alpha+1) p + k/(k+alpha+1) d,   p <- p + d,
+    which is accurate where the plain three-term recurrence loses digits to
+    cancellation (x << 1, n ~ 1000), and agrees with scipy to the last bit.
     """
-    spin = collective_spin(sigma_phi(phi_plus), params.n_ions)
-    h = np.kron(spin, _motional_quadrature(params, phi_minus, model))
-    return 0.5 * (h + h.conj().T)
-
-
-def carrier_hamiltonian(params: HilbertParams, phase: float,
-                        model: FidelityModel) -> np.ndarray:
-    """Carrier (spin-only resonance) Hamiltonian, in units of Omega_0.
-
-    For ALL_ORDER the coupling of level n carries the factor L_n(eta^2); the
-    Debye-Waller factor exp(-eta^2/2) is taken as absorbed in Omega_0.
-    """
-    pulse = carrier_pulse(params, phase, model)
-    return np.kron(pulse.spin, np.diag(pulse.motion_values))
+    out = np.empty(n_max + 1)
+    out[0] = 1.0
+    if n_max == 0:
+        return out
+    out[1] = -x + alpha + 1.0
+    d = -x / (alpha + 1.0)
+    p = d + 1.0
+    for k in range(1, n_max):
+        d = -x / (k + alpha + 1.0) * p + k / (k + alpha + 1.0) * d
+        p = p + d
+        out[k + 1] = p
+    if alpha:
+        out[2:] *= np.arange(3.0, n_max + 2.0)   # binom(n + 1, n) = n + 1
+    return out
 
 
 def carrier_coupling_ratios(params: HilbertParams) -> np.ndarray:
     """Rabi frequencies Omega_{n,n}/Omega_0 = L_n(eta^2) on the carrier."""
-    return eval_laguerre(np.arange(params.motion_dim), params.eta ** 2)
+    return laguerre(params.n_max, 0, params.eta ** 2)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -174,7 +155,7 @@ def _motional_eigenpairs(n_max: int, eta: float,
     diag = np.zeros(n_max + 1)
     off = np.sqrt(n + 1.0)
     if model is FidelityModel.ALL_ORDER:
-        off = np.exp(-0.5 * eta2) * eval_genlaguerre(n, 1, eta2) / off
+        off = np.exp(-0.5 * eta2) * laguerre(n_max - 1, 1, eta2) / off
     elif model is FidelityModel.THIRD_ORDER:
         diag -= 0.25 * eta2
         off *= 1.0 - 0.25 * eta2 * (2.0 * n + 1.0)
@@ -188,7 +169,13 @@ def _motional_eigenpairs(n_max: int, eta: float,
 
 def bichromatic_pulse(params: HilbertParams, phi_plus: float, phi_minus: float,
                       model: FidelityModel) -> Pulse:
-    """Factored form of bichromatic_hamiltonian (same arguments), built from M's bands.
+    """Spin-dependent displacement generator S (x) M, eta*Omega = 1.
+
+    In the Lamb-Dicke model S (x) M is
+        (sigma_x cos(phi+) - sigma_y sin(phi+)) (x) [x_hat cos(phi-) + 2 pi_hat sin(phi-)]
+    summed over ions; the other models replace M by the corresponding
+    corrected coupling: exact sideband elements e^{-eta^2/2} L_n^(1)(eta^2)
+    / sqrt(n+1) for all_order, the eta^2 terms of x for the x-only models.
 
     The gauge D_n = e^{i n phi_minus} makes M real tridiagonal in every
     model and independent of phi_minus, so pulses of one (n_max, eta, model)
@@ -204,7 +191,10 @@ def bichromatic_pulse(params: HilbertParams, phi_plus: float, phi_minus: float,
 
 
 def carrier_pulse(params: HilbertParams, phase: float, model: FidelityModel) -> Pulse:
-    """Factored form of carrier_hamiltonian: S_c (x) diag(L_n), or S_c (x) 1."""
+    """Carrier generator S_c (x) diag(L_n(eta^2)) for all_order, else S_c (x) 1, in Omega_0.
+
+    The Debye-Waller factor exp(-eta^2/2) is taken as absorbed in Omega_0.
+    """
     motion = (carrier_coupling_ratios(params)
               if model is FidelityModel.ALL_ORDER else np.ones(params.motion_dim))
     return Pulse(collective_spin(sigma_phi(phase), params.n_ions), motion)

@@ -23,6 +23,7 @@ import numpy as np
 TAIL_FRACTION = 0.05      # top fraction of Fock levels watched for leakage
 TAIL_TOLERANCE = 1e-6
 NORM_TOLERANCE = 1e-9
+RESCALE_EVERY = 8         # hermite_functions checks its mantissas every this many steps
 
 
 class TruncationError(ValueError):
@@ -235,7 +236,10 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     state phi_0(x) = (2*pi)^(-1/4) exp(-x^2/4). Evaluated with the stable
     normalized three-term recurrence; a per-point power-of-two exponent is
     carried so that the classically forbidden region does not underflow even
-    for n ~ 1000 at |x| ~ 60.
+    for n ~ 1000 at |x| ~ 60. The mantissas are renormalized on every
+    RESCALE_EVERY-th step only: a step multiplies them by at most |x| + 1, so
+    they stay far from overflow in between, and the power-of-two rescaling is
+    exact, so the table does not depend on when it happens.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1, x.size))
@@ -252,15 +256,15 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     out[1] = np.ldexp(curr, expo)
     for n in range(1, n_max):
         nxt = (x / np.sqrt(n + 1.0)) * curr - np.sqrt(n / (n + 1.0)) * prev
-        # renormalize the shared exponent when the mantissa drifts too far
-        mag = np.maximum(np.abs(nxt), np.abs(curr))
-        drift = np.where(mag > 0, np.frexp(mag)[1], 0)
-        big = np.abs(drift) > 200
-        if np.any(big):
-            shift = np.where(big, drift, 0)
-            nxt = np.ldexp(nxt, -shift)
-            curr = np.ldexp(curr, -shift)
-            expo = expo + shift
+        if n % RESCALE_EVERY == 0:
+            # renormalize the shared exponent when the mantissa drifts too far
+            drift = np.frexp(np.maximum(np.abs(nxt), np.abs(curr)))[1]
+            big = np.abs(drift) > 200
+            if np.any(big):
+                shift = np.where(big, drift, 0)
+                nxt = np.ldexp(nxt, -shift)
+                curr = np.ldexp(curr, -shift)
+                expo = expo + shift
         prev, curr = curr, nxt
         out[n + 1] = np.ldexp(curr, expo)
     return out

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import dynamics
 from .dynamics import FidelityModel
@@ -45,7 +44,8 @@ _SPIN_PREP = {
 
 
 class FitWindowError(ValueError):
-    """Scan lacks enough small-k points above the fit threshold."""
+    """Scan cannot support the fit: too few small-k points above the fit
+    threshold, or too few distinct Rabi times for the populations fitted."""
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,13 @@ class RabiScan:
 
 @dataclass(frozen=True)
 class PhononFit:
+    """Fitted Fock populations, their mean, the residual norm ||A P - e||
+    and gap, a certified bound on ||A P - e||^2 above its minimum."""
+
     populations: np.ndarray
     nbar: float
     residual: float
+    gap: float
 
 
 def probe_strength(eta: float, omega_p: float, t) -> np.ndarray:
@@ -222,11 +226,15 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
                     n_cap: int | None = None, expected_nbar: float | None = None) -> PhononFit:
     """Fock populations and <n> from a carrier Rabi scan.
 
-    Nonnegative least squares on the sin^2 basis with the normalization
-    sum P_n = 1 enforced through a heavily weighted extra row. n_cap limits
-    the number of fitted populations; by default 2*expected_nbar + 20 when
-    an estimate is supplied, otherwise every level the scan can support.
+    Solves min ||A P - e||^2 subject to P >= 0 and sum P_n = 1 exactly,
+    with A[j, n] = sin^2(L_n(eta^2) t_j / 2) and e the measured excitation:
+    the reconstruction's barrier solver on the probability simplex, whose
+    gap certifies the objective to 1e-12. n_cap limits the number of fitted
+    populations; by default 2*expected_nbar + 20 when an estimate is
+    supplied, otherwise every level. FitWindowError if the scan has fewer
+    distinct times than populations.
     """
+    from .reconstruct import _barrier_newton   # reconstruct imports this module
     if n_cap is None:
         if expected_nbar is not None:
             n_cap = int(np.ceil(2.0 * expected_nbar + 20.0))
@@ -235,19 +243,13 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
     n_cap = min(n_cap, params.motion_dim)
     times = scan.times
     if np.unique(times).size < n_cap:
-        raise ValueError(
+        raise FitWindowError(
             f"{np.unique(times).size} distinct times cannot resolve {n_cap} populations"
         )
     ratios = dynamics.carrier_coupling_ratios(params)[:n_cap]
     a = np.sin(0.5 * np.outer(times, ratios)) ** 2
-    penalty = 100.0 * max(1.0, float(np.linalg.norm(a, np.inf)))
-    a_aug = np.vstack([a, penalty * np.ones(n_cap)])
-    b_aug = np.concatenate([scan.excitation, [penalty]])
-    pops, _ = nnls(a_aug, b_aug, maxiter=max(300, 30 * n_cap))
-    total = pops.sum()
-    if total <= 0:
-        raise RuntimeError("phonon fit returned an empty distribution")
-    pops = pops / total
+    pops, _, gap, _ = _barrier_newton(a, scan.excitation, 1.0, None, False)
+    pops = pops / pops.sum()
     residual = float(np.linalg.norm(a @ pops - scan.excitation))
     nbar = float(np.dot(np.arange(n_cap), pops))
-    return PhononFit(populations=pops, nbar=nbar, residual=residual)
+    return PhononFit(populations=pops, nbar=nbar, residual=residual, gap=gap)

@@ -1,13 +1,64 @@
 """Reference implementations that the tests compare the package against.
 
-They are deliberately simple and dense: a Fisher-information Hessian
-assembled entry by entry, and an active-set solve of the reconstruction
-problem without the Fisher bound.
+They are deliberately simple and dense: the spin (x) motion Hamiltonians
+as full matrices (with their Laguerre factors from scipy.special, not from
+the package's recurrence), a Fisher-information Hessian assembled entry by
+entry, and an active-set solve of the reconstruction problem without the
+Fisher bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import eval_genlaguerre, eval_laguerre
+
+from ionwalk.dynamics import FidelityModel, collective_spin, sigma_phi
+from ionwalk.fock import HilbertParams, ladder_operators
+
+
+def _motional_quadrature(params: HilbertParams, phi_minus: float,
+                         model: FidelityModel) -> np.ndarray:
+    """Motional factor of the bichromatic Hamiltonian, in eta*Omega units."""
+    a, adag = ladder_operators(params)
+    eta = params.eta
+    if model is FidelityModel.LAMB_DICKE:
+        return (a + adag) * np.cos(phi_minus) + 1j * (adag - a) * np.sin(phi_minus)
+    if model is FidelityModel.ALL_ORDER:
+        n = np.arange(params.n_max)
+        coupling = np.exp(-0.5 * eta ** 2) * eval_genlaguerre(n, 1, eta ** 2) / np.sqrt(n + 1.0)
+        return (np.diag(coupling * np.exp(1j * phi_minus), -1)
+                + np.diag(coupling * np.exp(-1j * phi_minus), 1))
+    if not np.isclose(np.sin(phi_minus), 0.0, atol=1e-12):
+        raise ValueError(f"model {model.value} supports only phi_minus in {{0, pi}}")
+    x = float(np.cos(phi_minus)) * (a + adag)
+    if model is FidelityModel.THIRD_ORDER:
+        nop = adag @ a
+        return x - (eta ** 2 / 4.0) * (x @ nop + nop @ x + np.eye(params.motion_dim))
+    return x - (eta ** 2 / 8.0) * (x @ x @ x + x)     # x_diagonal
+
+
+def bichromatic_hamiltonian(params: HilbertParams, phi_plus: float,
+                            phi_minus: float, model: FidelityModel) -> np.ndarray:
+    """Dense spin-dependent displacement Hamiltonian on spin (x) motion, eta*Omega = 1.
+
+    In the Lamb-Dicke model this is
+        (sigma_x cos(phi+) - sigma_y sin(phi+)) (x) [x_hat cos(phi-) + 2 pi_hat sin(phi-)]
+    summed over ions; the other models replace the motional factor by the
+    corresponding corrected coupling.
+    """
+    spin = collective_spin(sigma_phi(phi_plus), params.n_ions)
+    h = np.kron(spin, _motional_quadrature(params, phi_minus, model))
+    return 0.5 * (h + h.conj().T)
+
+
+def carrier_hamiltonian(params: HilbertParams, phase: float,
+                        model: FidelityModel) -> np.ndarray:
+    """Dense carrier Hamiltonian, in units of Omega_0 (level n scaled by L_n(eta^2))."""
+    if model is FidelityModel.ALL_ORDER:
+        motion = eval_laguerre(np.arange(params.motion_dim), params.eta ** 2)
+    else:
+        motion = np.ones(params.motion_dim)
+    return np.kron(collective_spin(sigma_phi(phase), params.n_ions), np.diag(motion))
 
 
 def fisher_derivatives(p: np.ndarray, spacing: float):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -218,6 +222,38 @@ def test_run_nbar_curve(tmp_path):
     assert np.allclose(data[:, 1], data[:, 2], atol=0.15)
 
 
+def test_nbar_curve_beyond_the_scan_exits_2(tmp_path, capsys):
+    # two 14-width steps: <n> ~ 98 asks for 216 populations from 200 Rabi times
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="nbar_curve", hilbert={"n_max": 300},
+              walk={"n_steps": 2, "step_size": 14.0})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "nb")]) == 2
+    err = capsys.readouterr().err
+    assert "stage=nbar_curve: FitWindowError: 200 distinct times cannot resolve" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_config_schema_is_valid():
+    # load_config validates with a validator built once and no longer
+    # checks the schema against its meta-schema on every call
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+def test_cli_import_stays_lean():
+    # scipy.optimize (with sparse, spatial, fft) and scipy.special cost
+    # about 0.3 s of every run's start-up; the package needs neither
+    code = ("import sys, ionwalk.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.sparse') "
+            "if m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [["run", "c.json", "--threads", "2"], ["run"], ["validate"]],
                          ids=["threads_flag", "run_without_config", "validate_without_config"])
 def test_usage_errors_exit_1(capsys, argv):
@@ -252,6 +288,10 @@ def test_write_csv_golden_bytes(tmp_path):
     cli.write_csv(str(path), ["x", "n"], [floats, ints])
     assert path.read_bytes() == (b"x,n\n0.1,0\n-2.5,-7\n-0.0,12\n3.0,3\n1e-300,100000\n"
                                  b"0.3333333333333333,2\n5e-324,1\n")
+    # a column formatted once and reused writes the same bytes
+    again = tmp_path / "h.csv"
+    cli.write_csv(str(again), ["x", "n"], [cli._format_column(floats), ints])
+    assert again.read_bytes() == path.read_bytes()
 
 
 def assert_rejected(tmp_path, capsys, cfg, stage, message):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import eval_genlaguerre, eval_laguerre
 
 from ionwalk import dynamics, probe, walk
 from ionwalk.dynamics import (
@@ -12,10 +13,8 @@ from ionwalk.dynamics import (
     FidelityModel,
     Pulse,
     apply_propagator,
-    bichromatic_hamiltonian,
     bichromatic_pulse,
     carrier_coupling_ratios,
-    carrier_hamiltonian,
     carrier_pulse,
     step_size,
 )
@@ -28,6 +27,7 @@ from ionwalk.fock import (
     ladder_operators,
     quadrature_operators,
 )
+from oracles import bichromatic_hamiltonian, carrier_hamiltonian
 
 ETA = 0.06
 PLUS_X = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -65,8 +65,8 @@ def test_corrected_models_reject_other_quadratures():
     p = HilbertParams(n_max=16, eta=ETA)
     for model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
         with pytest.raises(ValueError):
-            bichromatic_hamiltonian(p, 0.0, np.pi / 2.0, model)
-        bichromatic_hamiltonian(p, 0.0, np.pi, model)  # pi is allowed
+            bichromatic_pulse(p, 0.0, np.pi / 2.0, model)
+        bichromatic_pulse(p, 0.0, np.pi, model)  # pi is allowed
 
 
 def test_all_order_couplings_against_displacement_operator():
@@ -116,6 +116,17 @@ def test_carrier_pulse_prepares_superposition():
     rho = out.spin_density()
     assert abs(np.trace(rho @ SIGMA_Y).real - 1.0) < 1e-12   # |+>_y
     assert out.motional_populations()[0] > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.06, 0.3, 0.9])
+def test_laguerre_recurrence_matches_scipy(eta):
+    for n_max in (0, 1, 2, 800):
+        n = np.arange(n_max + 1)
+        for alpha, ref in ((0, eval_laguerre(n, eta ** 2)),
+                           (1, eval_genlaguerre(n, 1, eta ** 2))):
+            got = dynamics.laguerre(n_max, alpha, eta ** 2)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_carrier_laguerre_ratio():

@@ -20,7 +20,7 @@ from ionwalk.fock import (
     number_operator,
     quadrature_operators,
 )
-from ionwalk import walk
+from ionwalk import fock, walk
 
 
 def test_params_validation():
@@ -143,6 +143,16 @@ def test_hermite_large_n_with_exponent_rescue():
     x = np.arange(-70, 70 + h / 2, h)
     phi = hermite_functions(1000, x)
     assert abs(np.sum(phi[1000] ** 2) * h - 1.0) < 1e-6
+
+
+def test_hermite_rescaling_is_exact(monkeypatch):
+    # renormalizing the mantissas every step or every 8th gives the same bits:
+    # power-of-two shifts are exact, out to |x| = 90 where phi_0 underflows
+    x = np.arange(-900, 901) * 0.1
+    table = hermite_functions(1200, x)
+    monkeypatch.setattr(fock, "RESCALE_EVERY", 1)
+    assert np.array_equal(hermite_functions(1200, x), table)
+    assert np.all(np.isfinite(table))
 
 
 def test_ground_density_gaussian():

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_laguerre
 
-from ionwalk.dynamics import FidelityModel, bichromatic_hamiltonian
+from ionwalk.dynamics import FidelityModel
 from ionwalk.fock import (
     HilbertParams,
     MotionalEnsemble,
@@ -12,7 +13,8 @@ from ionwalk.fock import (
     fock_state,
     hermite_functions,
 )
-from ionwalk import probe
+from ionwalk import probe, walk
+from oracles import bichromatic_hamiltonian, solve_qp_active_set
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,44 @@ def test_fit_mean_phonon_large_states():
         assert abs(fit.nbar - nbar) / nbar <= 0.05
 
 
+def _walk_snapshots(n_steps):
+    cfg = walk.WalkConfig(n_steps=n_steps, params=HilbertParams(n_max=64))
+    result = walk.quantum_walk(cfg)
+    return [walk.snapshot_ensemble(result, n) for n in range(n_steps + 1)]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+def test_phonon_fit_within_gap_of_active_set(ground64, noise):
+    # the fit solves min ||A P - e||^2 on the simplex; the active-set oracle
+    # solves the same problem with A built from scipy's Laguerre polynomials
+    p = HilbertParams(n_max=64)
+    states = [ground64, MotionalEnsemble.from_pure(coherent_state(2.0, p), p),
+              _walk_snapshots(3)[3]]
+    times = np.linspace(0.0, 250.0, 200)
+    rng = np.random.default_rng(4)
+    for ens in states:
+        scan = probe.carrier_rabi_scan(ens, times)
+        exc = np.clip(scan.excitation + noise * rng.normal(size=times.size), 0.0, 1.0)
+        scan = probe.RabiScan(times, exc)
+        fit = probe.fit_mean_phonon(scan, p, expected_nbar=4.0)
+        n_cap = fit.populations.size
+        a = np.sin(0.5 * np.outer(times, eval_laguerre(np.arange(n_cap), p.eta ** 2))) ** 2
+        best = float(np.sum((a @ solve_qp_active_set(a, exc, 1.0) - exc) ** 2))
+        assert 0.0 < fit.gap <= 1e-11
+        assert best - 1e-13 <= fit.residual ** 2 <= best + fit.gap
+        assert np.all(fit.populations >= 0) and abs(fit.populations.sum() - 1.0) < 1e-12
+
+
+def test_phonon_fit_recovers_walk_nbar():
+    # noiseless scans of the first walk steps, n_cap as the nbar_curve run sets it
+    times = np.linspace(0.0, 250.0, 200)
+    for n, ens in enumerate(_walk_snapshots(2)):
+        nbar = walk.mean_phonon(ens)
+        fit = probe.fit_mean_phonon(probe.carrier_rabi_scan(ens, times), ens.params,
+                                    expected_nbar=max(nbar, 1.0))
+        assert abs(fit.nbar - nbar) <= 1e-5, n
+
+
 def test_width_flags_non_monotone_decay():
     ks = np.linspace(0.0, 1.0, 21)
     vals = np.exp(-ks ** 2 / 2)
@@ -212,7 +252,7 @@ def test_fit_mean_phonon_needs_enough_times():
     p = HilbertParams(n_max=64)
     ens = MotionalEnsemble.from_pure(coherent_state(2.0, p), p)
     scan = probe.carrier_rabi_scan(ens, np.linspace(0.0, 10.0, 12))
-    with pytest.raises(ValueError):
+    with pytest.raises(probe.FitWindowError):
         probe.fit_mean_phonon(scan, p, n_cap=40)
 
 

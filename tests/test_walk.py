@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ionwalk.dynamics import (
-    SIGMA_Y,
-    FidelityModel,
-    bichromatic_hamiltonian,
-    carrier_hamiltonian,
-)
+from ionwalk.dynamics import SIGMA_Y, FidelityModel
 from ionwalk.fock import (
     HilbertParams,
     LeakyStateError,
@@ -24,6 +19,7 @@ from ionwalk.fock import (
 from ionwalk import probe, walk
 
 from conftest import split_halves
+from oracles import bichromatic_hamiltonian, carrier_hamiltonian
 
 
 def _sigma_y_single(state: SpinMotionState, ion: int = 0) -> float:
