@@ -16,7 +16,8 @@ or 4x4 eigh and one tridiagonal eigensolve of size n_max + 1, never a dense
 eigendecomposition of the full space. After the gauge D_n = e^{i n phi_minus}
 the bichromatic M depends only on (n_max, eta, model), so that eigensolve
 runs once per (n_max, eta, model) per process and its read-only eigenpairs
-are shared by the walk's displacement and both probe quadratures.
+are shared by both probe quadratures and the displacement of an all_order
+walk (lamb_dicke walks run on walk's coherent-state lattice).
 
 The all_order couplings need the Laguerre polynomials L_n(eta^2) and
 L_n^(1)(eta^2) for every n <= n_max: laguerre() runs their recurrence once

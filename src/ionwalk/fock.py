@@ -93,6 +93,37 @@ def fock_state(n: int, params: HilbertParams) -> np.ndarray:
     return vec
 
 
+def coherent_amplitudes(alphas, n_max: int) -> np.ndarray:
+    """Table <n|alpha> of real coherent states, shape (n_max + 1, len(alphas)).
+
+    Each column runs the ratio recurrence <n+1|alpha> / <n|alpha> =
+    alpha / sqrt(n + 1) outward from its peak n = floor(alpha^2), where every
+    factor is at most 1 in size, so nothing overflows. It stops 20 |alpha| + 40
+    levels either side of the peak, where the amplitudes have fallen below
+    1e-40 of it, and is normalized over that window, beyond n_max too: the
+    truncated table keeps the true amplitudes, and its column norms fall
+    short of 1 by the population above n_max.
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    out = np.zeros((n_max + 1, alphas.size))
+    for col, alpha in enumerate(alphas):
+        mod = abs(alpha)
+        peak = int(mod ** 2)
+        width = int(np.ceil(20.0 * mod + 40.0))
+        lo, hi = max(0, peak - width), peak + width
+        n = np.arange(lo + 1.0, hi + 1.0)
+        amps = np.ones(hi - lo + 1)                      # levels lo..hi
+        k = peak - lo
+        amps[k + 1:] = np.cumprod(mod / np.sqrt(n[k:]))
+        amps[:k] = np.cumprod(np.sqrt(n[:k][::-1]) / mod)[::-1]
+        amps /= np.linalg.norm(amps)
+        if alpha < 0:
+            amps[(lo + 1) % 2::2] *= -1.0                # odd levels
+        if lo <= n_max:
+            out[lo:hi + 1, col] = amps[:n_max + 1 - lo]
+    return out
+
+
 def coherent_state(alpha: complex, params: HilbertParams) -> np.ndarray:
     """Coherent state |alpha>; mean position 2*Re(alpha), <n> = |alpha|^2."""
     mod = abs(alpha)
@@ -101,23 +132,24 @@ def coherent_state(alpha: complex, params: HilbertParams) -> np.ndarray:
             f"coherent state alpha={alpha} needs n_max > {mod**2 + 6*mod:.1f}, "
             f"got {params.n_max}"
         )
-    vec = np.empty(params.motion_dim, dtype=complex)
-    vec[0] = np.exp(-0.5 * mod ** 2)
-    for n in range(1, params.motion_dim):
-        vec[n] = vec[n - 1] * alpha / np.sqrt(n)
-    return vec
+    if np.imag(alpha) == 0.0:
+        return coherent_amplitudes(np.real(alpha), params.n_max)[:, 0].astype(complex)
+    phases = np.exp(1j * np.angle(alpha) * np.arange(params.motion_dim))
+    return coherent_amplitudes(mod, params.n_max)[:, 0] * phases
 
 
-def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "") -> float:
-    """Spin-traced population of the top TAIL_FRACTION Fock levels.
+def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "",
+               lost: float = 0.0) -> float:
+    """Spin-traced population of the top TAIL_FRACTION Fock levels, plus lost.
 
     Of a state vector, or of rho = F F^dagger for a (dim, K) factor F (summed
-    over its columns); above TAIL_TOLERANCE it raises LeakyStateError, if not
-    finite FloatingPointError, the message prefixed with where.
+    over its columns); lost is population the truncated space could not hold
+    at all. Above TAIL_TOLERANCE it raises LeakyStateError, if not finite
+    FloatingPointError, the message prefixed with where.
     """
     k = max(1, int(np.ceil(TAIL_FRACTION * params.motion_dim)))
     top = amplitudes.reshape(params.spin_dim, params.motion_dim, -1)[:, -k:]
-    tail = float(np.sum(np.abs(top) ** 2))
+    tail = float(np.sum(np.abs(top) ** 2)) + lost
     if not np.isfinite(tail):
         raise FloatingPointError(f"{where}state has non-finite amplitudes")
     if tail > TAIL_TOLERANCE:
@@ -274,8 +306,11 @@ def exact_position_densities(ensembles, grid: np.ndarray,
                              check_coverage: bool = True) -> np.ndarray:
     """Densities of several ensembles (row i: ensembles[i]) from one Hermite table.
 
-    The density is sum over columns of (Phi^T F)^2; the real table multiplies
-    the factor's (re, im) columns, so no complex copy of it is made.
+    The density is sum over columns of (Phi^T F)^2. The (re, im) columns of
+    every factor are stacked into one real matrix and multiplied by the
+    table in blocks of at most n_max + 1 columns, so the products are never
+    larger than the table; an indicator matrix then sums each ensemble's
+    squares.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
@@ -283,9 +318,16 @@ def exact_position_densities(ensembles, grid: np.ndarray,
     h = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * abs(h)):
         raise ValueError("grid must be uniformly spaced")
-    phi = hermite_functions(max(e.params.n_max for e in ensembles), grid)
-    out = np.array([np.sum((phi[:e.params.motion_dim].T @ e.factor.view(np.float64)) ** 2,
-                           axis=1) for e in ensembles])
+    rows = max(e.params.motion_dim for e in ensembles)
+    phi = hermite_functions(rows - 1, grid)
+    stacked = np.hstack([np.pad(e.factor.view(np.float64),
+                                ((0, rows - e.params.motion_dim), (0, 0))) for e in ensembles])
+    owner = np.repeat(np.eye(len(ensembles)), [2 * e.factor.shape[1] for e in ensembles], axis=0)
+    out = np.zeros((grid.size, len(ensembles)))
+    for start in range(0, stacked.shape[1], rows):
+        block = phi.T @ stacked[:, start:start + rows]
+        out += block ** 2 @ owner[start:start + rows]
+    out = np.ascontiguousarray(out.T)
     mass = float(np.min(np.sum(out, axis=1)) * h)
     if check_coverage and mass < 0.999:
         raise GridCoverageError(

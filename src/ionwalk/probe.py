@@ -13,8 +13,9 @@ Scans are evaluated in closed form, not by one propagation per k: from
 one tridiagonal eigendecomposition of G, <O(k)> is a sum over its
 eigenvalues weighted by the ensemble's populations in its eigenbasis.
 That eigendecomposition is the one dynamics computes once per
-(n_max, eta, model) and process: the x probe, the p probe and the walk's
-displacement differ only in the gauge, so they share it.
+(n_max, eta, model) and process: the x probe, the p probe and an
+all_order walk's displacement differ only in the gauge, so they share it
+(lamb_dicke walks run on the coherent-state lattice and need none).
 
 The probe always attaches a single effective spin: for two-ion ensembles
 the collective pulse conjugates each ion's sigma_z exactly as in the

@@ -8,15 +8,23 @@ spin axis is orthogonal to the displacement axis (a coin along sigma_x
 would commute with the displacement and produce no interference).
 coin_phase shifts the coin axis away from that default.
 
-Every walk runs through one step loop, _steps, on a (dim, K) factor F of
-rho = F F^dagger (one column for a pure state); it checks the truncation
-tail after each step. The classical walk is the exact limit of randomizing
-the laser phase at every step: after each step its factor is split into
-the S_z sectors of the spin, so it needs no trials, seed or threads.
+Every walk runs through one step loop, _steps, on a factor F of
+rho = F F^dagger (one column for a pure state), along one of two paths
+that differ only in how a pulse acts and how F maps to Fock amplitudes.
+lamb_dicke walks run on the coherent-state lattice (_Lattice): real
+displacements compose with no phase and the coin acts on the spin alone,
+so F holds the coefficients of |s> (x) |alpha = j delta>, a displacement
+shifts them and no motional eigensolve is needed. all_order walks run in
+the Fock space (_FockPath), with dynamics' propagators. After each step
+the Fock factor is checked for truncation leakage. The classical walk is
+the exact limit of randomizing the laser phase at every step: after each
+step its factor is split into the S_z sectors of the spin, so it needs no
+trials, seed or threads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,6 +39,7 @@ from .fock import (
     apply_momentum,
     apply_position,
     check_tail,
+    coherent_amplitudes,
     exact_position_densities,
     fock_state,
 )
@@ -92,56 +101,155 @@ def required_n_max(n_steps: int, step_size: float) -> int:
     return max(16, int(np.ceil((alpha + 3.0) ** 2)))
 
 
-def _walk_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
-    """(pulse, area) pairs of one step in the order they act.
+def _step_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
+    """(spin phase, area, displaces) of one step's pulses in the order they act.
 
     Displacement then coin; in reverse, the inverse coin then the inverse
-    displacement (pi-phase-shifted pulses).
+    displacement (pi-phase-shifted pulses). The displacement's phase is
+    phi_plus (it drives phi_minus = pi/2), the coin's is its carrier phase.
     """
-    p = config.params
-    phi_plus = np.pi if reverse else 0.0
-    coin_phase = config.coin_phase + np.pi / 2.0 + (np.pi if reverse else 0.0)
-    displacement = dynamics.bichromatic_pulse(p, phi_plus, np.pi / 2.0, config.model)
-    coin = dynamics.carrier_pulse(p, coin_phase, config.model)
-    pairs = ((displacement, 0.5 * config.pulse_displacement), (coin, COIN_AREA))
-    return pairs[::-1] if reverse else pairs
+    flip = np.pi if reverse else 0.0
+    pulses = ((flip, 0.5 * config.pulse_displacement, True),
+              (config.coin_phase + np.pi / 2.0 + flip, COIN_AREA, False))
+    return pulses[::-1] if reverse else pulses
 
 
-def _steps(params: HilbertParams, columns: np.ndarray, pulses, n_steps: int,
-           label: str = "step", dephase: bool = False):
-    """Advance a (dim, K) factor F by n_steps walk steps; yield it after each.
+def _walk_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
+    """(pulse, area) pairs of one step on the Fock space, in the order they act."""
+    p, model = config.params, config.model
+    return tuple((dynamics.bichromatic_pulse(p, phase, np.pi / 2.0, model) if displaces
+                  else dynamics.carrier_pulse(p, phase, model), area)
+                 for phase, area, displaces in _step_pulses(config, reverse))
 
-    pulses are one step's (pulse, area) pairs in the order they act. The
-    spin-traced tail population of rho = F F^dagger is checked once per step,
-    after its last pulse (the carrier leaves it unchanged); LeakyStateError
-    names the step. With dephase, F is then replaced by _dephase(params, F).
+
+class _FockPath:
+    """Walk on the truncated Fock space: each pulse is a dynamics propagator.
+
+    Holds (dim, K) Fock factors, so to_fock is the tail check alone.
     """
+
+    def __init__(self, config: WalkConfig):
+        self.config = config
+        self.params = config.params
+
+    def start(self, state: SpinMotionState) -> np.ndarray:
+        return state.amplitudes[:, None]
+
+    def pulses(self, reverse: bool) -> list:
+        return [functools.partial(dynamics.apply_propagator, pulse, area)
+                for pulse, area in _walk_pulses(self.config, reverse)]
+
+    def to_fock(self, columns: np.ndarray, where: str = "") -> np.ndarray:
+        check_tail(self.params, columns, where)
+        return columns
+
+
+class _Lattice:
+    """Walk on the coherent-state lattice of the lamb_dicke model.
+
+    Row j of each spin block of a (spin_dim * L, K) column holds the
+    coefficient of |alpha = (j - reach) delta>, delta the displacement
+    pulse's area; reach = n_steps * n_ions, the largest collective-spin
+    eigenvalue times the steps, so no shift wraps. table is the real
+    (n_max + 1, L) table <n|alpha_j>.
+    """
+
+    def __init__(self, config: WalkConfig):
+        self.config = config
+        self.params = config.params
+        self.reach = config.n_steps * config.params.n_ions
+        sites = np.arange(-self.reach, self.reach + 1)
+        self.table = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
+                                         config.params.n_max)
+
+    def start(self, state: SpinMotionState) -> np.ndarray:
+        """Coefficients of a state whose motion is |0> = |alpha = 0> (prepare_initial's)."""
+        coefficients = np.zeros((self.params.spin_dim, self.table.shape[1]), dtype=complex)
+        coefficients[:, self.reach] = state.branch_matrix()[:, 0]
+        return coefficients.reshape(-1, 1)
+
+    def pulses(self, reverse: bool) -> list:
+        n_ions = self.params.n_ions
+        return [functools.partial(self._pulse, np.linalg.eigh(dynamics.collective_spin(
+                    dynamics.sigma_phi(phase), n_ions)), area, displaces)
+                for phase, area, displaces in _step_pulses(self.config, reverse)]
+
+    def _pulse(self, spin_eigenpairs: tuple, area: float, displaces: bool,
+               columns: np.ndarray) -> np.ndarray:
+        """exp(-i area S (x) M) in the eigenbasis of the collective spin S.
+
+        A displacement (area delta) moves branch s by s sites; the coin
+        (M = 1) multiplies it by exp(-i area s).
+        """
+        values, vectors = spin_eigenpairs
+        s = self.params.spin_dim
+        branches = (vectors.conj().T @ columns.reshape(s, -1)).reshape(s, -1, columns.shape[1])
+        for branch, value in zip(branches, values):
+            if displaces:
+                branch[:] = np.roll(branch, int(np.rint(value)), axis=0)
+            else:
+                branch *= np.exp(-1j * area * value)
+        return (vectors @ branches.reshape(s, -1)).reshape(columns.shape)
+
+    def to_fock(self, columns: np.ndarray, where: str = "") -> np.ndarray:
+        """Fock factor of the columns, normalized once the tail check passes.
+
+        The leak is the top-band population plus what the truncated space
+        cannot hold at all, 1 - ||F||^2 (the lattice state has norm 1).
+        """
+        k = columns.shape[1]
+        block = np.ascontiguousarray(columns).reshape(self.params.spin_dim, -1, k)
+        fock = (self.table @ block.view(np.float64)).view(complex).reshape(-1, k)
+        norm = float(np.vdot(fock, fock).real)
+        check_tail(self.params, fock, where, lost=1.0 - norm)
+        return fock / np.sqrt(norm)
+
+
+def _path(config: WalkConfig):
+    """The coherent-state lattice for lamb_dicke walks, the Fock space otherwise."""
+    return (_Lattice if config.model is FidelityModel.LAMB_DICKE else _FockPath)(config)
+
+
+def _steps(path, columns: np.ndarray, n_steps: int, reverse: bool = False,
+           dephase: bool = False):
+    """Advance a factor F of rho = F F^dagger by n_steps walk steps on path.
+
+    Yields (F, its Fock-space factor) after each step; path.to_fock checks
+    the spin-traced truncation tail there, and LeakyStateError or
+    FloatingPointError names the step. With dephase, F is first replaced by
+    _dephase(params, F).
+    """
+    label = "reverse step" if reverse else "step"
+    pulses = path.pulses(reverse)
     for step in range(n_steps):
-        for pulse, area in pulses:
-            columns = dynamics.apply_propagator(pulse, area, columns)
-        check_tail(params, columns, f"{label} {step + 1}: ")
+        where = f"{label} {step + 1}: "
+        for pulse in pulses:
+            columns = pulse(columns)
         if dephase:
-            columns = _dephase(params, columns)
-        yield columns
+            columns = _dephase(path.params, columns, where)
+        yield columns, path.to_fock(columns, where)
 
 
-def _dephase(params: HilbertParams, columns: np.ndarray) -> np.ndarray:
+def _dephase(params: HilbertParams, columns: np.ndarray, where: str = "") -> np.ndarray:
     """Factor of sum_m Pi_m F F^dagger Pi_m for F = columns, Pi_m the S_z = m projector.
 
-    Each sector's rows are compressed by an SVD that drops the singular
-    values below _RANK_CUTOFF of the sector's largest.
+    F holds spin_dim blocks of rows (Fock levels or lattice sites). Each
+    sector's rows are compressed by an SVD that drops the singular values
+    below _RANK_CUTOFF of the sector's largest.
     """
+    if not np.all(np.isfinite(columns)):
+        raise FloatingPointError(f"{where}state has non-finite amplitudes")
     mz = np.diag(dynamics.collective_spin(np.diag([1.0, -1.0]), params.n_ions)).real
-    blocks = columns.reshape(params.spin_dim, params.motion_dim, -1)
+    blocks = columns.reshape(params.spin_dim, -1, columns.shape[1])
     parts = []
     for m in np.unique(mz):
         rows = mz == m
         u, s, _ = np.linalg.svd(blocks[rows].reshape(-1, columns.shape[1]), full_matrices=False)
         keep = s > _RANK_CUTOFF * s[0]
-        part = np.zeros((params.spin_dim, params.motion_dim, np.count_nonzero(keep)), complex)
-        part[rows] = (u[:, keep] * s[keep]).reshape(np.count_nonzero(rows), params.motion_dim, -1)
+        part = np.zeros((*blocks.shape[:2], np.count_nonzero(keep)), complex)
+        part[rows] = (u[:, keep] * s[keep]).reshape(np.count_nonzero(rows), blocks.shape[1], -1)
         parts.append(part)
-    return np.concatenate(parts, axis=2).reshape(params.dim, -1)
+    return np.concatenate(parts, axis=2).reshape(columns.shape[0], -1)
 
 
 def prepare_initial(params: HilbertParams,
@@ -158,11 +266,16 @@ def prepare_initial(params: HilbertParams,
     return SpinMotionState(params, dynamics.apply_propagator(pulse, COIN_AREA, amps))
 
 
-def _coherent_snapshots(config: WalkConfig, start: SpinMotionState, reverse: bool) -> list:
-    """States after each of n_steps forward (or reverse) steps from start."""
-    blocks = _steps(config.params, start.amplitudes[:, None], _walk_pulses(config, reverse),
-                    config.n_steps, label="reverse step" if reverse else "step")
-    return [SpinMotionState(config.params, block[:, 0]) for block in blocks]
+def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
+    """The initial state, then the state after each step: n_steps forward, then as many back."""
+    p = config.params
+    initial = prepare_initial(p, config.model)
+    path = _path(config)
+    snapshots, columns = [initial], path.start(initial)
+    for back in (False, True) if reverse else (False,):
+        for columns, fock in _steps(path, columns, config.n_steps, back):
+            snapshots.append(SpinMotionState(p, fock[:, 0]))
+    return WalkResult(config, tuple(snapshots))
 
 
 def quantum_walk(config: WalkConfig) -> WalkResult:
@@ -171,8 +284,7 @@ def quantum_walk(config: WalkConfig) -> WalkResult:
     With params.n_ions == 2 this is the collective-spin walk of two ions on
     the center-of-mass mode.
     """
-    initial = prepare_initial(config.params, config.model)
-    return WalkResult(config, (initial, *_coherent_snapshots(config, initial, False)))
+    return _coherent_walk(config, reverse=False)
 
 
 def reversed_walk(config: WalkConfig) -> WalkResult:
@@ -181,8 +293,7 @@ def reversed_walk(config: WalkConfig) -> WalkResult:
     Each reverse step undoes the most recent step. The result holds
     2*n_steps + 1 snapshots; the last one should match the initial state.
     """
-    forward = quantum_walk(config).snapshots
-    return WalkResult(config, (*forward, *_coherent_snapshots(config, forward[-1], True)))
+    return _coherent_walk(config, reverse=True)
 
 
 def reversal_fidelity(result: WalkResult) -> float:
@@ -227,18 +338,20 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     the blocks inside one S_z sector, so a step is
     rho -> sum_m Pi_m U rho U^dagger Pi_m with Pi_m the S_z = m projector
     (Brun, Carteret & Ambainis, PRL 91, 130602 (2003)). rho = F F^dagger is
-    held as a factor F on the full spin (x) motion space, split by sector and
-    compressed by an SVD after every step (_dephase); the result needs no
-    trials and no seed. Snapshots are motional ensembles (spin recombined),
-    built as each step ends; they drop only the exact zeros outside each
-    column's sector, since the SVD cut already bounds what is left out.
-    threads is ignored; it stays only because bench/workloads.py passes it.
+    held as a factor F on the walk's path (lattice or Fock space), split by
+    sector and compressed by an SVD after every step (_dephase); the result
+    needs no trials and no seed. Snapshots are motional ensembles (spin
+    recombined), built as each step ends; they drop only the exact zeros
+    outside each column's sector, since the SVD cut already bounds what is
+    left out. threads is ignored; it stays only because bench/workloads.py
+    passes it.
     """
     p = config.params
-    columns = _dephase(p, prepare_initial(p, config.model).amplitudes[:, None])
-    blocks = _steps(p, columns, _walk_pulses(config), config.n_steps, dephase=True)
+    path = _path(config)
+    columns = _dephase(p, path.start(prepare_initial(p, config.model)))
+    blocks = (fock for _, fock in _steps(path, columns, config.n_steps, dephase=True))
     return WalkResult(config, tuple(_recombine(p, b, cutoff=0.0)
-                                    for b in itertools.chain([columns], blocks)))
+                                    for b in itertools.chain([path.to_fock(columns)], blocks)))
 
 
 # ---------------------------------------------------------------- summaries

@@ -106,6 +106,46 @@ def test_coherent_overlap_two_steps_apart():
     assert abs(overlap - np.exp(-4.0)) < 1e-12
 
 
+def _coherent_from_vacuum(alpha, n_max):
+    """Test-only reference: the recurrence up from exp(-|alpha|^2 / 2).
+
+    Accurate while that start does not underflow."""
+    vec = np.empty(n_max + 1, dtype=complex)
+    vec[0] = np.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, n_max + 1):
+        vec[n] = vec[n - 1] * alpha / np.sqrt(n)
+    return vec
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5.0, -5.0, 5.0j, 38.7, 40.0])
+def test_coherent_state_stable_at_large_alpha(alpha):
+    # exp(-38.7^2 / 2) underflows, so the vacuum recurrence gives a zero
+    # vector there (and a norm off by 4.6e-11 at 38.0); the table runs
+    # outward from the peak
+    p = HilbertParams(n_max=2000)
+    c = coherent_state(alpha, p)
+    assert abs(np.linalg.norm(c) - 1.0) < 1e-12
+    nbar = np.vdot(c, np.arange(p.motion_dim) * c).real
+    assert abs(nbar - abs(alpha) ** 2) < 1e-9 * max(1.0, abs(alpha) ** 2)
+    if abs(alpha) <= 5.0:
+        assert np.max(np.abs(c - _coherent_from_vacuum(alpha, p.n_max))) < 1e-13
+    if np.imag(alpha) == 0.0:
+        table = fock.coherent_amplitudes([np.real(alpha)], p.n_max)
+        assert np.array_equal(table[:, 0], c.real)
+
+
+def test_coherent_amplitudes_keep_the_truncated_tail():
+    # columns hold the true <n|alpha>: truncation lowers their norm by the
+    # population above n_max instead of renormalizing it away
+    table = fock.coherent_amplitudes([0.0, -2.0, 3.0], 12)
+    full = fock.coherent_amplitudes([0.0, -2.0, 3.0], 200)
+    assert np.array_equal(table, full[:13])
+    assert np.max(np.abs(table[:, 1] - _coherent_from_vacuum(-2.0, 12).real)) < 1e-15
+    lost = 1.0 - np.sum(table ** 2, axis=0)
+    assert lost[0] == 0.0 and 0.1 < lost[2] < 0.2      # Poisson(9) above 12
+    assert abs(lost[2] - np.sum(full[13:, 2] ** 2)) < 1e-15
+
+
 def test_coherent_truncation_guard():
     with pytest.raises(TruncationError):
         coherent_state(5.0, HilbertParams(n_max=32))
@@ -197,15 +237,30 @@ def test_density_grid_too_narrow():
 
 def test_batch_densities_share_one_table():
     # one Hermite table serves ensembles of different truncations; each row
-    # equals that ensemble's own density and is coverage-checked on its own
+    # equals that ensemble's own table product (the per-ensemble reference)
+    # and is coverage-checked on its own. 5 + 2 + 8 complex columns stack to
+    # 30 real ones, more than the 17-row table, so the product runs in blocks
+    # that straddle ensembles
     grid = np.arange(-8.0, 8.001, 0.05)
-    small, big = HilbertParams(n_max=16), HilbertParams(n_max=64)
-    ensembles = [MotionalEnsemble.from_pure(coherent_state(1.0, big), big),
-                 MotionalEnsemble.from_pure(fock_state(3, small), small)]
+    small, big = HilbertParams(n_max=16), HilbertParams(n_max=9)
+    rng = np.random.default_rng(3)
+
+    def mixture(p, k):
+        cols = rng.normal(size=(p.motion_dim, k)) + 1j * rng.normal(size=(p.motion_dim, k))
+        cols *= np.exp(-np.arange(p.motion_dim) / 3.0)[:, None]
+        return MotionalEnsemble(p, cols / np.linalg.norm(cols))
+
+    ensembles = [mixture(small, 5), MotionalEnsemble.from_pure(fock_state(3, big), big),
+                 mixture(big, 2), mixture(small, 8)]
     rows = exact_position_densities(ensembles, grid)
     for row, ens in zip(rows, ensembles):
-        assert np.allclose(row, exact_position_density(ens, grid), rtol=0, atol=1e-14)
-    far = MotionalEnsemble.from_pure(coherent_state(4.0, big), big)
+        phi = hermite_functions(ens.params.n_max, grid)
+        want = np.sum((phi.T @ ens.factor.view(np.float64)) ** 2, axis=1)
+        assert np.max(np.abs(row - want)) < 1e-14 * np.max(want)
+        assert np.array_equal(exact_position_density(ens, grid),
+                              exact_position_densities([ens], grid)[0])
+    far = MotionalEnsemble.from_pure(coherent_state(4.0, HilbertParams(n_max=64)),
+                                     HilbertParams(n_max=64))
     with pytest.raises(GridCoverageError):
         exact_position_densities(ensembles + [far], grid)
 

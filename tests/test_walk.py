@@ -16,7 +16,7 @@ from ionwalk.fock import (
     hermite_functions,
     quadrature_operators,
 )
-from ionwalk import probe, walk
+from ionwalk import dynamics, probe, walk
 
 from conftest import split_halves
 from oracles import bichromatic_hamiltonian, carrier_hamiltonian
@@ -322,6 +322,75 @@ def test_leak_error_names_the_step():
         walk.quantum_walk(cfg)
 
 
+def test_lattice_leak_counts_what_the_truncation_cannot_hold():
+    # at n_max 40, step 4 of a one-ion walk has 2.4e-7 in the top band and
+    # 1.6e-8 beyond n_max: within the leak tolerance, so the snapshot is
+    # renormalized (SpinMotionState checks the norm to 1e-9); step 5 leaks
+    cfg = walk.WalkConfig(n_steps=6, params=HilbertParams(n_max=40))
+    for run in (walk.quantum_walk, walk.reversed_walk, walk.classical_walk):
+        with pytest.raises(LeakyStateError, match=r"^step 5: tail population"):
+            run(cfg)
+    snap = walk.quantum_walk(dataclasses.replace(cfg, n_steps=4)).snapshots[-1]
+    assert abs(np.linalg.norm(snap.amplitudes) - 1.0) < 1e-14
+    # one step of 40 widths lands at alpha = +-20, far beyond n_max 100: the
+    # top band is empty, and the population lost outright is what leaks
+    far = walk.WalkConfig(n_steps=1, params=HilbertParams(n_max=100), step_size=40.0)
+    for run in (walk.quantum_walk, walk.classical_walk):
+        with pytest.raises(LeakyStateError, match=r"^step 1: tail population 1\.00e\+00"):
+            run(far)
+
+
+def _fock_walk(cfg, reverse=False, dephase=False):
+    """Test-only reference: the walk on the Fock space (_steps on _walk_pulses).
+
+    One Fock factor per snapshot, the initial state included.
+    """
+    path = walk._FockPath(cfg)
+    columns = path.start(walk.prepare_initial(cfg.params, cfg.model))
+    if dephase:
+        columns = walk._dephase(cfg.params, columns)
+    out = [columns]
+    for back in (False, True) if reverse else (False,):
+        for columns, fock in walk._steps(path, columns, cfg.n_steps, back, dephase):
+            out.append(fock)
+    return out
+
+
+@pytest.mark.parametrize("n_ions, n_steps, step_size, coin_phase",
+                         [(1, 6, None, 0.0), (2, 3, None, 0.3), (1, 4, 3.0, 0.3),
+                          (2, 2, 3.0, 0.0), (1, 0, None, 0.0), (2, 0, None, 0.3)])
+def test_lattice_walks_match_fock_path(n_ions, n_steps, step_size, coin_phase):
+    # 40 levels above required_n_max take the Fock path's truncation error
+    # below 1e-14, so both paths give the exact walk
+    step = step_size or 2.0 * n_ions
+    p = HilbertParams(n_max=walk.required_n_max(n_steps, step) + 40, n_ions=n_ions)
+    cfg = walk.WalkConfig(n_steps=n_steps, params=p, step_size=step_size, coin_phase=coin_phase)
+    result = walk.reversed_walk(cfg)
+    assert len(result.snapshots) == 2 * n_steps + 1
+    for snap, want in zip(result.snapshots, _fock_walk(cfg, reverse=True), strict=True):
+        assert np.max(np.abs(snap.amplitudes - want[:, 0])) < 1e-12
+    for snap, want in zip(walk.quantum_walk(cfg).snapshots, _fock_walk(cfg), strict=True):
+        assert np.max(np.abs(snap.amplitudes - want[:, 0])) < 1e-12
+    for snap, want in zip(walk.classical_walk(cfg).snapshots, _fock_walk(cfg, dephase=True),
+                          strict=True):
+        want = walk._recombine(p, want, cutoff=0.0)
+        assert snap.factor.shape == want.factor.shape
+        assert np.max(np.abs(_dense_rho(snap) - _dense_rho(want))) < 1e-12
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
+def test_lamb_dicke_walks_run_no_motional_eigensolve(n_ions):
+    cfg = walk.WalkConfig(n_steps=3, params=HilbertParams(n_max=80, n_ions=n_ions))
+    dynamics._motional_eigenpairs.cache_clear()
+    try:
+        walk.quantum_walk(cfg)
+        walk.reversed_walk(cfg)
+        walk.classical_walk(cfg)
+        assert dynamics._motional_eigenpairs.cache_info().misses == 0
+    finally:
+        dynamics._motional_eigenpairs.cache_clear()
+
+
 def _dense_step(cfg, shift=0.0, reverse=False):
     """Test-only oracle: one walk step (or its inverse) from dense expm.
 
@@ -348,13 +417,23 @@ def _dense_initial(cfg):
 def test_walks_match_dense_expm(model, n_ions):
     cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60, n_ions=n_ions),
                           model=model, coin_phase=0.3)
+    # a lamb_dicke walk is the exact displacement projected on n_max 60, while
+    # expm of the truncated generator errs at the top levels (3.4e-10 there for
+    # two ions), so that oracle runs at n_max 90 and its first 61 levels count
+    levels = cfg.params.motion_dim
+    dense = cfg
+    if model is FidelityModel.LAMB_DICKE:
+        dense = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, n_max=90))
+    spin_dim = cfg.params.spin_dim
+
     result = walk.reversed_walk(cfg)
-    state = _dense_initial(cfg)
+    state = _dense_initial(dense)
     oracle = [state]
-    for step in (_dense_step(cfg),) * 2 + (_dense_step(cfg, reverse=True),) * 2:
+    for step in (_dense_step(dense),) * 2 + (_dense_step(dense, reverse=True),) * 2:
         state = step @ state
         oracle.append(state)
     for snap, want in zip(result.snapshots, oracle, strict=True):
+        want = want.reshape(spin_dim, -1)[:, :levels].ravel()
         assert np.max(np.abs(snap.amplitudes - want)) < 1e-12
 
     # classical walk: the phase average of every step, as a quadrature over
@@ -362,15 +441,16 @@ def test_walks_match_dense_expm(model, n_ions):
     # as exp(i n c) with |n| <= 2 n_ions < M, so the average is exact. Steps
     # of 2 widths keep three of them inside n_max 60 for two ions too.
     cfg = dataclasses.replace(cfg, n_steps=3, step_size=2.0)
+    dense = dataclasses.replace(dense, n_steps=3, step_size=2.0)
     m = 5
-    steps = [_dense_step(cfg, shift=2.0 * np.pi * j / m) for j in range(m)]
-    trajectories = [_dense_initial(cfg)]
+    steps = [_dense_step(dense, shift=2.0 * np.pi * j / m) for j in range(m)]
+    trajectories = [_dense_initial(dense)]
     for n, snap in enumerate(walk.classical_walk(cfg).snapshots):
         if n:
             trajectories = [u @ state for state in trajectories for u in steps]
-        branches = np.array(trajectories).reshape(len(trajectories), cfg.params.spin_dim, -1)
+        branches = np.array(trajectories).reshape(len(trajectories), spin_dim, -1)
         rho = np.einsum("tsa,tsb->ab", branches, branches.conj()) / len(trajectories)
-        assert np.max(np.abs(_dense_rho(snap) - rho)) < 1e-12
+        assert np.max(np.abs(_dense_rho(snap) - rho[:levels, :levels])) < 1e-12
 
 
 def _factor_case(name):
