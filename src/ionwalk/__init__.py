@@ -21,14 +21,9 @@ from .fock import (
     LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
-    TruncationError,
-    coherent_state,
     exact_position_density,
     fock_state,
     hermite_functions,
-    ladder_operators,
-    number_operator,
-    quadrature_operators,
 )
 from .probe import (
     FitWindowError,

@@ -27,7 +27,7 @@ import jsonschema
 
 from . import probe, reconstruct, walk
 from .dynamics import FidelityModel, step_size
-from .fock import GridCoverageError, HilbertParams, LeakyStateError, TruncationError
+from .fock import GridCoverageError, HilbertParams, LeakyStateError
 
 log = logging.getLogger("ionwalk")
 
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"stage={stage}: {exc}", file=sys.stderr)
         return 1
-    except (LeakyStateError, GridCoverageError, TruncationError, FloatingPointError,
+    except (LeakyStateError, GridCoverageError, FloatingPointError,
             reconstruct.InfeasibleBoundError, probe.FitWindowError, RuntimeError) as exc:
         print(f"stage={stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,12 @@ displacement pulse of area d/2 shifts the position of a sigma_phi = +1
 eigenstate by +d ground-state widths, and the coin is a carrier pulse of
 area pi/4.
 
-Every generator factors as S (x) M: a collective spin operator S (eigenvalues
-+-1 for one ion, {2, 0, 0, -2} for two) times a motional M that is
-tridiagonal (bichromatic) or diagonal (carrier) in the Fock basis. A Pulse
-holds the eigenpairs of both factors, so exp(-i theta S (x) M) needs a 2x2
-or 4x4 eigh and one tridiagonal eigensolve of size n_max + 1, never a dense
-eigendecomposition of the full space. After the gauge D_n = e^{i n phi_minus}
+Every generator factors as S (x) M: a collective spin operator
+S = sum_ions sigma_phi times a motional M that is tridiagonal (bichromatic)
+or diagonal (carrier) in the Fock basis. A Pulse holds the eigenpairs of
+both factors: S's in closed form (spin_eigenbasis), M's from one
+tridiagonal eigensolve of size n_max + 1, so exp(-i theta S (x) M) never
+needs a dense eigendecomposition. After the gauge D_n = e^{i n phi_minus}
 the bichromatic M depends only on (n_max, eta, model), so that eigensolve
 runs once per (n_max, eta, model) per process and its read-only eigenpairs
 are shared by both probe quadratures and the displacement of an all_order
@@ -39,12 +39,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .fock import HilbertParams
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-HERMITICITY_TOL = 1e-10
-
-
 class FidelityModel(str, enum.Enum):
     """Physical fidelity of the light-motion coupling.
 
@@ -62,17 +56,19 @@ class FidelityModel(str, enum.Enum):
     ALL_ORDER = "all_order"
 
 
-def sigma_phi(phi: float) -> np.ndarray:
-    """Equatorial spin operator sigma_x cos(phi) - sigma_y sin(phi)."""
-    return SIGMA_X * np.cos(phi) - SIGMA_Y * np.sin(phi)
+def spin_eigenbasis(phase: float, n_ions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (values, vectors as columns) of S = sum over ions of sigma_phase.
 
-
-def collective_spin(op: np.ndarray, n_ions: int) -> np.ndarray:
-    """Sum of the single-ion operator over all ions (2^n_ions dimensional)."""
+    sigma_phi = sigma_x cos(phi) - sigma_y sin(phi) has the eigenvectors
+    (1, +-e^{-i phi}) / sqrt(2) for +-1; two ions take their Kronecker
+    products, with the eigenvalues (2, 0, 0, -2): S_z's diagonal in the
+    computational order.
+    """
+    signs, rotor = np.array([1.0, -1.0]), np.exp(-1j * phase)
+    vectors = np.array([[1.0, 1.0], [rotor, -rotor]]) / np.sqrt(2.0)
     if n_ions == 1:
-        return op
-    eye = np.eye(2, dtype=complex)
-    return np.kron(op, eye) + np.kron(eye, op)
+        return signs, vectors
+    return np.add.outer(signs, signs).ravel(), np.kron(vectors, vectors)
 
 
 def _check_x_only(phi_minus: float, model: FidelityModel) -> None:
@@ -117,25 +113,17 @@ def carrier_coupling_ratios(params: HilbertParams) -> np.ndarray:
 class Pulse:
     """Generator S (x) M of one pulse, held as the eigenpairs of its factors.
 
-    spin is the Hermitian (collective) spin operator S. The motional factor
-    is M = D V diag(motion_values) V^T D^* with V = motion_vectors real
-    orthogonal and D = diag(gauge) unimodular; both None when M is diagonal.
-    Bichromatic pulses of one (n_max, eta, model) share read-only motion arrays.
+    spin is spin_eigenbasis(phase, n_ions) of the collective spin S. The
+    motional factor is M = D V diag(motion_values) V^T D^* with
+    V = motion_vectors real orthogonal and D = diag(gauge) unimodular; both
+    None when M is diagonal. Bichromatic pulses of one (n_max, eta, model)
+    share read-only motion arrays.
     """
 
-    spin: np.ndarray
+    spin: tuple
     motion_values: np.ndarray
     motion_vectors: np.ndarray | None = None
     gauge: np.ndarray | None = None
-    spin_eigenpairs: tuple = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
-        spin = np.asarray(self.spin, dtype=complex)
-        herm_defect = np.max(np.abs(spin - spin.conj().T))
-        if herm_defect > HERMITICITY_TOL * max(1.0, np.max(np.abs(spin))):
-            raise ValueError(f"spin operator is not Hermitian (defect {herm_defect:.2e})")
-        object.__setattr__(self, "spin", spin)
-        object.__setattr__(self, "spin_eigenpairs", np.linalg.eigh(spin))
 
 
 def x_diagonal_position(x, eta: float):
@@ -187,7 +175,7 @@ def bichromatic_pulse(params: HilbertParams, phi_plus: float, phi_minus: float,
         _check_x_only(phi_minus, model)
     eta = 0.0 if model is FidelityModel.LAMB_DICKE else params.eta
     values, vectors = _motional_eigenpairs(params.n_max, eta, model)
-    return Pulse(collective_spin(sigma_phi(phi_plus), params.n_ions), values, vectors,
+    return Pulse(spin_eigenbasis(phi_plus, params.n_ions), values, vectors,
                  np.exp(1j * phi_minus * np.arange(params.motion_dim)))
 
 
@@ -198,7 +186,7 @@ def carrier_pulse(params: HilbertParams, phase: float, model: FidelityModel) -> 
     """
     motion = (carrier_coupling_ratios(params)
               if model is FidelityModel.ALL_ORDER else np.ones(params.motion_dim))
-    return Pulse(collective_spin(sigma_phi(phase), params.n_ions), motion)
+    return Pulse(spin_eigenbasis(phase, params.n_ions), motion)
 
 
 def _real_product(mat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -215,7 +203,7 @@ def apply_propagator(pulse: Pulse, area: float, amplitudes: np.ndarray) -> np.nd
     the basis change is one real product each way for all of them.
     """
     amps = np.asarray(amplitudes, dtype=complex)
-    s_vals, s_vecs = pulse.spin_eigenpairs
+    s_vals, s_vecs = pulse.spin
     s, m = s_vals.size, pulse.motion_values.size
     branches = (s_vecs.conj().T @ amps.reshape(s, -1)).reshape(s, m, -1)
     phases = np.exp(-1j * area * np.outer(s_vals, pulse.motion_values))[:, :, None]

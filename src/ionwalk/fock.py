@@ -26,10 +26,6 @@ NORM_TOLERANCE = 1e-9
 RESCALE_EVERY = 8         # hermite_functions checks its mantissas every this many steps
 
 
-class TruncationError(ValueError):
-    """State cannot be represented faithfully at the requested n_max."""
-
-
 class LeakyStateError(RuntimeError):
     """Population reached the top of the truncated Fock space."""
 
@@ -65,24 +61,6 @@ class HilbertParams:
     @property
     def dim(self) -> int:
         return self.spin_dim * self.motion_dim
-
-
-def ladder_operators(params: HilbertParams) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation operators on the truncated motional space."""
-    n = np.arange(1, params.motion_dim)
-    a = np.zeros((params.motion_dim, params.motion_dim), dtype=complex)
-    a[n - 1, n] = np.sqrt(n)
-    return a, a.conj().T
-
-
-def number_operator(params: HilbertParams) -> np.ndarray:
-    return np.diag(np.arange(params.motion_dim).astype(complex))
-
-
-def quadrature_operators(params: HilbertParams) -> tuple[np.ndarray, np.ndarray]:
-    """Position x_hat = a + a' and momentum pi_hat = i(a' - a)/2."""
-    a, adag = ladder_operators(params)
-    return a + adag, 0.5j * (adag - a)
 
 
 def fock_state(n: int, params: HilbertParams) -> np.ndarray:
@@ -122,20 +100,6 @@ def coherent_amplitudes(alphas, n_max: int) -> np.ndarray:
         if lo <= n_max:
             out[lo:hi + 1, col] = amps[:n_max + 1 - lo]
     return out
-
-
-def coherent_state(alpha: complex, params: HilbertParams) -> np.ndarray:
-    """Coherent state |alpha>; mean position 2*Re(alpha), <n> = |alpha|^2."""
-    mod = abs(alpha)
-    if mod ** 2 + 6.0 * mod >= params.n_max:
-        raise TruncationError(
-            f"coherent state alpha={alpha} needs n_max > {mod**2 + 6*mod:.1f}, "
-            f"got {params.n_max}"
-        )
-    if np.imag(alpha) == 0.0:
-        return coherent_amplitudes(np.real(alpha), params.n_max)[:, 0].astype(complex)
-    phases = np.exp(1j * np.angle(alpha) * np.arange(params.motion_dim))
-    return coherent_amplitudes(mod, params.n_max)[:, 0] * phases
 
 
 def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "",
@@ -179,26 +143,9 @@ class SpinMotionState:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOLERANCE}")
         check_tail(self.params, amps)
 
-    @classmethod
-    def from_product(cls, spin: np.ndarray, motion: np.ndarray,
-                     params: HilbertParams) -> "SpinMotionState":
-        return cls(params, np.kron(np.asarray(spin, dtype=complex), motion))
-
     def branch_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (spin_dim, motion_dim)."""
         return self.amplitudes.reshape(self.params.spin_dim, self.params.motion_dim)
-
-    def tail_population(self) -> float:
-        return check_tail(self.params, self.amplitudes)
-
-    def motional_populations(self) -> np.ndarray:
-        """Fock populations P_n, traced over spin."""
-        return np.sum(np.abs(self.branch_matrix()) ** 2, axis=0)
-
-    def spin_density(self) -> np.ndarray:
-        """Reduced spin density matrix."""
-        b = self.branch_matrix()
-        return b @ b.conj().T
 
 
 @dataclass(frozen=True)
@@ -219,10 +166,6 @@ class MotionalEnsemble:
         if abs(trace - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"ensemble trace {trace!r} deviates from 1 beyond {NORM_TOLERANCE}")
         object.__setattr__(self, "factor", factor)
-
-    @classmethod
-    def from_pure(cls, vec: np.ndarray, params: HilbertParams) -> "MotionalEnsemble":
-        return cls(params, np.asarray(vec, dtype=complex)[:, None])
 
     def weights(self) -> np.ndarray:
         """Member weights w_m: the squared column norms of F."""
@@ -302,8 +245,7 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_position_densities(ensembles, grid: np.ndarray,
-                             check_coverage: bool = True) -> np.ndarray:
+def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
     """Densities of several ensembles (row i: ensembles[i]) from one Hermite table.
 
     The density is sum over columns of (Phi^T F)^2. The (re, im) columns of
@@ -329,14 +271,13 @@ def exact_position_densities(ensembles, grid: np.ndarray,
         out += block ** 2 @ owner[start:start + rows]
     out = np.ascontiguousarray(out.T)
     mass = float(np.min(np.sum(out, axis=1)) * h)
-    if check_coverage and mass < 0.999:
+    if mass < 0.999:
         raise GridCoverageError(
             f"grid [{grid[0]:g}, {grid[-1]:g}] captures only {mass:.6f} of the state"
         )
     return out
 
 
-def exact_position_density(ensemble: MotionalEnsemble, grid: np.ndarray,
-                           check_coverage: bool = True) -> np.ndarray:
+def exact_position_density(ensemble: MotionalEnsemble, grid: np.ndarray) -> np.ndarray:
     """Exact probability density of the ensemble on a uniform position grid."""
-    return exact_position_densities([ensemble], grid, check_coverage)[0]
+    return exact_position_densities([ensemble], grid)[0]

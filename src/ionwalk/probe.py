@@ -172,10 +172,6 @@ def exact_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
                      shots=None, model=model)
 
 
-def default_k_grid(k_max: float = DEFAULT_K_MAX, n_points: int = DEFAULT_K_POINTS) -> np.ndarray:
-    return np.linspace(0.0, k_max, n_points)
-
-
 def width_from_curvature(scan: ProbeScan) -> WidthEstimate:
     """Width sqrt(<x^2>) (or momentum analog) from the small-k decay.
 
@@ -224,24 +220,21 @@ def carrier_rabi_scan(ensemble: MotionalEnsemble, times) -> RabiScan:
 
 
 def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
-                    n_cap: int | None = None, expected_nbar: float | None = None) -> PhononFit:
+                    expected_nbar: float | None = None) -> PhononFit:
     """Fock populations and <n> from a carrier Rabi scan.
 
     Solves min ||A P - e||^2 subject to P >= 0 and sum P_n = 1 exactly,
     with A[j, n] = sin^2(L_n(eta^2) t_j / 2) and e the measured excitation:
     the reconstruction's barrier solver on the probability simplex, whose
-    gap certifies the objective to 1e-12. n_cap limits the number of fitted
-    populations; by default 2*expected_nbar + 20 when an estimate is
-    supplied, otherwise every level. FitWindowError if the scan has fewer
-    distinct times than populations.
+    gap certifies the objective to 1e-12. It fits the populations of levels
+    below n_cap = 2*expected_nbar + 20 when an estimate is supplied, else of
+    every level. FitWindowError if the scan has fewer distinct times than
+    populations.
     """
     from .reconstruct import _barrier_newton   # reconstruct imports this module
-    if n_cap is None:
-        if expected_nbar is not None:
-            n_cap = int(np.ceil(2.0 * expected_nbar + 20.0))
-        else:
-            n_cap = params.motion_dim
-    n_cap = min(n_cap, params.motion_dim)
+    n_cap = params.motion_dim
+    if expected_nbar is not None:
+        n_cap = min(n_cap, int(np.ceil(2.0 * expected_nbar + 20.0)))
     times = scan.times
     if np.unique(times).size < n_cap:
         raise FitWindowError(

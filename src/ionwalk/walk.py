@@ -34,6 +34,7 @@ from . import dynamics
 from .dynamics import FidelityModel
 from .fock import (
     HilbertParams,
+    LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
     apply_momentum,
@@ -125,12 +126,22 @@ def _walk_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
 class _FockPath:
     """Walk on the truncated Fock space: each pulse is a dynamics propagator.
 
-    Holds (dim, K) Fock factors, so to_fock is the tail check alone.
+    Holds (dim, K) Fock factors, so to_fock is the tail check alone. The
+    truncated x spans about +-2 sqrt(n_max); a step that carries the packet
+    beyond that folds it back instead of filling the top band, where the
+    tail check would see it, so such a walk is refused up front.
     """
 
     def __init__(self, config: WalkConfig):
         self.config = config
         self.params = config.params
+        limit = 2.0 * np.sqrt(self.params.n_max)
+        first = int(limit // config.step_size) + 1
+        if first <= config.n_steps:
+            raise LeakyStateError(
+                f"step {first}: reach {first * config.step_size:g} exceeds the truncated "
+                f"position range 2 sqrt(n_max) = {limit:.4g}; increase n_max "
+                f"(currently {self.params.n_max})")
 
     def start(self, state: SpinMotionState) -> np.ndarray:
         return state.amplitudes[:, None]
@@ -170,23 +181,23 @@ class _Lattice:
 
     def pulses(self, reverse: bool) -> list:
         n_ions = self.params.n_ions
-        return [functools.partial(self._pulse, np.linalg.eigh(dynamics.collective_spin(
-                    dynamics.sigma_phi(phase), n_ions)), area, displaces)
+        return [functools.partial(self._pulse, dynamics.spin_eigenbasis(phase, n_ions),
+                                  area, displaces)
                 for phase, area, displaces in _step_pulses(self.config, reverse)]
 
-    def _pulse(self, spin_eigenpairs: tuple, area: float, displaces: bool,
+    def _pulse(self, spin: tuple, area: float, displaces: bool,
                columns: np.ndarray) -> np.ndarray:
         """exp(-i area S (x) M) in the eigenbasis of the collective spin S.
 
         A displacement (area delta) moves branch s by s sites; the coin
         (M = 1) multiplies it by exp(-i area s).
         """
-        values, vectors = spin_eigenpairs
+        values, vectors = spin
         s = self.params.spin_dim
         branches = (vectors.conj().T @ columns.reshape(s, -1)).reshape(s, -1, columns.shape[1])
         for branch, value in zip(branches, values):
             if displaces:
-                branch[:] = np.roll(branch, int(np.rint(value)), axis=0)
+                branch[:] = np.roll(branch, int(value), axis=0)
             else:
                 branch *= np.exp(-1j * area * value)
         return (vectors @ branches.reshape(s, -1)).reshape(columns.shape)
@@ -239,7 +250,7 @@ def _dephase(params: HilbertParams, columns: np.ndarray, where: str = "") -> np.
     """
     if not np.all(np.isfinite(columns)):
         raise FloatingPointError(f"{where}state has non-finite amplitudes")
-    mz = np.diag(dynamics.collective_spin(np.diag([1.0, -1.0]), params.n_ions)).real
+    mz, _ = dynamics.spin_eigenbasis(0.0, params.n_ions)     # S_z's diagonal
     blocks = columns.reshape(params.spin_dim, -1, columns.shape[1])
     parts = []
     for m in np.unique(mz):
@@ -252,24 +263,24 @@ def _dephase(params: HilbertParams, columns: np.ndarray, where: str = "") -> np.
     return np.concatenate(parts, axis=2).reshape(columns.shape[0], -1)
 
 
-def prepare_initial(params: HilbertParams,
-                    model: FidelityModel = FidelityModel.LAMB_DICKE) -> SpinMotionState:
+def prepare_initial(params: HilbertParams) -> SpinMotionState:
     """Motional ground state with every spin in |+>_y.
 
-    Built by applying the carrier pi/2 pulse (phase 0) to |-,...>_z (x) |0>
-    so that the configured fidelity model applies to the preparation too.
+    Built by applying the carrier pi/2 pulse (phase 0) to |-,...>_z (x) |0>.
+    The carrier's coupling on |0> is L_0(eta^2) = 1 in every fidelity model,
+    so the state is the same for all of them.
     """
     spin_down = np.zeros(params.spin_dim, dtype=complex)
     spin_down[-1] = 1.0
     amps = np.kron(spin_down, fock_state(0, params))
-    pulse = dynamics.carrier_pulse(params, 0.0, model)
+    pulse = dynamics.carrier_pulse(params, 0.0, FidelityModel.LAMB_DICKE)
     return SpinMotionState(params, dynamics.apply_propagator(pulse, COIN_AREA, amps))
 
 
 def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
     """The initial state, then the state after each step: n_steps forward, then as many back."""
     p = config.params
-    initial = prepare_initial(p, config.model)
+    initial = prepare_initial(p)
     path = _path(config)
     snapshots, columns = [initial], path.start(initial)
     for back in (False, True) if reverse else (False,):
@@ -348,7 +359,7 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     """
     p = config.params
     path = _path(config)
-    columns = _dephase(p, path.start(prepare_initial(p, config.model)))
+    columns = _dephase(p, path.start(prepare_initial(p)))
     blocks = (fock for _, fock in _steps(path, columns, config.n_steps, dephase=True))
     return WalkResult(config, tuple(_recombine(p, b, cutoff=0.0)
                                     for b in itertools.chain([path.to_fock(columns)], blocks)))

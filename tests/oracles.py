@@ -1,10 +1,10 @@
 """Reference implementations that the tests compare the package against.
 
-They are deliberately simple and dense: the spin (x) motion Hamiltonians
-as full matrices (with their Laguerre factors from scipy.special, not from
-the package's recurrence), a Fisher-information Hessian assembled entry by
-entry, and an active-set solve of the reconstruction problem without the
-Fisher bound.
+They are deliberately simple and dense: spin and ladder operators as
+matrices, the spin (x) motion Hamiltonians as full matrices (with their
+Laguerre factors from scipy.special, not from the package's recurrence),
+a Fisher-information Hessian assembled entry by entry, and an active-set
+solve of the reconstruction problem without the Fisher bound.
 """
 
 from __future__ import annotations
@@ -12,8 +12,46 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_laguerre
 
-from ionwalk.dynamics import FidelityModel, collective_spin, sigma_phi
-from ionwalk.fock import HilbertParams, ladder_operators
+from ionwalk.dynamics import FidelityModel
+from ionwalk.fock import HilbertParams, coherent_amplitudes
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+def sigma_phi(phi: float) -> np.ndarray:
+    """Equatorial spin operator sigma_x cos(phi) - sigma_y sin(phi)."""
+    return SIGMA_X * np.cos(phi) - SIGMA_Y * np.sin(phi)
+
+
+def collective_spin(op: np.ndarray, n_ions: int) -> np.ndarray:
+    """Sum of the single-ion operator over all ions (2^n_ions dimensional)."""
+    if n_ions == 1:
+        return op
+    eye = np.eye(2, dtype=complex)
+    return np.kron(op, eye) + np.kron(eye, op)
+
+
+def ladder_operators(params: HilbertParams) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation operators on the truncated motional space."""
+    n = np.arange(1, params.motion_dim)
+    a = np.zeros((params.motion_dim, params.motion_dim), dtype=complex)
+    a[n - 1, n] = np.sqrt(n)
+    return a, a.conj().T
+
+
+def quadrature_operators(params: HilbertParams) -> tuple[np.ndarray, np.ndarray]:
+    """Position x_hat = a + a' and momentum pi_hat = i(a' - a)/2."""
+    a, adag = ladder_operators(params)
+    return a + adag, 0.5j * (adag - a)
+
+
+def coherent_state(alpha: complex, params: HilbertParams) -> np.ndarray:
+    """Coherent state |alpha> truncated at n_max; mean position 2 Re(alpha), <n> = |alpha|^2."""
+    if np.imag(alpha) == 0.0:
+        return coherent_amplitudes(np.real(alpha), params.n_max)[:, 0].astype(complex)
+    phases = np.exp(1j * np.angle(alpha) * np.arange(params.motion_dim))
+    return coherent_amplitudes(abs(alpha), params.n_max)[:, 0] * phases
 
 
 def _motional_quadrature(params: HilbertParams, phi_minus: float,

@@ -10,7 +10,7 @@ from ionwalk.dynamics import FidelityModel, step_size
 from ionwalk.fock import (
     HilbertParams,
     MotionalEnsemble,
-    coherent_state,
+    check_tail,
     exact_position_density,
     fock_state,
 )
@@ -18,7 +18,7 @@ from ionwalk import probe, walk
 from ionwalk import reconstruct as rec
 
 from conftest import split_halves
-from oracles import solve_qp_active_set
+from oracles import coherent_state, solve_qp_active_set
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -97,7 +97,7 @@ def test_criterion_06_reversibility():
 
 def test_criterion_07_momentum_invariance(walk15_ld, walk13_all_order):
     dev_ld = max(abs(walk.width_p(s) - 1.0) for s in walk15_ld.snapshots)
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     dev_ao = 0.0
     for n in range(14):
         ens = walk.snapshot_ensemble(walk13_all_order, n)
@@ -115,9 +115,9 @@ def _tv(a, b, h):
 
 
 def test_criterion_08_reconstruction_round_trip():
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     p64 = HilbertParams(n_max=64)
-    ground = MotionalEnsemble.from_pure(fock_state(0, p64), p64)
+    ground = MotionalEnsemble(p64, fock_state(0, p64)[:, None])
     grid = rec.PositionGrid.symmetric(6.0, 0.1)
     model = rec.build_forward_model(ks, grid, rec.KIND_LINEAR)
     truth = exact_position_density(ground, grid.points)
@@ -161,8 +161,8 @@ def test_criterion_09_fisher_constraint_correctness():
     saturation = rec.fisher_functional(dens, grid.spacing)
 
     p64 = HilbertParams(n_max=64)
-    ground = MotionalEnsemble.from_pure(fock_state(0, p64), p64)
-    ks = probe.default_k_grid()
+    ground = MotionalEnsemble(p64, fock_state(0, p64)[:, None])
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     g6 = rec.PositionGrid.symmetric(6.0, 0.1)
     model = rec.build_forward_model(ks, g6, rec.KIND_LINEAR)
     feasible = True
@@ -216,7 +216,7 @@ def test_criterion_10_two_ion_walk():
 def test_criterion_11_23_step_capability():
     cfg = walk.WalkConfig(n_steps=23, params=HilbertParams(n_max=800))
     result = walk.quantum_walk(cfg)        # raises on leakage
-    tail = result.snapshots[-1].tail_population()
+    tail = check_tail(cfg.params, result.snapshots[-1].amplitudes)
     grid = np.arange(-52.0, 52.0001, 0.1)
     dens = walk.snapshot_density(result, 23, grid)
     support = float(np.abs(grid[dens > 1e-9]).max())

@@ -120,6 +120,17 @@ def test_run_classical_leaky_config_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_all_order_fold_back_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, hilbert={"n_max": 100},
+              walk={"n_steps": 1, "model": "all_order", "step_size": 40.0})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "stage=walk: LeakyStateError: step 1: reach 40 exceeds" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 @pytest.mark.parametrize("experiment, section", [
     ("walk", {"density_grid": {"extent": 0.01, "spacing": 0.05}}),
     ("reconstruct", {"reconstruction": {"grid_extent": 0.04, "grid_spacing": 0.05}}),

@@ -6,25 +6,19 @@ from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
 from ionwalk.dynamics import FidelityModel
-from ionwalk.fock import (
-    HilbertParams,
-    MotionalEnsemble,
-    coherent_state,
-    fock_state,
-    hermite_functions,
-)
+from ionwalk.fock import HilbertParams, MotionalEnsemble, fock_state, hermite_functions
 from ionwalk import probe, walk
-from oracles import bichromatic_hamiltonian, solve_qp_active_set
+from oracles import bichromatic_hamiltonian, coherent_state, solve_qp_active_set
 
 
 @pytest.fixture(scope="module")
 def ground64():
     p = HilbertParams(n_max=64)
-    return MotionalEnsemble.from_pure(fock_state(0, p), p)
+    return MotionalEnsemble(p, fock_state(0, p)[:, None])
 
 
 def test_ground_cosine_scan_is_gaussian(ground64):
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     vals = probe.scan_observable(ground64, "plus_z", ks)
     assert np.max(np.abs(vals - np.exp(-ks ** 2 / 2))) < 1e-12
 
@@ -36,7 +30,7 @@ def test_symmetric_state_sine_scan_vanishes(ground64):
 
 def test_coherent_scan_closed_form():
     p = HilbertParams(n_max=64)
-    ens = MotionalEnsemble.from_pure(coherent_state(1.0, p), p)
+    ens = MotionalEnsemble(p, coherent_state(1.0, p)[:, None])
     ks = np.linspace(0.0, 3.0, 31)
     vals = probe.scan_observable(ens, "plus_z", ks)
     assert np.max(np.abs(vals - np.cos(2 * ks) * np.exp(-ks ** 2 / 2))) < 1e-12
@@ -68,7 +62,7 @@ def test_scan_matches_density_transform():
         c = (rng.normal(size=p.motion_dim) + 1j * rng.normal(size=p.motion_dim))
         c *= np.exp(-np.arange(p.motion_dim) / 6.0)
         c /= np.linalg.norm(c)
-        ens = MotionalEnsemble.from_pure(c, p)
+        ens = MotionalEnsemble(p, c[:, None])
         dens = np.abs(c @ phi) ** 2
         k = rng.uniform(0.0, 3.0)
         oracle = np.sum(dens * np.cos(k * grid)) * h
@@ -120,7 +114,7 @@ def test_scan_validation():
 
 
 def test_width_ground_state_both_axes(ground64):
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     for axis in ("x", "p"):
         scan = probe.exact_scan(ground64, "plus_z", ks, axis=axis)
         est = probe.width_from_curvature(scan)
@@ -129,7 +123,8 @@ def test_width_ground_state_both_axes(ground64):
 
 
 def test_width_requires_cosine_scan(ground64):
-    scan = probe.exact_scan(ground64, "plus_y", probe.default_k_grid())
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
+    scan = probe.exact_scan(ground64, "plus_y", ks)
     with pytest.raises(ValueError):
         probe.width_from_curvature(scan)
 
@@ -162,7 +157,7 @@ def test_carrier_rabi_ground_full_contrast(ground64):
 
 def test_carrier_rabi_fock1_frequency_shift():
     p = HilbertParams(n_max=16)
-    ens = MotionalEnsemble.from_pure(fock_state(1, p), p)
+    ens = MotionalEnsemble(p, fock_state(1, p)[:, None])
     times = np.linspace(0.0, 4 * np.pi, 50)
     scan = probe.carrier_rabi_scan(ens, times)
     expected = np.sin(0.9964 * times / 2) ** 2
@@ -178,7 +173,7 @@ def test_fit_mean_phonon_ground(ground64):
 
 def test_fit_mean_phonon_coherent_round_trip():
     p = HilbertParams(n_max=64)
-    ens = MotionalEnsemble.from_pure(coherent_state(2.0, p), p)
+    ens = MotionalEnsemble(p, coherent_state(2.0, p)[:, None])
     times = np.linspace(0.0, 250.0, 200)
     scan = probe.carrier_rabi_scan(ens, times)
     fit = probe.fit_mean_phonon(scan, p, expected_nbar=4.0)
@@ -192,7 +187,7 @@ def test_fit_mean_phonon_large_states():
     p = HilbertParams(n_max=160)
     times = np.linspace(0.0, 250.0, 200)
     for nbar in (25.0, 50.0):
-        ens = MotionalEnsemble.from_pure(coherent_state(np.sqrt(nbar), p), p)
+        ens = MotionalEnsemble(p, coherent_state(np.sqrt(nbar), p)[:, None])
         scan = probe.carrier_rabi_scan(ens, times)
         fit = probe.fit_mean_phonon(scan, p, expected_nbar=nbar)
         assert abs(fit.nbar - nbar) / nbar <= 0.05
@@ -209,7 +204,7 @@ def test_phonon_fit_within_gap_of_active_set(ground64, noise):
     # the fit solves min ||A P - e||^2 on the simplex; the active-set oracle
     # solves the same problem with A built from scipy's Laguerre polynomials
     p = HilbertParams(n_max=64)
-    states = [ground64, MotionalEnsemble.from_pure(coherent_state(2.0, p), p),
+    states = [ground64, MotionalEnsemble(p, coherent_state(2.0, p)[:, None]),
               _walk_snapshots(3)[3]]
     times = np.linspace(0.0, 250.0, 200)
     rng = np.random.default_rng(4)
@@ -250,17 +245,17 @@ def test_width_flags_non_monotone_decay():
 
 def test_fit_mean_phonon_needs_enough_times():
     p = HilbertParams(n_max=64)
-    ens = MotionalEnsemble.from_pure(coherent_state(2.0, p), p)
+    ens = MotionalEnsemble(p, coherent_state(2.0, p)[:, None])
     scan = probe.carrier_rabi_scan(ens, np.linspace(0.0, 10.0, 12))
-    with pytest.raises(probe.FitWindowError):
-        probe.fit_mean_phonon(scan, p, n_cap=40)
+    with pytest.raises(probe.FitWindowError):      # 12 times for 2 * 10 + 20 = 40 levels
+        probe.fit_mean_phonon(scan, p, expected_nbar=10.0)
 
 
 def test_two_ion_ensemble_probing():
     # the collective probe reduces to the single-ion observable on the
     # center-of-mass marginal; a two-ion ensemble scans identically
     p2 = HilbertParams(n_max=64, n_ions=2)
-    ens = MotionalEnsemble.from_pure(coherent_state(1.0, p2), p2)
+    ens = MotionalEnsemble(p2, coherent_state(1.0, p2)[:, None])
     ks = np.linspace(0.0, 2.0, 9)
     vals = probe.scan_observable(ens, "plus_z", ks)
     assert np.max(np.abs(vals - np.cos(2 * ks) * np.exp(-ks ** 2 / 2))) < 1e-12

@@ -4,28 +4,22 @@ import numpy as np
 import pytest
 
 from ionwalk.dynamics import FidelityModel
-from ionwalk.fock import (
-    HilbertParams,
-    MotionalEnsemble,
-    coherent_state,
-    exact_position_density,
-    fock_state,
-)
+from ionwalk.fock import HilbertParams, MotionalEnsemble, exact_position_density, fock_state
 from ionwalk import cli, probe, walk
 from ionwalk import reconstruct as rec
 
-from oracles import fisher_derivatives, solve_qp_active_set
+from oracles import coherent_state, fisher_derivatives, solve_qp_active_set
 
 
 @pytest.fixture(scope="module")
 def ground64():
     p = HilbertParams(n_max=64)
-    return MotionalEnsemble.from_pure(fock_state(0, p), p)
+    return MotionalEnsemble(p, fock_state(0, p)[:, None])
 
 
 @pytest.fixture(scope="module")
 def ground_setup(ground64):
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     grid = rec.PositionGrid.symmetric(6.0, 0.1)
     model = rec.build_forward_model(ks, grid, rec.KIND_LINEAR)
     truth = exact_position_density(ground64, grid.points)
@@ -92,18 +86,18 @@ def test_fisher_floor_keeps_value_finite():
 
 
 def test_kinetic_bound_ground(ground64):
-    scan = probe.exact_scan(ground64, "plus_z", probe.default_k_grid(), axis="p")
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
+    scan = probe.exact_scan(ground64, "plus_z", ks, axis="p")
     bound = rec.estimate_kinetic_bound(scan)
     assert abs(bound - 0.275) < 1e-6
     with pytest.raises(ValueError):
-        rec.estimate_kinetic_bound(probe.exact_scan(ground64, "plus_z",
-                                                    probe.default_k_grid(), axis="x"))
+        rec.estimate_kinetic_bound(probe.exact_scan(ground64, "plus_z", ks, axis="x"))
 
 
 def test_kinetic_bound_walk_states_constant():
     cfg = walk.WalkConfig(n_steps=4, params=HilbertParams(n_max=128))
     result = walk.quantum_walk(cfg)
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     for n in range(5):
         ens = walk.snapshot_ensemble(result, n)
         bound = rec.estimate_kinetic_bound(probe.exact_scan(ens, "plus_z", ks, axis="p"))
@@ -112,8 +106,9 @@ def test_kinetic_bound_walk_states_constant():
 
 def test_kinetic_bound_momentum_displaced_state():
     p = HilbertParams(n_max=64)
-    ens = MotionalEnsemble.from_pure(coherent_state(1.0j, p), p)
-    scan = probe.exact_scan(ens, "plus_z", probe.default_k_grid(), axis="p")
+    ens = MotionalEnsemble(p, coherent_state(1.0j, p)[:, None])
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
+    scan = probe.exact_scan(ens, "plus_z", ks, axis="p")
     bound = rec.estimate_kinetic_bound(scan)
     # true <pi^2> = 1.25; the curvature estimate carries a small window bias
     assert abs(bound / 1.1 - 1.25) < 0.04
@@ -243,7 +238,7 @@ def test_fisher_constrained_solver_agrees_with_trust_constr(ground64, n_points, 
     # the active-set oracle covers only the problem without the Fisher bound;
     # here the bound is active and an interior-point solve from scipy is the
     # reference
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     grid = rec.PositionGrid(np.linspace(-extent, extent, n_points))
     h = grid.spacing
     model = rec.build_forward_model(ks, grid)
@@ -267,7 +262,7 @@ def test_even_fold_matches_general_path(ground64, n_points, kinetic_bound):
     # without sine data the solver works on half the grid (mirrored pairs
     # share a variable of weight 2; an odd grid's centre keeps weight 1);
     # zero sine data give the same problem on the full grid
-    ks = probe.default_k_grid()
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     grid = rec.PositionGrid(np.linspace(-3.0, 3.0, n_points))
     model = rec.build_forward_model(ks, grid)
     c_vals = probe.simulate_scan(ground64, "plus_z", ks, shots=250, seed=4).estimates

@@ -4,26 +4,32 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ionwalk.dynamics import SIGMA_Y, FidelityModel
+from ionwalk.dynamics import FidelityModel
 from ionwalk.fock import (
     HilbertParams,
     LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
-    coherent_state,
     exact_position_densities,
     exact_position_density,
+    fock_state,
     hermite_functions,
-    quadrature_operators,
 )
 from ionwalk import dynamics, probe, walk
 
 from conftest import split_halves
-from oracles import bichromatic_hamiltonian, carrier_hamiltonian
+from oracles import (
+    SIGMA_Y,
+    bichromatic_hamiltonian,
+    carrier_hamiltonian,
+    coherent_state,
+    quadrature_operators,
+)
 
 
 def _sigma_y_single(state: SpinMotionState, ion: int = 0) -> float:
-    rho = state.spin_density()
+    branches = state.branch_matrix()
+    rho = branches @ branches.conj().T
     if state.params.n_ions == 1:
         op = SIGMA_Y
     else:
@@ -35,11 +41,16 @@ def _sigma_y_single(state: SpinMotionState, ion: int = 0) -> float:
 
 def test_prepare_initial_single_ion():
     p = HilbertParams(n_max=32)
-    for model in (FidelityModel.LAMB_DICKE, FidelityModel.ALL_ORDER):
-        state = walk.prepare_initial(p, model)
-        assert abs(_sigma_y_single(state) - 1.0) < 1e-12
-        pops = state.motional_populations()
-        assert pops[0] > 1.0 - 1e-12          # carrier leaves the motion alone
+    state = walk.prepare_initial(p)
+    assert abs(_sigma_y_single(state) - 1.0) < 1e-12
+    assert np.sum(np.abs(state.branch_matrix()[:, 0]) ** 2) > 1.0 - 1e-12   # motion stays |0>
+    # the carrier couples |0> with L_0(eta^2) = 1, so all_order prepares the same bits
+    for n_ions in (1, 2):
+        p = HilbertParams(n_max=400, n_ions=n_ions)
+        down = np.kron(np.eye(p.spin_dim)[-1], fock_state(0, p))
+        pulse = dynamics.carrier_pulse(p, 0.0, FidelityModel.ALL_ORDER)
+        assert np.array_equal(dynamics.apply_propagator(pulse, walk.COIN_AREA, down),
+                              walk.prepare_initial(p).amplitudes)
 
 
 def test_prepare_initial_two_ions():
@@ -181,8 +192,7 @@ def test_walk_rejects_x_only_models():
 
 def test_recombine_pure_spin_state():
     p = HilbertParams(n_max=32)
-    state = SpinMotionState.from_product(np.array([1.0, 0.0]),
-                                         coherent_state(1.0, p), p)
+    state = SpinMotionState(p, np.kron([1.0, 0.0], coherent_state(1.0, p)))
     ens = walk.recombine_spin(state)
     assert ens.factor.shape == (p.motion_dim, 1)
     assert len(ens.members) == 1
@@ -213,14 +223,8 @@ def test_recombination_preserves_position_density():
     ens = walk.recombine_spin(state)
     dens_ens = exact_position_density(ens, grid)
     # direct density of the entangled state: sum of branch densities
-    branches = state.branch_matrix()
-    dens_direct = np.zeros_like(grid)
-    for row in branches:
-        w = float(np.real(np.vdot(row, row)))
-        if w > 1e-14:
-            member = MotionalEnsemble.from_pure(row / np.sqrt(w), cfg.params)
-            dens_direct += w * exact_position_density(member, grid,
-                                                      check_coverage=False)
+    phi = hermite_functions(cfg.params.n_max, grid)
+    dens_direct = np.sum(np.abs(state.branch_matrix() @ phi) ** 2, axis=0)
     assert np.max(np.abs(dens_ens - dens_direct)) < 1e-10
 
 
@@ -340,13 +344,27 @@ def test_lattice_leak_counts_what_the_truncation_cannot_hold():
             run(far)
 
 
+@pytest.mark.parametrize("n_ions", [1, 2])
+@pytest.mark.parametrize("n_steps, step_size, first", [(1, 40.0, 1), (2, 15.0, 2)])
+def test_all_order_walk_refuses_reach_beyond_truncation(n_ions, n_steps, step_size, first):
+    # at n_max 100 the truncated x spans about +-20; a packet pushed further
+    # folds back with an empty top band, which the tail check cannot see
+    cfg = walk.WalkConfig(n_steps=n_steps, params=HilbertParams(n_max=100, n_ions=n_ions),
+                          model=FidelityModel.ALL_ORDER, step_size=step_size)
+    for run in (walk.quantum_walk, walk.reversed_walk, walk.classical_walk):
+        with pytest.raises(LeakyStateError, match=rf"^step {first}: reach {first * step_size:g} "
+                                                  r"exceeds the truncated position range"):
+            run(cfg)
+    walk.quantum_walk(dataclasses.replace(cfg, n_steps=first - 1))
+
+
 def _fock_walk(cfg, reverse=False, dephase=False):
     """Test-only reference: the walk on the Fock space (_steps on _walk_pulses).
 
     One Fock factor per snapshot, the initial state included.
     """
     path = walk._FockPath(cfg)
-    columns = path.start(walk.prepare_initial(cfg.params, cfg.model))
+    columns = path.start(walk.prepare_initial(cfg.params))
     if dephase:
         columns = walk._dephase(cfg.params, columns)
     out = [columns]
