@@ -272,6 +272,16 @@ def _scan(run: _Run, ensemble, spin_prep: str, axis: str, seed: int) -> probe.Pr
                                shots=run.scan["shots"], seed=seed)
 
 
+def _moments(snapshots) -> tuple:
+    """(w_x, w_p, nbar) arrays over the snapshots, from one pass of second moments.
+
+    The arithmetic is walk.width_x's, width_p's and mean_phonon's.
+    """
+    x2 = np.array([walk.second_moment_x(s) for s in snapshots])
+    q2 = np.array([walk.second_moment_q(s) for s in snapshots])
+    return np.sqrt(x2), np.sqrt(q2), 0.25 * (x2 + q2 - 2.0)
+
+
 def _run_walk(run: _Run, out: str) -> None:
     t0 = time.perf_counter()
     if run.experiment == "classical":
@@ -283,13 +293,8 @@ def _run_walk(run: _Run, out: str) -> None:
     x_cells = _format_column(grid)
     for n, dens in zip(run.steps, walk.snapshot_densities(result, run.steps, grid)):
         write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"], [x_cells, dens])
-    summary = {
-        "step": np.array(run.steps),
-        "w_x": np.array([walk.width_x(s) for s in result.snapshots]),
-        "w_p": np.array([walk.width_p(s) for s in result.snapshots]),
-        "nbar": np.array([walk.mean_phonon(s) for s in result.snapshots]),
-    }
-    write_csv(f"{out}_summary.csv", list(summary), list(summary.values()))
+    write_csv(f"{out}_summary.csv", ["step", "w_x", "w_p", "nbar"],
+              [np.array(run.steps), *_moments(result.snapshots)])
 
 
 def _run_reverse(run: _Run, out: str) -> None:
@@ -340,17 +345,15 @@ def _run_reconstruct(run: _Run, out: str) -> None:
 
 
 def _run_width_curve(run: _Run, out: str) -> None:
-    quantum = walk.quantum_walk(run.wcfg)
+    w_x, w_p, nbar = _moments(walk.quantum_walk(run.wcfg).snapshots)
     classical = walk.classical_walk(run.wcfg)
     write_csv(f"{out}_widths.csv",
               ["N", "w_x", "w_x_classical", "w_x_classical_ref", "w_p", "nbar"],
-              [np.array(run.steps),
-               np.array([walk.width_x(s) for s in quantum.snapshots]),
+              [np.array(run.steps), w_x,
                np.array([walk.width_x(s) for s in classical.snapshots]),
                np.array([walk.classical_width_reference(n, run.wcfg.step_size)
                          for n in run.steps]),
-               np.array([walk.width_p(s) for s in quantum.snapshots]),
-               np.array([walk.mean_phonon(s) for s in quantum.snapshots])])
+               w_p, nbar])
 
 
 def _run_nbar_curve(run: _Run, out: str) -> None:

@@ -245,14 +245,16 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
-    """Densities of several ensembles (row i: ensembles[i]) from one Hermite table.
+def position_densities(table: np.ndarray, factors, grid: np.ndarray) -> np.ndarray:
+    """Densities sum over columns of (T^T F)^2 (row i: factors[i]) on a uniform grid.
 
-    The density is sum over columns of (Phi^T F)^2. The (re, im) columns of
-    every factor are stacked into one real matrix and multiplied by the
-    table in blocks of at most n_max + 1 columns, so the products are never
-    larger than the table; an indicator matrix then sums each ensemble's
-    squares.
+    table T is a real (rows, grid.size) table of basis wavefunctions on the
+    grid, and each factor F a real matrix of at most rows rows (the
+    (re, im) view of a complex factor; fewer rows are zero-padded). The
+    factors are stacked into one matrix and multiplied by the table in
+    blocks of at most rows columns, so the products are never larger than
+    the table; an indicator matrix then sums each factor's squares. Raises
+    GridCoverageError if any density holds less than 0.999 on the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
@@ -260,14 +262,12 @@ def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
     h = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * abs(h)):
         raise ValueError("grid must be uniformly spaced")
-    rows = max(e.params.motion_dim for e in ensembles)
-    phi = hermite_functions(rows - 1, grid)
-    stacked = np.hstack([np.pad(e.factor.view(np.float64),
-                                ((0, rows - e.params.motion_dim), (0, 0))) for e in ensembles])
-    owner = np.repeat(np.eye(len(ensembles)), [2 * e.factor.shape[1] for e in ensembles], axis=0)
-    out = np.zeros((grid.size, len(ensembles)))
+    rows = table.shape[0]
+    stacked = np.hstack([np.pad(f, ((0, rows - f.shape[0]), (0, 0))) for f in factors])
+    owner = np.repeat(np.eye(len(factors)), [f.shape[1] for f in factors], axis=0)
+    out = np.zeros((grid.size, len(factors)))
     for start in range(0, stacked.shape[1], rows):
-        block = phi.T @ stacked[:, start:start + rows]
+        block = table.T @ stacked[:, start:start + rows]
         out += block ** 2 @ owner[start:start + rows]
     out = np.ascontiguousarray(out.T)
     mass = float(np.min(np.sum(out, axis=1)) * h)
@@ -276,6 +276,18 @@ def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
             f"grid [{grid[0]:g}, {grid[-1]:g}] captures only {mass:.6f} of the state"
         )
     return out
+
+
+def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
+    """Densities of several ensembles (row i: ensembles[i]) from one Hermite table.
+
+    position_densities on the table of hermite_functions up to the largest
+    n_max; the density of a truncated ensemble is that of its Fock factor.
+    """
+    grid = np.asarray(grid, dtype=float)
+    levels = max(e.params.n_max for e in ensembles)
+    return position_densities(hermite_functions(levels, grid),
+                              [e.factor.view(np.float64) for e in ensembles], grid)
 
 
 def exact_position_density(ensemble: MotionalEnsemble, grid: np.ndarray) -> np.ndarray:

@@ -20,12 +20,16 @@ the Fock factor is checked for truncation leakage. The classical walk is
 the exact limit of randomizing the laser phase at every step: after each
 step its factor is split into the S_z sectors of the spin, so it needs no
 trials, seed or threads.
+
+Snapshots are Fock states or ensembles either way. A lamb_dicke result
+also keeps each snapshot's lattice columns, and its position densities
+are built from them with a table of the Gaussians <x|alpha_j>, not from
+the Fock snapshots with a Hermite table (snapshot_densities).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,7 @@ from .fock import (
     coherent_amplitudes,
     exact_position_densities,
     fock_state,
+    position_densities,
 )
 
 COIN_AREA = np.pi / 4.0
@@ -90,10 +95,15 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class WalkResult:
-    """Per-step snapshots (index 0 = initial state) plus the configuration."""
+    """Per-step snapshots (index 0 = initial state) plus the configuration.
+
+    lattice holds each snapshot's coherent-state lattice columns (see
+    _Lattice) for a lamb_dicke walk, and is None for an all_order walk.
+    """
 
     config: WalkConfig
     snapshots: tuple
+    lattice: tuple | None = None
 
 
 def required_n_max(n_steps: int, step_size: float) -> int:
@@ -168,8 +178,8 @@ class _Lattice:
     def __init__(self, config: WalkConfig):
         self.config = config
         self.params = config.params
-        self.reach = config.n_steps * config.params.n_ions
-        sites = np.arange(-self.reach, self.reach + 1)
+        sites = _sites(config)
+        self.reach = sites.size // 2
         self.table = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
                                          config.params.n_max)
 
@@ -214,6 +224,31 @@ class _Lattice:
         norm = float(np.vdot(fock, fock).real)
         check_tail(self.params, fock, where, lost=1.0 - norm)
         return fock / np.sqrt(norm)
+
+
+def _sites(config: WalkConfig) -> np.ndarray:
+    """Lattice site indices j = -reach..reach, reach = n_steps * n_ions."""
+    reach = config.n_steps * config.params.n_ions
+    return np.arange(-reach, reach + 1)
+
+
+def _lattice_densities(config: WalkConfig, lattice, grid: np.ndarray) -> np.ndarray:
+    """Position densities of lattice column sets (row i: lattice[i]), one Gaussian table.
+
+    Site j holds |alpha_j> with the real wavefunction g_j(x) = <x|alpha_j> =
+    (2 pi)^(-1/4) exp(-(x - j d)^2 / 4), d the pulse displacement, so the
+    density of columns c is sum over columns and spin branches s of
+    |sum_j c_sj g_j(x)|^2: position_densities with the (sites, grid) table
+    g and each column set rearranged to (sites, spin_dim * K). It is the
+    density of the untruncated state.
+    """
+    grid = np.asarray(grid, dtype=float)
+    table = (2.0 * np.pi) ** -0.25 * np.exp(
+        -0.25 * (grid - config.pulse_displacement * _sites(config)[:, None]) ** 2)
+    sites, s = table.shape[0], config.params.spin_dim
+    factors = [np.ascontiguousarray(c.reshape(s, sites, -1).transpose(1, 0, 2))
+               .reshape(sites, -1).view(np.float64) for c in lattice]
+    return position_densities(table, factors, grid)
 
 
 def _path(config: WalkConfig):
@@ -282,11 +317,14 @@ def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
     p = config.params
     initial = prepare_initial(p)
     path = _path(config)
-    snapshots, columns = [initial], path.start(initial)
+    columns = path.start(initial)
+    snapshots, lattice = [initial], [columns]
     for back in (False, True) if reverse else (False,):
         for columns, fock in _steps(path, columns, config.n_steps, back):
             snapshots.append(SpinMotionState(p, fock[:, 0]))
-    return WalkResult(config, tuple(snapshots))
+            lattice.append(columns)
+    return WalkResult(config, tuple(snapshots),
+                      tuple(lattice) if isinstance(path, _Lattice) else None)
 
 
 def quantum_walk(config: WalkConfig) -> WalkResult:
@@ -360,9 +398,12 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    blocks = (fock for _, fock in _steps(path, columns, config.n_steps, dephase=True))
-    return WalkResult(config, tuple(_recombine(p, b, cutoff=0.0)
-                                    for b in itertools.chain([path.to_fock(columns)], blocks)))
+    snapshots, lattice = [_recombine(p, path.to_fock(columns), cutoff=0.0)], [columns]
+    for columns, fock in _steps(path, columns, config.n_steps, dephase=True):
+        snapshots.append(_recombine(p, fock, cutoff=0.0))
+        lattice.append(columns)
+    return WalkResult(config, tuple(snapshots),
+                      tuple(lattice) if isinstance(path, _Lattice) else None)
 
 
 # ---------------------------------------------------------------- summaries
@@ -416,8 +457,17 @@ def snapshot_ensemble(result: WalkResult, step: int) -> MotionalEnsemble:
 
 
 def snapshot_densities(result: WalkResult, steps, grid: np.ndarray) -> np.ndarray:
-    """Position densities of several snapshots (row i for steps[i]), one Hermite table."""
-    return exact_position_densities([snapshot_ensemble(result, s) for s in steps], grid)
+    """Position densities of several snapshots (row i for steps[i]) from one table.
+
+    A lamb_dicke walk's densities come from its lattice columns and one
+    Gaussian table (_lattice_densities): they are those of the untruncated
+    state, and differ from the truncated Fock snapshots' by no more than the
+    tail check allows. An all_order walk's come from its Fock snapshots and
+    one Hermite table (exact_position_densities).
+    """
+    if result.lattice is None:
+        return exact_position_densities([snapshot_ensemble(result, s) for s in steps], grid)
+    return _lattice_densities(result.config, [result.lattice[s] for s in steps], grid)
 
 
 def snapshot_density(result: WalkResult, step: int, grid: np.ndarray) -> np.ndarray:

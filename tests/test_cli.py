@@ -101,13 +101,18 @@ def test_run_leaky_config_exits_2(tmp_path, capsys):
     assert "stage=walk" in err and "LeakyStateError" in err
 
 
-def test_run_grid_too_narrow_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("experiment", ["walk", "classical", "reverse", "two_ion"])
+def test_run_grid_too_narrow_exits_2(tmp_path, capsys, experiment):
+    # every experiment that writes densities checks the grid's coverage
     cfg = tmp_path / "c.json"
-    write_cfg(cfg, hilbert={"n_max": 60}, density_grid={"extent": 2})
+    n_ions = 2 if experiment == "two_ion" else 1
+    write_cfg(cfg, experiment=experiment, hilbert={"n_max": 96, "n_ions": n_ions},
+              density_grid={"extent": 2})
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "g")]) == 2
     err = capsys.readouterr().err
-    assert "stage=walk: GridCoverageError:" in err
+    assert f"stage={experiment}: GridCoverageError:" in err
     assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_run_classical_leaky_config_exits_2(tmp_path, capsys):

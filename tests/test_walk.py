@@ -15,7 +15,7 @@ from ionwalk.fock import (
     fock_state,
     hermite_functions,
 )
-from ionwalk import dynamics, probe, walk
+from ionwalk import dynamics, fock, probe, walk
 
 from conftest import split_halves
 from oracles import (
@@ -379,21 +379,57 @@ def _fock_walk(cfg, reverse=False, dephase=False):
                           (2, 2, 3.0, 0.0), (1, 0, None, 0.0), (2, 0, None, 0.3)])
 def test_lattice_walks_match_fock_path(n_ions, n_steps, step_size, coin_phase):
     # 40 levels above required_n_max take the Fock path's truncation error
-    # below 1e-14, so both paths give the exact walk
+    # below 1e-14, so both paths give the exact walk, and the lattice
+    # densities (of the untruncated state) match the Fock path's Hermite
+    # densities to 1e-12 of each peak
     step = step_size or 2.0 * n_ions
     p = HilbertParams(n_max=walk.required_n_max(n_steps, step) + 40, n_ions=n_ions)
     cfg = walk.WalkConfig(n_steps=n_steps, params=p, step_size=step_size, coin_phase=coin_phase)
+    extent = n_steps * step + 8.0
+    grid = np.linspace(-extent, extent, int(20 * extent) + 1)
+
+    def densities_match(result, factors):
+        oracle = exact_position_densities([walk._recombine(p, f, cutoff=0.0) for f in factors],
+                                          grid)
+        dens = walk.snapshot_densities(result, range(len(factors)), grid)
+        assert np.max(np.abs(dens - oracle) / oracle.max(axis=1)[:, None]) < 1e-12
+
     result = walk.reversed_walk(cfg)
     assert len(result.snapshots) == 2 * n_steps + 1
-    for snap, want in zip(result.snapshots, _fock_walk(cfg, reverse=True), strict=True):
+    reference = _fock_walk(cfg, reverse=True)
+    for snap, want in zip(result.snapshots, reference, strict=True):
         assert np.max(np.abs(snap.amplitudes - want[:, 0])) < 1e-12
-    for snap, want in zip(walk.quantum_walk(cfg).snapshots, _fock_walk(cfg), strict=True):
+    densities_match(result, reference)
+    result, reference = walk.quantum_walk(cfg), _fock_walk(cfg)
+    for snap, want in zip(result.snapshots, reference, strict=True):
         assert np.max(np.abs(snap.amplitudes - want[:, 0])) < 1e-12
-    for snap, want in zip(walk.classical_walk(cfg).snapshots, _fock_walk(cfg, dephase=True),
-                          strict=True):
+    densities_match(result, reference)
+    result, reference = walk.classical_walk(cfg), _fock_walk(cfg, dephase=True)
+    for snap, want in zip(result.snapshots, reference, strict=True):
         want = walk._recombine(p, want, cutoff=0.0)
         assert snap.factor.shape == want.factor.shape
         assert np.max(np.abs(_dense_rho(snap) - _dense_rho(want))) < 1e-12
+    densities_match(result, reference)
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
+def test_lamb_dicke_densities_use_no_hermite_table(monkeypatch, n_ions):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hermite_functions called")
+
+    p = HilbertParams(n_max=80, n_ions=n_ions)
+    cfg = walk.WalkConfig(n_steps=3, params=p)
+    grid = np.linspace(-20.0, 20.0, 401)
+    monkeypatch.setattr(fock, "hermite_functions", refuse)
+    for run in (walk.quantum_walk, walk.reversed_walk, walk.classical_walk):
+        result = run(cfg)
+        dens = walk.snapshot_densities(result, range(len(result.snapshots)), grid)
+        assert np.allclose(np.sum(dens, axis=1) * (grid[1] - grid[0]), 1.0, atol=1e-9)
+    # all_order walks keep the Hermite path
+    result = walk.quantum_walk(dataclasses.replace(cfg, model=FidelityModel.ALL_ORDER))
+    assert result.lattice is None
+    with pytest.raises(AssertionError, match="hermite_functions called"):
+        walk.snapshot_density(result, 3, grid)
 
 
 @pytest.mark.parametrize("n_ions", [1, 2])
