@@ -1,10 +1,10 @@
 """Phase-space quantum walk of one and two trapped ions.
 
 Simulation of the walk itself (state-dependent displacements interleaved
-with carrier coin pulses, at four fidelity levels of the light-motion
-coupling), of the measurement chain (Fourier-component probing of position
-and momentum marginals, carrier Rabi flops), and of the convex constrained
-least-squares reconstruction of the position density.
+with carrier coin pulses, with the light-motion coupling to first order in
+eta or to all orders), of the measurement chain (Fourier-component probing
+of position and momentum marginals, carrier Rabi flops), and of the convex
+constrained least-squares reconstruction of the position density.
 """
 
 from .dynamics import (

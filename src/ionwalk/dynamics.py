@@ -1,4 +1,4 @@
-"""Laser-ion Hamiltonians at four fidelity levels and exact unitary evolution.
+"""Laser-ion Hamiltonians at two fidelity levels and exact unitary evolution.
 
 All Hamiltonians are dimensionless: the bichromatic (spin-dependent force)
 Hamiltonian is returned in units of eta*Omega, the carrier Hamiltonian in
@@ -8,21 +8,24 @@ displacement pulse of area d/2 shifts the position of a sigma_phi = +1
 eigenstate by +d ground-state widths, and the coin is a carrier pulse of
 area pi/4.
 
+Both models use the exact couplings (Wineland et al., J. Res. NIST 103, 259
+(1998)) at their own eta: params.eta for all_order, 0 for lamb_dicke.
+
 Every generator factors as S (x) M: a collective spin operator
 S = sum_ions sigma_phi times a motional M that is tridiagonal (bichromatic)
 or diagonal (carrier) in the Fock basis. A Pulse holds the eigenpairs of
 both factors: S's in closed form (spin_eigenbasis), M's from one
 tridiagonal eigensolve of size n_max + 1, so exp(-i theta S (x) M) never
 needs a dense eigendecomposition. After the gauge D_n = e^{i n phi_minus}
-the bichromatic M depends only on (n_max, eta, model), so that eigensolve
-runs once per (n_max, eta, model) per process and its read-only eigenpairs
+the bichromatic M depends only on (n_max, coupling eta), so that eigensolve
+runs once per (n_max, coupling eta) per process and its read-only eigenpairs
 are shared by both probe quadratures and the displacement of an all_order
 walk (lamb_dicke walks run on walk's coherent-state lattice).
 
-The all_order couplings need the Laguerre polynomials L_n(eta^2) and
-L_n^(1)(eta^2) for every n <= n_max: laguerre() runs their recurrence once
-over n, in the difference form that scipy.special uses, so the module needs
-only numpy and scipy.linalg.
+The couplings need the Laguerre polynomials L_n(eta^2) and L_n^(1)(eta^2)
+for every n <= n_max: laguerre() runs their recurrence once over n, in the
+difference form that scipy.special uses, so the module needs only numpy and
+scipy.linalg.
 
 apply_propagator acts on a state vector or a (dim, K) block of them and does
 not check truncation: SpinMotionState and the walk's step loop do.
@@ -42,17 +45,13 @@ from .fock import HilbertParams
 class FidelityModel(str, enum.Enum):
     """Physical fidelity of the light-motion coupling.
 
-    LAMB_DICKE  first order in eta (linear spin-dependent force)
-    THIRD_ORDER resonant terms up to eta^3 (x quadrature only)
-    X_DIAGONAL  third-order with n replaced by x^2/4, diagonal in position
-                (x quadrature only)
+    LAMB_DICKE  first order in eta (linear spin-dependent force): all_order
+                at eta = 0
     ALL_ORDER   exact sideband matrix elements between Fock neighbours;
                 carrier couplings proportional to L_n(eta^2)
     """
 
     LAMB_DICKE = "lamb_dicke"
-    THIRD_ORDER = "third_order"
-    X_DIAGONAL = "x_diagonal"
     ALL_ORDER = "all_order"
 
 
@@ -69,14 +68,6 @@ def spin_eigenbasis(phase: float, n_ions: int) -> tuple[np.ndarray, np.ndarray]:
     if n_ions == 1:
         return signs, vectors
     return np.add.outer(signs, signs).ravel(), np.kron(vectors, vectors)
-
-
-def _check_x_only(phi_minus: float, model: FidelityModel) -> None:
-    """The eta^2 corrections exist only on the x quadrature, phi_minus in {0, pi}."""
-    if not np.isclose(np.sin(phi_minus), 0.0, atol=1e-12):
-        raise ValueError(
-            f"model {model.value} supports only phi_minus in {{0, pi}}, got {phi_minus}"
-        )
 
 
 def laguerre(n_max: int, alpha: int, x: float) -> np.ndarray:
@@ -116,7 +107,7 @@ class Pulse:
     spin is spin_eigenbasis(phase, n_ions) of the collective spin S. The
     motional factor is M = D V diag(motion_values) V^T D^* with
     V = motion_vectors real orthogonal and D = diag(gauge) unimodular; both
-    None when M is diagonal. Bichromatic pulses of one (n_max, eta, model)
+    None when M is diagonal. Bichromatic pulses of one (n_max, coupling eta)
     share read-only motion arrays.
     """
 
@@ -126,31 +117,25 @@ class Pulse:
     gauge: np.ndarray | None = None
 
 
-def x_diagonal_position(x, eta: float):
-    """The x_diagonal model's coupling g(x) = x (1 - eta^2/8 (x^2 + 1)) at positions x."""
-    return x * (1.0 - 0.125 * eta ** 2 * (x ** 2 + 1.0))
+def _coupling_eta(params: HilbertParams, model: FidelityModel) -> float:
+    """The eta a model's couplings take: params.eta for all_order, 0 for lamb_dicke.
+
+    model may be a FidelityModel or its value; ValueError names any other.
+    """
+    return params.eta if FidelityModel(model) is FidelityModel.ALL_ORDER else 0.0
 
 
 @functools.lru_cache(maxsize=4)
-def _motional_eigenpairs(n_max: int, eta: float,
-                         model: FidelityModel) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs of the gauged real tridiagonal M of one model.
+def _motional_eigenpairs(n_max: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigenpairs of the gauged real tridiagonal M at coupling eta.
 
-    x_diagonal is f(x) of the truncated x, whose eigenvalues are sqrt(2)
-    times the Gauss-Hermite nodes (Golub & Welsch 1969).
+    M couples Fock neighbours by e^{-eta^2/2} L_n^(1)(eta^2) / sqrt(n+1),
+    which is sqrt(n+1) at eta = 0.
     """
-    n = np.arange(n_max)
     eta2 = eta ** 2
-    diag = np.zeros(n_max + 1)
-    off = np.sqrt(n + 1.0)
-    if model is FidelityModel.ALL_ORDER:
-        off = np.exp(-0.5 * eta2) * laguerre(n_max - 1, 1, eta2) / off
-    elif model is FidelityModel.THIRD_ORDER:
-        diag -= 0.25 * eta2
-        off *= 1.0 - 0.25 * eta2 * (2.0 * n + 1.0)
-    values, vectors = eigh_tridiagonal(diag, off)
-    if model is FidelityModel.X_DIAGONAL:
-        values = x_diagonal_position(values, eta)
+    root = np.sqrt(np.arange(1.0, n_max + 1.0))
+    off = np.exp(-0.5 * eta2) * laguerre(n_max - 1, 1, eta2) / root
+    values, vectors = eigh_tridiagonal(np.zeros(n_max + 1), off)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return values, vectors
@@ -162,30 +147,25 @@ def bichromatic_pulse(params: HilbertParams, phi_plus: float, phi_minus: float,
 
     In the Lamb-Dicke model S (x) M is
         (sigma_x cos(phi+) - sigma_y sin(phi+)) (x) [x_hat cos(phi-) + 2 pi_hat sin(phi-)]
-    summed over ions; the other models replace M by the corresponding
-    corrected coupling: exact sideband elements e^{-eta^2/2} L_n^(1)(eta^2)
-    / sqrt(n+1) for all_order, the eta^2 terms of x for the x-only models.
+    summed over ions; all_order replaces M's sideband elements sqrt(n+1) by
+    the exact e^{-eta^2/2} L_n^(1)(eta^2) / sqrt(n+1).
 
-    The gauge D_n = e^{i n phi_minus} makes M real tridiagonal in every
-    model and independent of phi_minus, so pulses of one (n_max, eta, model)
-    share one set of motional eigenpairs.
+    The gauge D_n = e^{i n phi_minus} makes M real tridiagonal and
+    independent of phi_minus, so pulses of one (n_max, coupling eta) share
+    one set of motional eigenpairs.
     """
-    model = FidelityModel(model)
-    if model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
-        _check_x_only(phi_minus, model)
-    eta = 0.0 if model is FidelityModel.LAMB_DICKE else params.eta
-    values, vectors = _motional_eigenpairs(params.n_max, eta, model)
+    values, vectors = _motional_eigenpairs(params.n_max, _coupling_eta(params, model))
     return Pulse(spin_eigenbasis(phi_plus, params.n_ions), values, vectors,
                  np.exp(1j * phi_minus * np.arange(params.motion_dim)))
 
 
 def carrier_pulse(params: HilbertParams, phase: float, model: FidelityModel) -> Pulse:
-    """Carrier generator S_c (x) diag(L_n(eta^2)) for all_order, else S_c (x) 1, in Omega_0.
+    """Carrier generator S_c (x) diag(L_n(eta^2)) in Omega_0, at the model's coupling eta.
 
-    The Debye-Waller factor exp(-eta^2/2) is taken as absorbed in Omega_0.
+    L_n(0) = 1 exactly, so the lamb_dicke carrier acts on the spin alone. The
+    Debye-Waller factor exp(-eta^2/2) is taken as absorbed in Omega_0.
     """
-    motion = (carrier_coupling_ratios(params)
-              if model is FidelityModel.ALL_ORDER else np.ones(params.motion_dim))
+    motion = laguerre(params.n_max, 0, _coupling_eta(params, model) ** 2)
     return Pulse(spin_eigenbasis(phase, params.n_ions), motion)
 
 

@@ -2,18 +2,19 @@
 
 A probe pulse of strength k applies U_p = exp(-i k G sigma_x / 2) where G
 is the position quadrature (axis 'x') or the momentum quadrature q_hat
-(axis 'p') of the requested fidelity model. Measuring sigma_z afterwards
-realizes the observable cos(kG) sigma_z + sin(kG) sigma_y, so a spin
-prepared in |+>_z samples <cos(kG)> and |+>_y samples <sin(kG)>. For the
-Lamb-Dicke model G is exactly x_hat (or q_hat) and the scan is the
-characteristic function of the marginal; for the other models the scan is
-distorted, which is what the reconstruction forward models undo.
+(axis 'p') of the requested fidelity model (lamb_dicke or all_order).
+Measuring sigma_z afterwards realizes the observable
+cos(kG) sigma_z + sin(kG) sigma_y, so a spin prepared in |+>_z samples
+<cos(kG)> and |+>_y samples <sin(kG)>. For the Lamb-Dicke model G is
+exactly x_hat (or q_hat) and the scan is the characteristic function of
+the marginal; for all_order the scan is distorted, which is what the
+reconstruction forward models undo.
 
 Scans are evaluated in closed form, not by one propagation per k: from
 one tridiagonal eigendecomposition of G, <O(k)> is a sum over its
 eigenvalues weighted by the ensemble's populations in its eigenbasis.
 That eigendecomposition is the one dynamics computes once per
-(n_max, eta, model) and process: the x probe, the p probe and an
+(n_max, coupling eta) and process: the x probe, the p probe and an
 all_order walk's displacement differ only in the gauge, so they share it
 (lamb_dicke walks run on the coherent-state lattice and need none).
 
@@ -58,7 +59,6 @@ class ProbeScan:
     k: np.ndarray
     estimates: np.ndarray
     shots: int | None
-    model: FidelityModel
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
@@ -158,8 +158,7 @@ def simulate_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
     for i, (p, ss) in enumerate(zip(prob, seeds)):
         ups = np.random.default_rng(ss).binomial(shots, p)
         est[i] = 2.0 * ups / shots - 1.0
-    return ProbeScan(axis=axis, spin_prep=spin_prep, k=k_grid, estimates=est,
-                     shots=shots, model=model)
+    return ProbeScan(axis=axis, spin_prep=spin_prep, k=k_grid, estimates=est, shots=shots)
 
 
 def exact_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
@@ -168,8 +167,7 @@ def exact_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
     """Noiseless ProbeScan (shots = None) holding the exact expectations."""
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     exact = scan_observable(ensemble, spin_prep, k_grid, axis, model)
-    return ProbeScan(axis=axis, spin_prep=spin_prep, k=k_grid, estimates=exact,
-                     shots=None, model=model)
+    return ProbeScan(axis=axis, spin_prep=spin_prep, k=k_grid, estimates=exact, shots=None)
 
 
 def width_from_curvature(scan: ProbeScan) -> WidthEstimate:

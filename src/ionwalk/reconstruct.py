@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsysv as _sysv, dsysv_lwork as _sysv_lwork
 
-from .dynamics import x_diagonal_position
 from .probe import ProbeScan, width_from_curvature
 
 KIND_LINEAR = "linear"
@@ -102,13 +101,15 @@ class ForwardModel:
 
 
 def kernel_positions(x: np.ndarray, kind: str, eta: float) -> np.ndarray:
-    """Effective position g(x) entering the probe phase for each model."""
+    """Effective position g(x) entering the probe phase: x for the linear kernel,
+    x (1 - eta^2/8 (x^2 + 1)) for x_diagonal (the probe coupling to third order
+    in eta with n replaced by x^2/4, diagonal in position)."""
     if kind == KIND_LINEAR:
         return x
     if kind == KIND_X_DIAGONAL:
         if not 0.0 < eta < 1.0:
             raise ValueError(f"x_diagonal kernel requires 0 < eta < 1, got {eta}")
-        return x_diagonal_position(x, eta)
+        return x * (1.0 - 0.125 * eta ** 2 * (x ** 2 + 1.0))
     raise ValueError(f"unknown forward-model kind {kind!r}")
 
 

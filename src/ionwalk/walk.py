@@ -79,11 +79,6 @@ class WalkConfig:
         object.__setattr__(self, "model", FidelityModel(self.model))
         if self.n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        if self.model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
-            raise ValueError(
-                f"{self.model.value} only corrects the x quadrature and cannot "
-                "drive the walk's displacement pulses; use lamb_dicke or all_order"
-            )
         if self.step_size is None:
             object.__setattr__(self, "step_size", 2.0 * self.params.n_ions)
 

@@ -3,17 +3,22 @@
 They are deliberately simple and dense: spin and ladder operators as
 matrices, the spin (x) motion Hamiltonians as full matrices (with their
 Laguerre factors from scipy.special, not from the package's recurrence),
-a Fisher-information Hessian assembled entry by entry, and an active-set
-solve of the reconstruction problem without the Fisher bound.
+the closed-form scan under the probe coupling that the x_diagonal
+reconstruction kernel models, a Fisher-information Hessian assembled entry
+by entry, and an active-set solve of the reconstruction problem without the
+Fisher bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_genlaguerre, eval_laguerre
 
 from ionwalk.dynamics import FidelityModel
-from ionwalk.fock import HilbertParams, coherent_amplitudes
+from ionwalk.fock import HilbertParams, MotionalEnsemble, coherent_amplitudes
+
+X_DIAGONAL = "x_diagonal"   # the x_diagonal kernel's probe coupling; no package model
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -54,45 +59,60 @@ def coherent_state(alpha: complex, params: HilbertParams) -> np.ndarray:
     return coherent_amplitudes(abs(alpha), params.n_max)[:, 0] * phases
 
 
-def _motional_quadrature(params: HilbertParams, phi_minus: float,
-                         model: FidelityModel) -> np.ndarray:
+def _motional_quadrature(params: HilbertParams, phi_minus: float, model: str) -> np.ndarray:
     """Motional factor of the bichromatic Hamiltonian, in eta*Omega units."""
     a, adag = ladder_operators(params)
     eta = params.eta
-    if model is FidelityModel.LAMB_DICKE:
+    if model == FidelityModel.LAMB_DICKE:
         return (a + adag) * np.cos(phi_minus) + 1j * (adag - a) * np.sin(phi_minus)
-    if model is FidelityModel.ALL_ORDER:
+    if model == FidelityModel.ALL_ORDER:
         n = np.arange(params.n_max)
         coupling = np.exp(-0.5 * eta ** 2) * eval_genlaguerre(n, 1, eta ** 2) / np.sqrt(n + 1.0)
         return (np.diag(coupling * np.exp(1j * phi_minus), -1)
                 + np.diag(coupling * np.exp(-1j * phi_minus), 1))
-    if not np.isclose(np.sin(phi_minus), 0.0, atol=1e-12):
-        raise ValueError(f"model {model.value} supports only phi_minus in {{0, pi}}")
-    x = float(np.cos(phi_minus)) * (a + adag)
-    if model is FidelityModel.THIRD_ORDER:
-        nop = adag @ a
-        return x - (eta ** 2 / 4.0) * (x @ nop + nop @ x + np.eye(params.motion_dim))
-    return x - (eta ** 2 / 8.0) * (x @ x @ x + x)     # x_diagonal
+    if model != X_DIAGONAL or phi_minus != 0.0:
+        raise ValueError(f"no motional factor for {model!r} at phi_minus = {phi_minus}")
+    x = a + adag
+    return x - (eta ** 2 / 8.0) * (x @ x @ x + x)
 
 
 def bichromatic_hamiltonian(params: HilbertParams, phi_plus: float,
-                            phi_minus: float, model: FidelityModel) -> np.ndarray:
+                            phi_minus: float, model: str) -> np.ndarray:
     """Dense spin-dependent displacement Hamiltonian on spin (x) motion, eta*Omega = 1.
 
     In the Lamb-Dicke model this is
         (sigma_x cos(phi+) - sigma_y sin(phi+)) (x) [x_hat cos(phi-) + 2 pi_hat sin(phi-)]
-    summed over ions; the other models replace the motional factor by the
-    corresponding corrected coupling.
+    summed over ions; all_order replaces the motional factor by the exact
+    sideband couplings. model may also be X_DIAGONAL at phi_minus = 0: the
+    probe coupling g(x_hat) = x_hat - eta^2/8 (x_hat^3 + x_hat) of the
+    truncated x_hat, which the x_diagonal reconstruction kernel models.
     """
     spin = collective_spin(sigma_phi(phi_plus), params.n_ions)
     h = np.kron(spin, _motional_quadrature(params, phi_minus, model))
     return 0.5 * (h + h.conj().T)
 
 
+def x_diagonal_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
+                    eta: float) -> np.ndarray:
+    """<cos(k G)> (plus_z) or <sin(k G)> (plus_y) in closed form, G = g(x_hat).
+
+    g(x) = x - eta^2/8 (x^3 + x) of the truncated x_hat (bichromatic_hamiltonian's
+    X_DIAGONAL): the eigh_tridiagonal of x_hat, whose eigenvalues are sqrt(2)
+    times the Gauss-Hermite nodes, with its eigenvalues mapped through g and
+    the ensemble's populations in its eigenbasis as weights.
+    """
+    dim = ensemble.params.motion_dim
+    values, vectors = eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+    pops = np.sum(np.abs(vectors.T @ ensemble.factor) ** 2, axis=1)
+    g = values - (eta ** 2 / 8.0) * (values ** 3 + values)
+    char = np.exp(1j * np.outer(k_grid, g)) @ pops
+    return {"plus_z": char.real, "plus_y": char.imag}[spin_prep]
+
+
 def carrier_hamiltonian(params: HilbertParams, phase: float,
                         model: FidelityModel) -> np.ndarray:
     """Dense carrier Hamiltonian, in units of Omega_0 (level n scaled by L_n(eta^2))."""
-    if model is FidelityModel.ALL_ORDER:
+    if model == FidelityModel.ALL_ORDER:
         motion = eval_laguerre(np.arange(params.motion_dim), params.eta ** 2)
     else:
         motion = np.ones(params.motion_dim)

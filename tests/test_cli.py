@@ -330,9 +330,12 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, token):
 
 @pytest.mark.parametrize("model", ["third_order", "x_diagonal"])
 def test_x_only_walk_model_rejected(tmp_path, capsys, model):
+    # the x-only models are gone: the schema's enum, built from FidelityModel,
+    # refuses them before any experiment runs
     cfg = tmp_path / "c.json"
     write_cfg(cfg, walk={"n_steps": 2, "model": model})
-    assert_rejected(tmp_path, capsys, cfg, "walk", "only corrects the x quadrature")
+    assert_rejected(tmp_path, capsys, cfg, "config",
+                    f"{model!r} is not one of ['lamb_dicke', 'all_order']")
 
 
 def test_reconstruction_step_beyond_walk_rejected(tmp_path, capsys):

@@ -52,20 +52,22 @@ def test_lamb_dicke_x_quadrature():
 @pytest.mark.parametrize("phi_plus", [0.0, 0.7, np.pi / 2])
 def test_hamiltonians_hermitian(model, phi_plus):
     p = HilbertParams(n_max=24, eta=ETA)
-    phi_minus = 0.0 if model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL) \
-        else np.pi / 2
-    h = bichromatic_hamiltonian(p, phi_plus, phi_minus, model)
+    h = bichromatic_hamiltonian(p, phi_plus, np.pi / 2, model)
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
     hc = carrier_hamiltonian(p, phi_plus, model)
     assert np.max(np.abs(hc - hc.conj().T)) < 1e-12
 
 
 def test_corrected_models_reject_other_quadratures():
+    # the x-only models (third_order, x_diagonal) are gone: their names are
+    # refused on every quadrature, by both pulse builders
     p = HilbertParams(n_max=16, eta=ETA)
-    for model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
+    for model in ("third_order", "x_diagonal"):
+        for phi_minus in (0.0, np.pi / 2.0, np.pi):
+            with pytest.raises(ValueError):
+                bichromatic_pulse(p, 0.0, phi_minus, model)
         with pytest.raises(ValueError):
-            bichromatic_pulse(p, 0.0, np.pi / 2.0, model)
-        bichromatic_pulse(p, 0.0, np.pi, model)  # pi is allowed
+            carrier_pulse(p, 0.0, model)
 
 
 def test_all_order_couplings_against_displacement_operator():
@@ -90,26 +92,11 @@ def test_all_order_first_coupling_value():
     assert abs(expected - 0.9982016190284373) < 1e-12
 
 
-def test_x_diagonal_vs_third_order_substitution():
-    # substituting n -> x^2/4 into the third-order form reproduces the
-    # x-diagonal Hamiltonian only up to (eta^2/8) x - (eta^2/4):
-    # the two corrected models agree at O(eta^2) but not exactly
-    p = HilbertParams(n_max=40, eta=ETA)
-    a, adag = ladder_operators(p)
-    x = a + adag
-    eye = np.eye(p.motion_dim)
-    third_sub = x - (ETA ** 2 / 4.0) * (x @ (x @ x / 4.0) + (x @ x / 4.0) @ x + eye)
-    h_xd = bichromatic_hamiltonian(p, 0.0, 0.0, FidelityModel.X_DIAGONAL)
-    x_diag = h_xd[: p.motion_dim, p.motion_dim:]
-    defect = third_sub - x_diag
-    predicted = (ETA ** 2 / 8.0) * x - (ETA ** 2 / 4.0) * eye
-    assert np.max(np.abs(defect - predicted)[:-3, :-3]) < 1e-13
-
-
 def test_carrier_pulse_prepares_superposition():
     p = HilbertParams(n_max=16, eta=ETA)
     down = np.array([0.0, 1.0])
     pulse = carrier_pulse(p, 0.0, FidelityModel.LAMB_DICKE)
+    assert np.array_equal(pulse.motion_values, np.ones(p.motion_dim))   # L_n(0) = 1 exactly
     out = SpinMotionState(p, apply_propagator(pulse, np.pi / 4, np.kron(down, fock_state(0, p))))
     branches = out.branch_matrix()
     rho = branches @ branches.conj().T
@@ -140,8 +127,7 @@ def test_carrier_laguerre_ratio():
 @pytest.mark.parametrize("model", list(FidelityModel))
 def test_phase_pi_flips_hamiltonian_sign(model):
     p = HilbertParams(n_max=20, eta=ETA)
-    phi_minus = 0.0 if model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL) \
-        else np.pi / 2
+    phi_minus = np.pi / 2
     h1 = bichromatic_hamiltonian(p, 0.4, phi_minus, model)
     h2 = bichromatic_hamiltonian(p, 0.4 + np.pi, phi_minus, model)
     assert np.max(np.abs(h1 + h2)) < 1e-12
@@ -232,10 +218,10 @@ def _one_pulse_propagators(p):
 
 
 def test_model_hierarchy_low_phonon_agreement():
-    # at <n> = 1 all four models agree within 5 eta^2; across states with
-    # <n> <= 5 the pairwise deviation stays within 20 eta^2 (the corrected
-    # couplings differ from the linear ones by ~eta^2 (2n+1)/4 per element,
-    # so a single constant for all of <n> <= 5 needs the larger budget)
+    # at <n> = 1 the two models agree within 5 eta^2; across states with
+    # <n> <= 5 their deviation stays within 20 eta^2 (the exact couplings
+    # differ from the linear ones by ~eta^2 (2n+1)/4 per element, so a
+    # single constant for all of <n> <= 5 needs the larger budget)
     p = HilbertParams(n_max=300, eta=ETA)
     us = _one_pulse_propagators(p)
     spin = PLUS_X
@@ -260,12 +246,6 @@ def test_model_disagreement_grows_with_phonon_number():
     assert all(b > a for a, b in zip(devs, devs[1:]))
 
 
-def _valid_phi_minus(model):
-    if model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
-        return (0.0, np.pi)
-    return (np.pi / 2.0, 0.0, 0.3)
-
-
 @pytest.mark.parametrize("n_ions", [1, 2])
 @pytest.mark.parametrize("model", list(FidelityModel))
 def test_pulses_match_dense_expm(model, n_ions):
@@ -276,7 +256,7 @@ def test_pulses_match_dense_expm(model, n_ions):
     rng = np.random.default_rng(5)
     amps = rng.normal(size=(p.dim, 3)) + 1j * rng.normal(size=(p.dim, 3))
     worst = 0.0
-    for phi_minus in _valid_phi_minus(model):
+    for phi_minus in (np.pi / 2.0, 0.0, 0.3):
         for phi_plus in (0.0, np.pi, 0.4):
             h = bichromatic_hamiltonian(p, phi_plus, phi_minus, model)
             pulse = bichromatic_pulse(p, phi_plus, phi_minus, model)
@@ -312,18 +292,38 @@ def test_walk_and_probe_pulses_share_one_motional_basis():
 
 
 def test_motional_basis_entries_per_nmax_eta_model():
+    # one cache entry per (n_max, coupling eta): every lamb_dicke pulse
+    # shares the eta = 0 entry, whatever params.eta says
     def vectors(n_max, eta, model):
         return bichromatic_pulse(HilbertParams(n_max=n_max, eta=eta), 0.0, 0.0,
                                  model).motion_vectors
 
-    base = vectors(30, ETA, FidelityModel.ALL_ORDER)
-    assert vectors(31, ETA, FidelityModel.ALL_ORDER) is not base
-    assert vectors(30, 0.1, FidelityModel.ALL_ORDER) is not base
-    assert vectors(30, ETA, FidelityModel.THIRD_ORDER) is not base
-    assert vectors(30, ETA, FidelityModel.LAMB_DICKE) is not base
-    # the Lamb-Dicke bands do not depend on eta
-    assert vectors(30, 0.1, FidelityModel.LAMB_DICKE) is vectors(30, ETA,
-                                                                FidelityModel.LAMB_DICKE)
+    dynamics._motional_eigenpairs.cache_clear()
+    try:
+        base = vectors(30, ETA, FidelityModel.ALL_ORDER)
+        assert vectors(31, ETA, FidelityModel.ALL_ORDER) is not base
+        assert vectors(30, 0.1, FidelityModel.ALL_ORDER) is not base
+        assert vectors(30, ETA, FidelityModel.LAMB_DICKE) is not base
+        assert vectors(30, 0.1, "lamb_dicke") is vectors(30, ETA, FidelityModel.LAMB_DICKE)
+        assert vectors(30, ETA, "all_order") is base
+        assert dynamics._motional_eigenpairs.cache_info().misses == 4
+    finally:
+        dynamics._motional_eigenpairs.cache_clear()
+
+
+@pytest.mark.parametrize("make", [bichromatic_pulse, carrier_pulse],
+                         ids=["bichromatic", "carrier"])
+def test_model_names_select_the_coupling_eta(make):
+    # a model's value gives the same pulse as the member; any other name is refused
+    p = HilbertParams(n_max=30, eta=0.3)
+    args = (0.0, 0.0) if make is bichromatic_pulse else (0.0,)
+    for model in FidelityModel:
+        by_name, by_member = make(p, *args, model.value), make(p, *args, model)
+        assert np.array_equal(by_name.motion_values, by_member.motion_values)
+    assert not np.array_equal(make(p, *args, "all_order").motion_values,
+                              make(p, *args, "lamb_dicke").motion_values)
+    with pytest.raises(ValueError):
+        make(p, *args, "bogus")
 
 
 def test_one_eigensolve_per_walk_and_scans(monkeypatch):

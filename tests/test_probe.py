@@ -8,7 +8,13 @@ from scipy.special import eval_laguerre
 from ionwalk.dynamics import FidelityModel
 from ionwalk.fock import HilbertParams, MotionalEnsemble, fock_state, hermite_functions
 from ionwalk import probe, walk
-from oracles import bichromatic_hamiltonian, coherent_state, solve_qp_active_set
+from oracles import (
+    X_DIAGONAL,
+    bichromatic_hamiltonian,
+    coherent_state,
+    solve_qp_active_set,
+    x_diagonal_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +44,16 @@ def test_coherent_scan_closed_form():
 
 @pytest.mark.parametrize("model", list(FidelityModel))
 def test_zero_strength_probe(ground64, model):
-    if model in (FidelityModel.THIRD_ORDER, FidelityModel.X_DIAGONAL):
-        axis = "x"
-    else:
-        axis = "p"
-    assert abs(probe.scan_observable(ground64, "plus_z", 0.0, axis, model)[0] - 1.0) < 1e-12
-    assert abs(probe.scan_observable(ground64, "plus_y", 0.0, axis, model)[0]) < 1e-12
+    assert abs(probe.scan_observable(ground64, "plus_z", 0.0, "p", model)[0] - 1.0) < 1e-12
+    assert abs(probe.scan_observable(ground64, "plus_y", 0.0, "p", model)[0]) < 1e-12
 
 
 def test_momentum_axis_rejected_for_x_only_models(ground64):
-    with pytest.raises(ValueError):
-        probe.scan_observable(ground64, "plus_z", 0.5, "p", FidelityModel.X_DIAGONAL)
+    # the x-only models are gone: their names are refused on either axis
+    for model in ("third_order", "x_diagonal"):
+        for axis in ("p", "x"):
+            with pytest.raises(ValueError):
+                probe.scan_observable(ground64, "plus_z", 0.5, axis, model)
 
 
 def test_scan_matches_density_transform():
@@ -105,12 +110,10 @@ def test_probe_strength_formula():
 def test_scan_validation():
     with pytest.raises(ValueError):
         probe.ProbeScan(axis="x", spin_prep="plus_z", k=np.array([0.0, 0.0]),
-                        estimates=np.array([1.0, 1.0]), shots=10,
-                        model=FidelityModel.LAMB_DICKE)
+                        estimates=np.array([1.0, 1.0]), shots=10)
     with pytest.raises(ValueError):
         probe.ProbeScan(axis="x", spin_prep="plus_z", k=np.array([0.0, 1.0]),
-                        estimates=np.array([1.0, 1.5]), shots=10,
-                        model=FidelityModel.LAMB_DICKE)
+                        estimates=np.array([1.0, 1.5]), shots=10)
 
 
 def test_width_ground_state_both_axes(ground64):
@@ -133,7 +136,7 @@ def test_width_window_too_small():
     scan = probe.ProbeScan(axis="x", spin_prep="plus_z",
                            k=np.array([0.0, 0.5, 1.0, 1.5, 2.0]),
                            estimates=np.array([1.0, 0.5, 0.2, 0.1, 0.05]),
-                           shots=None, model=FidelityModel.LAMB_DICKE)
+                           shots=None)
     with pytest.raises(probe.FitWindowError):
         probe.width_from_curvature(scan)
 
@@ -143,8 +146,7 @@ def test_width_wide_binomial_mixture():
     # moment 4*10 + 1 = 41
     ks = np.linspace(0.0, 0.5, 61)
     vals = np.cos(2 * ks) ** 10 * np.exp(-ks ** 2 / 2)
-    scan = probe.ProbeScan(axis="x", spin_prep="plus_z", k=ks, estimates=vals,
-                           shots=None, model=FidelityModel.LAMB_DICKE)
+    scan = probe.ProbeScan(axis="x", spin_prep="plus_z", k=ks, estimates=vals, shots=None)
     est = probe.width_from_curvature(scan)
     assert abs(est.w - np.sqrt(41.0)) < 0.01 * np.sqrt(41.0)
 
@@ -236,8 +238,7 @@ def test_width_flags_non_monotone_decay():
     vals = np.exp(-ks ** 2 / 2)
     vals[5] += 0.02                     # bump inside the fit window
     scan = probe.ProbeScan(axis="x", spin_prep="plus_z", k=ks,
-                           estimates=np.clip(vals, -1, 1), shots=None,
-                           model=FidelityModel.LAMB_DICKE)
+                           estimates=np.clip(vals, -1, 1), shots=None)
     est = probe.width_from_curvature(scan)
     assert not est.monotone
     assert abs(est.w - 1.0) < 0.1
@@ -261,10 +262,10 @@ def test_two_ion_ensemble_probing():
     assert np.max(np.abs(vals - np.cos(2 * ks) * np.exp(-ks ** 2 / 2))) < 1e-12
 
 
+# the package's probes on both axes, and the x_diagonal oracle scan on x
 _VALID_PROBES = [(model, axis, prep)
-                 for model in FidelityModel
-                 for axis in (("x",) if model in (FidelityModel.THIRD_ORDER,
-                                                  FidelityModel.X_DIAGONAL) else ("x", "p"))
+                 for model in (*FidelityModel, X_DIAGONAL)
+                 for axis in (("x",) if model == X_DIAGONAL else ("x", "p"))
                  for prep in ("plus_z", "plus_y")]
 
 
@@ -272,7 +273,9 @@ _VALID_PROBES = [(model, axis, prep)
 @pytest.mark.parametrize("n_ions", [1, 2])
 def test_scan_matches_dense_propagation(model, axis, spin_prep, n_ions):
     # test-only oracle: propagate spin_prep (x) member under the dense probe
-    # pulse exp(-i (k/2) H) for each k and read out sigma_z
+    # pulse exp(-i (k/2) H) for each k and read out sigma_z. For X_DIAGONAL
+    # this checks the closed-form oracle scan that test_reconstruct holds the
+    # x_diagonal kernel to.
     p = HilbertParams(n_max=40, n_ions=n_ions)
     rng = np.random.default_rng(3)
     decay = np.exp(-np.arange(p.motion_dim) / 5.0)
@@ -291,5 +294,8 @@ def test_scan_matches_dense_propagation(model, axis, spin_prep, n_ions):
         final = expm(-0.5j * k * h) @ np.kron(spin[:, None], ens.factor)
         pops = np.abs(final) ** 2
         oracle.append(pops[:m].sum() - pops[m:].sum())
-    vals = probe.scan_observable(ens, spin_prep, ks, axis, model)
+    if model == X_DIAGONAL:
+        vals = x_diagonal_scan(ens, spin_prep, ks, p.eta)
+    else:
+        vals = probe.scan_observable(ens, spin_prep, ks, axis, model)
     assert np.max(np.abs(vals - np.array(oracle))) < 1e-12

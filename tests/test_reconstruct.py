@@ -8,7 +8,7 @@ from ionwalk.fock import HilbertParams, MotionalEnsemble, exact_position_density
 from ionwalk import cli, probe, walk
 from ionwalk import reconstruct as rec
 
-from oracles import coherent_state, fisher_derivatives, solve_qp_active_set
+from oracles import coherent_state, fisher_derivatives, solve_qp_active_set, x_diagonal_scan
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,23 @@ def test_x_diagonal_kernel_compression():
         rec.kernel_positions(np.array([1.0]), rec.KIND_X_DIAGONAL, 1.5)
     with pytest.raises(ValueError):
         rec.kernel_positions(np.array([1.0]), "cubic", 0.06)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 7.0])
+def test_x_diagonal_kernel_reproduces_its_probe(alpha):
+    # oracle: the closed-form scan under G = g(x_hat), g the kernel's own
+    # coupling, predicted from the exact density; the linear kernel misses it
+    p = HilbertParams(n_max=400, eta=0.06)
+    ens = MotionalEnsemble(p, coherent_state(alpha, p)[:, None])
+    ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
+    grid = rec.PositionGrid.symmetric(25.0, 0.05)
+    density = exact_position_density(ens, grid.points)
+    cos_scan, sin_scan = (x_diagonal_scan(ens, prep, ks, p.eta) for prep in ("plus_z", "plus_y"))
+    x_diagonal = rec.build_forward_model(ks, grid, rec.KIND_X_DIAGONAL, p.eta)
+    linear = rec.build_forward_model(ks, grid, rec.KIND_LINEAR)
+    assert np.max(np.abs(x_diagonal.ccos @ density - cos_scan)) < 1e-12
+    assert np.max(np.abs(x_diagonal.csin @ density - sin_scan)) < 1e-12
+    assert np.max(np.abs(linear.ccos @ density - cos_scan)) > 0.05
 
 
 def test_fisher_ground_state_saturation():

@@ -1,6 +1,8 @@
 import types
 
 import ionwalk
+from ionwalk import cli
+from ionwalk.dynamics import FidelityModel
 
 # The package's public names. A name added here should have a caller in
 # src/, bench/ or the CLI; helpers that only tests use live in tests/oracles.py.
@@ -23,3 +25,10 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(ionwalk).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC
+
+
+def test_two_fidelity_models():
+    # Lamb-Dicke and all orders in eta; the x-only models were removed
+    values = ["lamb_dicke", "all_order"]
+    assert [m.value for m in FidelityModel] == values
+    assert cli.CONFIG_SCHEMA["properties"]["walk"]["properties"]["model"]["enum"] == values

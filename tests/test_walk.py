@@ -181,13 +181,13 @@ def test_reversibility_up_to_eight_steps(model):
 
 
 def test_walk_rejects_x_only_models():
-    # the corrected couplings exist only on the x quadrature and cannot
-    # drive the walk's momentum kicks
+    # the x-only models, which could not drive the walk's momentum kicks,
+    # are no FidelityModel any more: their names are refused like any other
     p = HilbertParams(n_max=64)
-    with pytest.raises(ValueError):
-        walk.WalkConfig(n_steps=2, params=p, model=FidelityModel.THIRD_ORDER)
-    with pytest.raises(ValueError):
-        walk.WalkConfig(n_steps=2, params=p, model=FidelityModel.X_DIAGONAL)
+    for model in ("third_order", "x_diagonal", "bogus"):
+        with pytest.raises(ValueError):
+            walk.WalkConfig(n_steps=2, params=p, model=model)
+    assert walk.WalkConfig(n_steps=2, params=p, model="all_order").model is FidelityModel.ALL_ORDER
 
 
 def test_recombine_pure_spin_state():
