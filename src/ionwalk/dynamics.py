@@ -20,7 +20,9 @@ needs a dense eigendecomposition. After the gauge D_n = e^{i n phi_minus}
 the bichromatic M depends only on (n_max, coupling eta), so that eigensolve
 runs once per (n_max, coupling eta) per process and its read-only eigenpairs
 are shared by both probe quadratures and the displacement of an all_order
-walk (lamb_dicke walks run on walk's coherent-state lattice).
+walk (lamb_dicke walks run on walk's coherent-state lattice, and lamb_dicke
+scans of the ensembles they produce read its closed forms, so neither needs
+it).
 
 The couplings need the Laguerre polynomials L_n(eta^2) and L_n^(1)(eta^2)
 for every n <= n_max: laguerre() runs their recurrence once over n, in the

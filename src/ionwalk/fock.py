@@ -12,11 +12,17 @@ A mixed motional state is held as one complex factor F of shape
 trace condition is ||F||_F = 1 and every consumer works on F directly.
 weights() (squared column norms), member_matrix() (F with normalized
 columns) and members ((weight, vector) pairs) are derived views.
+
+A state or ensemble that a lamb_dicke walk produces also carries its
+LatticeFactor: the same motional state, untruncated, as a factor over real
+coherent states |alpha_j> on a lattice. Its second moments and probe
+characteristic functions are closed-form sums over two vectors of length
+2L - 1 (L lattice sites), with no Fock-space call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,12 +128,95 @@ def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "",
     return tail
 
 
+@dataclass(frozen=True, eq=False)
+class LatticeFactor:
+    """Motional state rho = sum_ij (C C^dagger)_ij |alpha_i><alpha_j| on a coherent-state lattice.
+
+    factor C has shape (L, K) with L odd; row j + (L - 1)/2 holds site
+    j = -(L-1)/2..(L-1)/2, the real coherent state |alpha_j> with
+    alpha_j = j d / 2, centred at x_j = j d (d = spacing). The sites overlap
+    by G_ij = <alpha_i|alpha_j> = exp(-(x_i - x_j)^2 / 8). The state is that
+    of the untruncated mode.
+
+    On construction, with M = conj(C) C^T, it is reduced to two vectors of
+    length 2L - 1:
+        position_sums  A_s = sum over i + j = s of M_ij G_ij,
+        offset_sums    B_t = sum over i - j = t of M_ij,
+    for s, t = -(L-1)..L-1; every observable below is a sum over one of
+    them. Tr rho = sum_s A_s must be 1 within NORM_TOLERANCE.
+    """
+
+    factor: np.ndarray
+    spacing: float
+    position_sums: np.ndarray = field(init=False, repr=False)
+    offset_sums: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        factor = np.ascontiguousarray(self.factor, dtype=complex)
+        if factor.ndim != 2 or factor.shape[0] % 2 != 1 or not factor.shape[1]:
+            raise ValueError(f"lattice factor has shape {factor.shape}, expected (L, K) "
+                             f"with L odd and K >= 1")
+        if not np.all(np.isfinite(factor)):
+            raise FloatingPointError("lattice factor has non-finite entries")
+        sites = np.arange(factor.shape[0])
+        offset = np.subtract.outer(sites, sites)
+        m = factor.conj() @ factor.T
+        size = 2 * sites.size - 1
+        overlap = np.exp(-0.125 * (self.spacing * offset) ** 2)
+        position = np.bincount(np.add.outer(sites, sites).ravel(),
+                               (m.real * overlap).ravel(), size)
+        index = (offset + sites.size - 1).ravel()
+        offsets = (np.bincount(index, m.real.ravel(), size)
+                   + 1j * np.bincount(index, m.imag.ravel(), size))
+        trace = float(np.sum(position))
+        if abs(trace - 1.0) > NORM_TOLERANCE:
+            raise ValueError(f"lattice trace {trace!r} deviates from 1 beyond {NORM_TOLERANCE}")
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "position_sums", position)
+        object.__setattr__(self, "offset_sums", offsets)
+
+    def _shifts(self) -> np.ndarray:
+        """s d for s = -(L-1)..L-1: twice the mean position of a pair of sites, or their gap."""
+        n = self.factor.shape[0]
+        return self.spacing * np.arange(1.0 - n, n)
+
+    def characteristic(self, k, axis: str) -> np.ndarray:
+        """Tr rho e^{i k x_hat} (axis 'x') or Tr rho e^{i k q_hat} (axis 'p') at every k.
+
+        <alpha_i|e^{ikx}|alpha_j> = G_ij e^{ik(x_i + x_j)/2 - k^2/2}, and e^{ikq}
+        shifts x by -2k, so <alpha_i|e^{ikq}|alpha_j> = e^{-(x_i - x_j + 2k)^2 / 8}:
+            e^{-k^2/2} sum_s A_s e^{i k s d / 2},    sum_t B_t e^{-(t d + 2k)^2 / 8}.
+        """
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        shifts = self._shifts()
+        if axis == "x":
+            return np.exp(-0.5 * k ** 2) * (np.exp(0.5j * np.outer(k, shifts))
+                                            @ self.position_sums)
+        return np.exp(-0.125 * np.add.outer(2.0 * k, shifts) ** 2) @ self.offset_sums
+
+    def second_moment(self, axis: str) -> float:
+        """<x_hat^2> (axis 'x') or <q_hat^2> (axis 'p'): -d^2/dk^2 of characteristic at k = 0,
+
+        <x^2> = sum_s A_s ((s d/2)^2 + 1),   <q^2> = sum_t B_t (1 - (t d)^2/4) e^{-(t d)^2/8}.
+        """
+        shifts = self._shifts()
+        if axis == "x":
+            return float(self.position_sums @ (0.25 * shifts ** 2 + 1.0))
+        weights = (1.0 - 0.25 * shifts ** 2) * np.exp(-0.125 * shifts ** 2)
+        return float(np.real(self.offset_sums @ weights))
+
+
 @dataclass(frozen=True)
 class SpinMotionState:
-    """Pure state on (spin tensor motion), amplitudes in kron(spin, motion) order."""
+    """Pure state on (spin tensor motion), amplitudes in kron(spin, motion) order.
+
+    lattice, if given, is the same state untruncated: a LatticeFactor whose
+    column s is spin branch s.
+    """
 
     params: HilbertParams
     amplitudes: np.ndarray
+    lattice: LatticeFactor | None = None
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -142,6 +231,9 @@ class SpinMotionState:
         if abs(nrm - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOLERANCE}")
         check_tail(self.params, amps)
+        if self.lattice is not None and self.lattice.factor.shape[1] != self.params.spin_dim:
+            raise ValueError(f"lattice factor has {self.lattice.factor.shape[1]} columns, "
+                             f"expected one per spin branch ({self.params.spin_dim})")
 
     def branch_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (spin_dim, motion_dim)."""
@@ -150,10 +242,14 @@ class SpinMotionState:
 
 @dataclass(frozen=True)
 class MotionalEnsemble:
-    """Mixed motional state rho = F F^dagger, F of shape (motion_dim, K), ||F||_F = 1."""
+    """Mixed motional state rho = F F^dagger, F of shape (motion_dim, K), ||F||_F = 1.
+
+    lattice, if given, is the same ensemble untruncated (a LatticeFactor).
+    """
 
     params: HilbertParams
     factor: np.ndarray
+    lattice: LatticeFactor | None = None
 
     def __post_init__(self):
         factor = np.ascontiguousarray(self.factor, dtype=complex)

@@ -10,13 +10,18 @@ exactly x_hat (or q_hat) and the scan is the characteristic function of
 the marginal; for all_order the scan is distorted, which is what the
 reconstruction forward models undo.
 
-Scans are evaluated in closed form, not by one propagation per k: from
-one tridiagonal eigendecomposition of G, <O(k)> is a sum over its
-eigenvalues weighted by the ensemble's populations in its eigenbasis.
-That eigendecomposition is the one dynamics computes once per
-(n_max, coupling eta) and process: the x probe, the p probe and an
-all_order walk's displacement differ only in the gauge, so they share it
-(lamb_dicke walks run on the coherent-state lattice and need none).
+Scans are evaluated in closed form, not by one propagation per k. A
+lamb_dicke scan of an ensemble that carries a lattice factor (every
+ensemble a lamb_dicke walk produces) reads the characteristic function
+Tr rho e^{ikG} from it (fock.LatticeFactor.characteristic): that is the
+untruncated state's scan, within the tail tolerance of the Fock one, and
+needs no motional eigensolve. Every other scan (all_order probes, and
+Fock-only ensembles such as a hand-built state) comes from one tridiagonal
+eigendecomposition of G: <O(k)> is a sum over its eigenvalues weighted by
+the ensemble's populations in its eigenbasis. That eigendecomposition is
+the one dynamics computes once per (n_max, coupling eta) and process: the
+x probe, the p probe and an all_order walk's displacement differ only in
+the gauge, so they share it.
 
 The probe always attaches a single effective spin: for two-ion ensembles
 the collective pulse conjugates each ion's sigma_z exactly as in the
@@ -120,22 +125,28 @@ def scan_observable(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
                     model: FidelityModel = FidelityModel.LAMB_DICKE) -> np.ndarray:
     """Exact <O(k)> for every k in the grid, in closed form.
 
-    <O(k)> = 2 Re[c+^* c- sum_j P_j e^{i k g_j}] with c+- = <+-x|spin_prep>,
-    G = D V diag(g) V^T D^* (the probe pulse's motional factor) and
-    P_j = sum over columns of |V^T D^* F|^2, the diagonal of rho in G's eigenbasis.
+    <O(k)> = 2 Re[c+^* c- Tr rho e^{ikG}] with c+- = <+-x|spin_prep> and G the
+    probe pulse's motional factor. A lamb_dicke probe of an ensemble with a
+    lattice factor reads Tr rho e^{ikG} from it. Otherwise it is
+    sum_j P_j e^{i k g_j} with G = D V diag(g) V^T D^* and P_j = sum over
+    columns of |V^T D^* F|^2, the diagonal of rho in G's eigenbasis.
     """
     if spin_prep not in _SPIN_PREP:
         raise ValueError(f"spin_prep must be one of {sorted(_SPIN_PREP)}")
     if axis not in ("x", "p"):
         raise ValueError(f"axis must be 'x' or 'p', got {axis!r}")
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
-    phi_minus = 0.0 if axis == "x" else np.pi / 2.0
-    pulse = dynamics.bichromatic_pulse(ensemble.params, 0.0, phi_minus, model)
-    gauged = (pulse.gauge.conj()[:, None] * ensemble.factor).view(np.float64)
-    pops = np.sum((pulse.motion_vectors.T @ gauged) ** 2, axis=1)
+    if ensemble.lattice is not None and FidelityModel(model) is FidelityModel.LAMB_DICKE:
+        char = ensemble.lattice.characteristic(k_grid, axis)
+    else:
+        phi_minus = 0.0 if axis == "x" else np.pi / 2.0
+        pulse = dynamics.bichromatic_pulse(ensemble.params, 0.0, phi_minus, model)
+        gauged = (pulse.gauge.conj()[:, None] * ensemble.factor).view(np.float64)
+        pops = np.sum((pulse.motion_vectors.T @ gauged) ** 2, axis=1)
+        char = np.exp(1j * np.outer(k_grid, pulse.motion_values)) @ pops
     spin = _SPIN_PREP[spin_prep]
     coherence = 0.5 * np.conj(spin[0] + spin[1]) * (spin[0] - spin[1])   # c+^* c-
-    return 2.0 * np.real(coherence * (np.exp(1j * np.outer(k_grid, pulse.motion_values)) @ pops))
+    return 2.0 * np.real(coherence * char)
 
 
 def simulate_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,

@@ -21,10 +21,15 @@ the exact limit of randomizing the laser phase at every step: after each
 step its factor is split into the S_z sectors of the spin, so it needs no
 trials, seed or threads.
 
-Snapshots are Fock states or ensembles either way. A lamb_dicke result
-also keeps each snapshot's lattice columns, and its position densities
-are built from them with a table of the Gaussians <x|alpha_j>, not from
-the Fock snapshots with a Hermite table (snapshot_densities).
+Snapshots are Fock states or ensembles either way. Each snapshot of a
+lamb_dicke walk also carries its lattice factor (fock.LatticeFactor, the
+state untruncated), and every observable of it is read from there: the
+position densities (snapshot_densities, a table of the Gaussians
+<x|alpha_j> in place of a Hermite table), the second moments and widths
+here, and probe.scan_observable's lamb_dicke scans. They are those of the
+untruncated state, and differ from the truncated Fock snapshot's by no more
+than the tail check allows. Fock snapshots serve the rest (the fidelity,
+carrier Rabi scans, all_order probes) and all_order walks.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from . import dynamics
 from .dynamics import FidelityModel
 from .fock import (
     HilbertParams,
+    LatticeFactor,
     LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
@@ -92,13 +98,12 @@ class WalkConfig:
 class WalkResult:
     """Per-step snapshots (index 0 = initial state) plus the configuration.
 
-    lattice holds each snapshot's coherent-state lattice columns (see
-    _Lattice) for a lamb_dicke walk, and is None for an all_order walk.
+    Each snapshot of a lamb_dicke walk carries its lattice factor (the
+    snapshot's lattice attribute); an all_order walk's carry none.
     """
 
     config: WalkConfig
     snapshots: tuple
-    lattice: tuple | None = None
 
 
 def required_n_max(n_steps: int, step_size: float) -> int:
@@ -159,6 +164,10 @@ class _FockPath:
         check_tail(self.params, columns, where)
         return columns
 
+    def lattice(self, columns: np.ndarray) -> None:
+        """Fock columns have no lattice factor."""
+        return None
+
 
 class _Lattice:
     """Walk on the coherent-state lattice of the lamb_dicke model.
@@ -173,8 +182,8 @@ class _Lattice:
     def __init__(self, config: WalkConfig):
         self.config = config
         self.params = config.params
-        sites = _sites(config)
-        self.reach = sites.size // 2
+        self.reach = config.n_steps * config.params.n_ions
+        sites = np.arange(-self.reach, self.reach + 1)
         self.table = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
                                          config.params.n_max)
 
@@ -220,29 +229,41 @@ class _Lattice:
         check_tail(self.params, fock, where, lost=1.0 - norm)
         return fock / np.sqrt(norm)
 
+    def lattice(self, columns: np.ndarray) -> LatticeFactor:
+        """The motional lattice factor of the columns: spin branches side by side."""
+        return LatticeFactor(_branches(columns, self.params.spin_dim),
+                             self.config.pulse_displacement)
 
-def _sites(config: WalkConfig) -> np.ndarray:
-    """Lattice site indices j = -reach..reach, reach = n_steps * n_ions."""
-    reach = config.n_steps * config.params.n_ions
-    return np.arange(-reach, reach + 1)
+
+def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
+    """(spin_dim * rows, K) spin-resolved columns as (rows, K * spin_dim).
+
+    Column k's spin branch s becomes column k * spin_dim + s, so rho_motion =
+    Tr_spin(F F^dagger) is the product of the result with its adjoint.
+    """
+    rows = columns.shape[0] // spin_dim
+    return columns.reshape(spin_dim, rows, -1).transpose(1, 2, 0).reshape(rows, -1)
 
 
-def _lattice_densities(config: WalkConfig, lattice, grid: np.ndarray) -> np.ndarray:
-    """Position densities of lattice column sets (row i: lattice[i]), one Gaussian table.
+def _lattice_densities(lattices, grid: np.ndarray) -> np.ndarray:
+    """Position densities of one walk's lattice factors (row i: lattices[i]), one table.
 
     Site j holds |alpha_j> with the real wavefunction g_j(x) = <x|alpha_j> =
-    (2 pi)^(-1/4) exp(-(x - j d)^2 / 4), d the pulse displacement, so the
-    density of columns c is sum over columns and spin branches s of
-    |sum_j c_sj g_j(x)|^2: position_densities with the (sites, grid) table
-    g and each column set rearranged to (sites, spin_dim * K). It is the
-    density of the untruncated state.
+    (2 pi)^(-1/4) exp(-(x - j d)^2 / 4), so the density of a factor C is
+    sum over columns of |sum_j C_j g_j(x)|^2: position_densities with the
+    (sites, grid) table g and the (re, im) view F of C. It depends only on
+    F F^T, so a factor with more columns than sites is replaced by R^T from
+    the QR of F^T, which has the same F F^T and at most L columns. It is
+    the density of the untruncated state.
     """
     grid = np.asarray(grid, dtype=float)
-    table = (2.0 * np.pi) ** -0.25 * np.exp(
-        -0.25 * (grid - config.pulse_displacement * _sites(config)[:, None]) ** 2)
-    sites, s = table.shape[0], config.params.spin_dim
-    factors = [np.ascontiguousarray(c.reshape(s, sites, -1).transpose(1, 0, 2))
-               .reshape(sites, -1).view(np.float64) for c in lattice]
+    sites, spacing = lattices[0].factor.shape[0], lattices[0].spacing
+    centres = spacing * np.arange(-(sites // 2), sites // 2 + 1)
+    table = (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * (grid - centres[:, None]) ** 2)
+    factors = []
+    for lattice in lattices:
+        real = lattice.factor.view(np.float64)
+        factors.append(np.linalg.qr(real.T, mode="r").T if real.shape[1] > sites else real)
     return position_densities(table, factors, grid)
 
 
@@ -313,13 +334,11 @@ def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
     initial = prepare_initial(p)
     path = _path(config)
     columns = path.start(initial)
-    snapshots, lattice = [initial], [columns]
+    snapshots = [SpinMotionState(p, initial.amplitudes, path.lattice(columns))]
     for back in (False, True) if reverse else (False,):
         for columns, fock in _steps(path, columns, config.n_steps, back):
-            snapshots.append(SpinMotionState(p, fock[:, 0]))
-            lattice.append(columns)
-    return WalkResult(config, tuple(snapshots),
-                      tuple(lattice) if isinstance(path, _Lattice) else None)
+            snapshots.append(SpinMotionState(p, fock[:, 0], path.lattice(columns)))
+    return WalkResult(config, tuple(snapshots))
 
 
 def quantum_walk(config: WalkConfig) -> WalkResult:
@@ -353,24 +372,27 @@ def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
     Models optical pumping of all spin populations into a single level with
     negligible motional disturbance: the motional state becomes the mixture
     of the spin-branch wavefunctions weighted by the branch populations.
+    The state's lattice factor, if any, becomes the ensemble's.
     """
-    return _recombine(state.params, state.amplitudes[:, None])
+    return _recombine(state.params, state.amplitudes[:, None], state.lattice)
 
 
 def _recombine(params: HilbertParams, columns: np.ndarray,
+               lattice: LatticeFactor | None = None,
                cutoff: float = _BRANCH_CUTOFF) -> MotionalEnsemble:
     """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) factor F = columns.
 
-    Column k's spin branch s becomes factor column k * spin_dim + s; branches
-    of weight <= cutoff are dropped and the factor is trace-normalized once.
+    Column k's spin branch s becomes factor column k * spin_dim + s (_branches);
+    branches of weight <= cutoff are dropped and the factor is trace-normalized
+    once. lattice, the same ensemble's lattice factor, is kept whole: it is
+    the untruncated state, and the branches dropped weigh at most cutoff each.
     """
-    factor = columns.reshape(params.spin_dim, params.motion_dim, -1).transpose(1, 2, 0)
-    factor = factor.reshape(params.motion_dim, -1)
+    factor = _branches(columns, params.spin_dim)
     weights = np.sum(np.abs(factor) ** 2, axis=0)
     keep = weights > cutoff
     if not keep.all():
         factor, weights = factor[:, keep], weights[keep]
-    return MotionalEnsemble(params, factor / np.sqrt(np.sum(weights)))
+    return MotionalEnsemble(params, factor / np.sqrt(np.sum(weights)), lattice)
 
 
 def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
@@ -393,12 +415,10 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots, lattice = [_recombine(p, path.to_fock(columns), cutoff=0.0)], [columns]
+    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns), cutoff=0.0)]
     for columns, fock in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(_recombine(p, fock, cutoff=0.0))
-        lattice.append(columns)
-    return WalkResult(config, tuple(snapshots),
-                      tuple(lattice) if isinstance(path, _Lattice) else None)
+        snapshots.append(_recombine(p, fock, path.lattice(columns), cutoff=0.0))
+    return WalkResult(config, tuple(snapshots))
 
 
 # ---------------------------------------------------------------- summaries
@@ -409,12 +429,20 @@ def _motional_rows(obj) -> np.ndarray:
 
 
 def second_moment_x(obj) -> float:
-    """<x_hat^2> = ||X R||_F^2 of a SpinMotionState or MotionalEnsemble."""
+    """<x_hat^2> of a SpinMotionState or MotionalEnsemble.
+
+    From its lattice factor if it has one (the untruncated state's, in closed
+    form), else ||X R||_F^2 on its Fock rows.
+    """
+    if obj.lattice is not None:
+        return obj.lattice.second_moment("x")
     return float(np.sum(np.abs(apply_position(_motional_rows(obj))) ** 2))
 
 
 def second_moment_q(obj) -> float:
-    """<q_hat^2> with q_hat = 2*pi_hat (ground state gives 1)."""
+    """<q_hat^2> with q_hat = 2*pi_hat (ground state gives 1), read as second_moment_x."""
+    if obj.lattice is not None:
+        return obj.lattice.second_moment("p")
     return float(np.sum(np.abs(apply_momentum(_motional_rows(obj))) ** 2))
 
 
@@ -454,15 +482,16 @@ def snapshot_ensemble(result: WalkResult, step: int) -> MotionalEnsemble:
 def snapshot_densities(result: WalkResult, steps, grid: np.ndarray) -> np.ndarray:
     """Position densities of several snapshots (row i for steps[i]) from one table.
 
-    A lamb_dicke walk's densities come from its lattice columns and one
-    Gaussian table (_lattice_densities): they are those of the untruncated
+    A lamb_dicke walk's densities come from its snapshots' lattice factors and
+    one Gaussian table (_lattice_densities): they are those of the untruncated
     state, and differ from the truncated Fock snapshots' by no more than the
     tail check allows. An all_order walk's come from its Fock snapshots and
     one Hermite table (exact_position_densities).
     """
-    if result.lattice is None:
+    lattices = [result.snapshots[s].lattice for s in steps]
+    if any(lattice is None for lattice in lattices):
         return exact_position_densities([snapshot_ensemble(result, s) for s in steps], grid)
-    return _lattice_densities(result.config, [result.lattice[s] for s in steps], grid)
+    return _lattice_densities(lattices, grid)
 
 
 def snapshot_density(result: WalkResult, step: int, grid: np.ndarray) -> np.ndarray:

@@ -3,7 +3,18 @@ import pytest
 
 from ionwalk.dynamics import FidelityModel
 from ionwalk.fock import HilbertParams
-from ionwalk import walk
+from ionwalk import dynamics, walk
+
+
+@pytest.fixture
+def motional_cache():
+    """dynamics' motional eigenpair cache, empty at the start and cleared again at the end.
+
+    Its cache_info().misses counts the motional eigensolves a test makes.
+    """
+    dynamics._motional_eigenpairs.cache_clear()
+    yield dynamics._motional_eigenpairs
+    dynamics._motional_eigenpairs.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,9 @@ They are deliberately simple and dense: spin and ladder operators as
 matrices, the spin (x) motion Hamiltonians as full matrices (with their
 Laguerre factors from scipy.special, not from the package's recurrence),
 the closed-form scan under the probe coupling that the x_diagonal
-reconstruction kernel models, a Fisher-information Hessian assembled entry
-by entry, and an active-set solve of the reconstruction problem without the
-Fisher bound.
+reconstruction kernel models, the ideal coined walk on an integer lattice,
+a Fisher-information Hessian assembled entry by entry, and an active-set
+solve of the reconstruction problem without the Fisher bound.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import eval_genlaguerre, eval_laguerre
 
-from ionwalk.dynamics import FidelityModel
+from ionwalk.dynamics import FidelityModel, spin_eigenbasis
 from ionwalk.fock import HilbertParams, MotionalEnsemble, coherent_amplitudes
 
 X_DIAGONAL = "x_diagonal"   # the x_diagonal kernel's probe coupling; no package model
@@ -107,6 +107,32 @@ def x_diagonal_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
     g = values - (eta ** 2 / 8.0) * (values ** 3 + values)
     char = np.exp(1j * np.outer(k_grid, g)) @ pops
     return {"plus_z": char.real, "plus_y": char.imag}[spin_prep]
+
+
+def coined_walk(n_steps: int, n_ions: int = 1, coin_phase: float = 0.0):
+    """Ideal coined walk: yields its (2^n_ions, 2 R + 1) coefficients c[s, j] after each step.
+
+    Sites j = -R..R, R = n_steps * n_ions. The spin starts as the carrier
+    pi/2 pulse (phase 0) on |-,...>_z at site 0. A step is the shift by the
+    eigenvalue of S = sum over ions of sigma_x (a roll of each eigenvector's
+    projection by its eigenvalue), then the coin exp(-i pi/4 S_c) with S_c
+    the collective sigma at coin_phase + pi/2, as a dense 2^n_ions matrix.
+    On the coherent-state lattice of a lamb_dicke walk these coefficients
+    are those of |s> (x) |alpha_j> (Konno, J. Math. Soc. Japan 57, 1179 (2005)).
+    """
+    def pulse(phase):
+        values, vectors = spin_eigenbasis(phase, n_ions)
+        return (vectors * np.exp(-0.25j * np.pi * values)) @ vectors.conj().T
+
+    shifts, vectors = spin_eigenbasis(0.0, n_ions)
+    projectors = [np.outer(v, v.conj()) for v in vectors.T]
+    coin = pulse(coin_phase + 0.5 * np.pi)
+    c = np.zeros((2 ** n_ions, 2 * n_steps * n_ions + 1), dtype=complex)
+    c[:, n_steps * n_ions] = pulse(0.0)[:, -1]
+    for _ in range(n_steps):
+        c = coin @ sum(np.roll(proj @ c, int(shift), axis=1)
+                       for shift, proj in zip(shifts, projectors))
+        yield c
 
 
 def carrier_hamiltonian(params: HilbertParams, phase: float,

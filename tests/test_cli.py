@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ionwalk import cli, reconstruct
+from ionwalk import cli, probe, reconstruct, walk
+from ionwalk.fock import HilbertParams, MotionalEnsemble
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -173,6 +174,29 @@ def test_run_scan_experiment(tmp_path):
     assert data.shape == (21, 3)
     assert np.all(np.abs(data[:, 1]) <= 1.0)
     assert np.all(data[:, 2] == 200)
+
+
+@pytest.mark.parametrize("axis, n_ions, spin_prep",
+                         [("x", 1, "plus_z"), ("p", 1, "plus_y"),
+                          ("x", 2, "plus_y"), ("p", 2, "plus_z")])
+def test_noiseless_lamb_dicke_scan_matches_fock_path(tmp_path, axis, n_ions, spin_prep):
+    # the scan experiment reads the lattice factor of snapshot_ensemble's
+    # ensemble; the eigenbasis scan of a Fock-only copy is the reference
+    # (40 levels above required_n_max: truncation error below 1e-14)
+    n_max = walk.required_n_max(3, 2.0 * n_ions) + 40
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="scan", hilbert={"n_max": n_max, "n_ions": n_ions},
+              scan={"axis": axis, "spin_prep": spin_prep, "noiseless": True})
+    prefix = tmp_path / "s"
+    assert cli.main(["run", str(cfg), "--out", str(prefix)]) == 0
+    _, data = read_csv(prefix.parent / f"{prefix.name}_scan.csv")
+    wcfg = walk.WalkConfig(n_steps=3, params=HilbertParams(n_max=n_max, n_ions=n_ions))
+    ensemble = walk.snapshot_ensemble(walk.quantum_walk(wcfg), 3)
+    assert ensemble.lattice is not None
+    want = probe.scan_observable(MotionalEnsemble(ensemble.params, ensemble.factor),
+                                 spin_prep, data[:, 0], axis)
+    assert np.max(np.abs(data[:, 1] - want)) < 1e-12
+    assert np.all(data[:, 2] == 0)
 
 
 def test_run_classical_experiment(tmp_path):

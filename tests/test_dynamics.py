@@ -291,24 +291,20 @@ def test_walk_and_probe_pulses_share_one_motional_basis():
             x_probe.motion_values[0] = 1.0
 
 
-def test_motional_basis_entries_per_nmax_eta_model():
+def test_motional_basis_entries_per_nmax_eta_model(motional_cache):
     # one cache entry per (n_max, coupling eta): every lamb_dicke pulse
     # shares the eta = 0 entry, whatever params.eta says
     def vectors(n_max, eta, model):
         return bichromatic_pulse(HilbertParams(n_max=n_max, eta=eta), 0.0, 0.0,
                                  model).motion_vectors
 
-    dynamics._motional_eigenpairs.cache_clear()
-    try:
-        base = vectors(30, ETA, FidelityModel.ALL_ORDER)
-        assert vectors(31, ETA, FidelityModel.ALL_ORDER) is not base
-        assert vectors(30, 0.1, FidelityModel.ALL_ORDER) is not base
-        assert vectors(30, ETA, FidelityModel.LAMB_DICKE) is not base
-        assert vectors(30, 0.1, "lamb_dicke") is vectors(30, ETA, FidelityModel.LAMB_DICKE)
-        assert vectors(30, ETA, "all_order") is base
-        assert dynamics._motional_eigenpairs.cache_info().misses == 4
-    finally:
-        dynamics._motional_eigenpairs.cache_clear()
+    base = vectors(30, ETA, FidelityModel.ALL_ORDER)
+    assert vectors(31, ETA, FidelityModel.ALL_ORDER) is not base
+    assert vectors(30, 0.1, FidelityModel.ALL_ORDER) is not base
+    assert vectors(30, ETA, FidelityModel.LAMB_DICKE) is not base
+    assert vectors(30, 0.1, "lamb_dicke") is vectors(30, ETA, FidelityModel.LAMB_DICKE)
+    assert vectors(30, ETA, "all_order") is base
+    assert motional_cache.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("make", [bichromatic_pulse, carrier_pulse],
@@ -326,7 +322,7 @@ def test_model_names_select_the_coupling_eta(make):
         make(p, *args, "bogus")
 
 
-def test_one_eigensolve_per_walk_and_scans(monkeypatch):
+def test_one_eigensolve_per_walk_and_scans(monkeypatch, motional_cache):
     calls = []
 
     def counting(*args, **kwargs):
@@ -334,18 +330,14 @@ def test_one_eigensolve_per_walk_and_scans(monkeypatch):
         return eigh_tridiagonal(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "eigh_tridiagonal", counting)
-    dynamics._motional_eigenpairs.cache_clear()
-    try:
-        cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60, eta=ETA),
-                              model=FidelityModel.ALL_ORDER)
-        result = walk.quantum_walk(cfg)
-        k = np.linspace(0.0, 3.0, 7)
-        for n in (1, 2):
-            ensemble = walk.snapshot_ensemble(result, n)
-            for axis in ("x", "p"):
-                probe.scan_observable(ensemble, "plus_z", k, axis, cfg.model)
-    finally:
-        dynamics._motional_eigenpairs.cache_clear()
+    cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60, eta=ETA),
+                          model=FidelityModel.ALL_ORDER)
+    result = walk.quantum_walk(cfg)
+    k = np.linspace(0.0, 3.0, 7)
+    for n in (1, 2):
+        ensemble = walk.snapshot_ensemble(result, n)
+        for axis in ("x", "p"):
+            probe.scan_observable(ensemble, "plus_z", k, axis, cfg.model)
     assert calls == [61]
 
 

@@ -4,18 +4,20 @@ import pytest
 from ionwalk.fock import (
     GridCoverageError,
     HilbertParams,
+    LatticeFactor,
     LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
     apply_momentum,
     apply_position,
     check_tail,
+    coherent_amplitudes,
     exact_position_densities,
     exact_position_density,
     fock_state,
     hermite_functions,
 )
-from ionwalk import fock, walk
+from ionwalk import fock, probe, walk
 from oracles import coherent_state, ladder_operators, quadrature_operators
 
 
@@ -335,3 +337,48 @@ def test_densities_match_closed_form_gaussians():
         assert np.max(np.abs(row - _gaussian(grid, 2 * alpha.real))) < 1e-12
     oracle = 0.3 * _gaussian(grid, 2 * alphas[0].real) + 0.7 * _gaussian(grid, 2 * alphas[1].real)
     assert np.max(np.abs(rows[2] - oracle)) < 1e-12
+
+
+def test_lattice_factor_is_validated_on_construction():
+    good = np.zeros((5, 2), dtype=complex)
+    good[2] = 1.0 / np.sqrt(2.0)
+    lattice = LatticeFactor(good, 2.0)
+    assert abs(np.sum(lattice.position_sums) - 1.0) < 1e-15
+    assert lattice.position_sums.shape == lattice.offset_sums.shape == (9,)
+    for bad in (good[:4], good[:, :0], good[:, 0], 2.0 * good):
+        with pytest.raises(ValueError):
+            LatticeFactor(bad, 2.0)
+    with pytest.raises(FloatingPointError):
+        LatticeFactor(np.full((5, 2), np.nan), 2.0)
+    # a pure state's lattice factor has one column per spin branch
+    p = HilbertParams(n_max=16)
+    state = walk.prepare_initial(p)
+    with pytest.raises(ValueError):
+        SpinMotionState(p, state.amplitudes, LatticeFactor(good[:, :1] * np.sqrt(2.0), 2.0))
+
+
+@pytest.mark.parametrize("spacing", [2.0, 1.7])
+def test_lattice_factor_matches_its_fock_state(spacing):
+    # a random complex factor, unlike a walk's, has an asymmetric momentum
+    # marginal (a nonzero p sine scan) and weight on odd site gaps; its Fock
+    # state <n|alpha_j> C at n_max 80 holds it to below 1e-16
+    rng = np.random.default_rng(5)
+    sites = np.arange(-3, 4)
+    c = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    x = spacing * sites
+    overlap = np.exp(-0.125 * np.subtract.outer(x, x) ** 2)
+    c /= np.sqrt(np.trace(c.conj().T @ overlap @ c).real)
+    lattice = LatticeFactor(c, spacing)
+    p = HilbertParams(n_max=80)
+    fock_only = MotionalEnsemble(p, coherent_amplitudes(0.5 * x, p.n_max) @ c)
+    both = MotionalEnsemble(p, fock_only.factor, lattice)
+    k = np.linspace(0.0, 3.0, 31)
+    for axis in ("x", "p"):
+        for prep in ("plus_z", "plus_y"):
+            want = probe.scan_observable(fock_only, prep, k, axis)
+            assert np.max(np.abs(probe.scan_observable(both, prep, k, axis) - want)) < 1e-12
+        assert np.max(np.abs(probe.scan_observable(fock_only, "plus_y", k, axis))) > 0.05
+    xq, pq = quadrature_operators(p)
+    rho = fock_only.factor @ fock_only.factor.conj().T
+    assert abs(lattice.second_moment("x") / np.trace(rho @ xq @ xq).real - 1.0) < 1e-12
+    assert abs(lattice.second_moment("p") / np.trace(rho @ (4.0 * pq @ pq)).real - 1.0) < 1e-12

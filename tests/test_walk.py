@@ -23,6 +23,7 @@ from oracles import (
     bichromatic_hamiltonian,
     carrier_hamiltonian,
     coherent_state,
+    coined_walk,
     quadrature_operators,
 )
 
@@ -106,31 +107,13 @@ def test_momentum_width_constant_every_step(walk15_ld):
         assert abs(walk.width_p(snap) - 1.0) < 1e-6
 
 
-def _lattice_walk_widths(n_steps: int, d: float = 2.0) -> np.ndarray:
-    """Ideal point-particle walk oracle: spin components in the displacement
-    eigenbasis on an integer lattice, coin exp(i pi/4 sigma_y) in that basis;
-    widths are sqrt(d^2 <m^2> + 1) including the packet variance."""
-    mid = n_steps + 1
-    amp = np.zeros((2, 2 * n_steps + 3), dtype=complex)
-    amp[0, mid] = np.exp(1j * np.pi / 4) / np.sqrt(2)
-    amp[1, mid] = np.exp(-1j * np.pi / 4) / np.sqrt(2)
-    coin = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)
-    m = np.arange(2 * n_steps + 3) - mid
-    widths = [1.0]
-    for _ in range(n_steps):
-        shifted = np.zeros_like(amp)
-        shifted[0, 1:] = amp[0, :-1]
-        shifted[1, :-1] = amp[1, 1:]
-        amp = coin @ shifted
-        widths.append(np.sqrt(d ** 2 * float(np.sum(np.abs(amp) ** 2 * m ** 2)) + 1.0))
-    return np.array(widths)
-
-
 def test_widths_match_lattice_oracle(walk15_ld):
     # exact agreement while branches stay spin-orthogonal; beyond that the
     # e^{-2} packet overlap of the d = 2 walk shaves a few percent off the
     # ideal point-particle spread
-    oracle = _lattice_walk_widths(15)
+    sites = np.arange(-15, 16)
+    oracle = np.sqrt([1.0] + [4.0 * np.sum(np.abs(c) ** 2 * sites ** 2) + 1.0
+                              for c in coined_walk(15)])
     sim = np.array([walk.width_x(s) for s in walk15_ld.snapshots])
     assert np.max(np.abs(sim[:3] - oracle[:3])) < 1e-9
     assert np.all(sim[3:] <= oracle[3:])
@@ -427,22 +410,105 @@ def test_lamb_dicke_densities_use_no_hermite_table(monkeypatch, n_ions):
         assert np.allclose(np.sum(dens, axis=1) * (grid[1] - grid[0]), 1.0, atol=1e-9)
     # all_order walks keep the Hermite path
     result = walk.quantum_walk(dataclasses.replace(cfg, model=FidelityModel.ALL_ORDER))
-    assert result.lattice is None
+    assert all(snap.lattice is None for snap in result.snapshots)
     with pytest.raises(AssertionError, match="hermite_functions called"):
         walk.snapshot_density(result, 3, grid)
 
 
 @pytest.mark.parametrize("n_ions", [1, 2])
-def test_lamb_dicke_walks_run_no_motional_eigensolve(n_ions):
+def test_lamb_dicke_walks_run_no_motional_eigensolve(n_ions, motional_cache):
+    # the walks run on the lattice, and every snapshot kind they produce
+    # answers widths, nbar and lamb_dicke scans from its lattice factor
     cfg = walk.WalkConfig(n_steps=3, params=HilbertParams(n_max=80, n_ions=n_ions))
-    dynamics._motional_eigenpairs.cache_clear()
-    try:
-        walk.quantum_walk(cfg)
-        walk.reversed_walk(cfg)
-        walk.classical_walk(cfg)
-        assert dynamics._motional_eigenpairs.cache_info().misses == 0
-    finally:
-        dynamics._motional_eigenpairs.cache_clear()
+    k = np.linspace(0.0, 3.0, 7)
+    quantum = walk.quantum_walk(cfg)
+    snapshots = [*quantum.snapshots, *walk.reversed_walk(cfg).snapshots,
+                 *walk.classical_walk(cfg).snapshots,
+                 *(walk.snapshot_ensemble(quantum, n) for n in range(cfg.n_steps + 1))]
+    for snap in snapshots:
+        assert snap.lattice is not None
+        assert np.isfinite([walk.width_x(snap), walk.width_p(snap), walk.mean_phonon(snap)]).all()
+        if isinstance(snap, MotionalEnsemble):
+            for axis in ("x", "p"):
+                for prep in ("plus_z", "plus_y"):
+                    probe.scan_observable(snap, prep, k, axis)
+    assert motional_cache.cache_info().misses == 0
+
+
+def test_fock_only_and_all_order_observables_make_one_eigensolve(motional_cache):
+    # the eigenbasis path stays for ensembles without a lattice factor and
+    # for all_order walks: one eigensolve serves all of their scans
+    cfg = walk.WalkConfig(n_steps=3, params=HilbertParams(n_max=80))
+    k = np.linspace(0.0, 3.0, 7)
+    ensemble = walk.classical_walk(cfg).snapshots[-1]
+    fock_only = MotionalEnsemble(ensemble.params, ensemble.factor)
+    for axis in ("x", "p"):
+        for prep in ("plus_z", "plus_y"):
+            probe.scan_observable(fock_only, prep, k, axis)
+    assert motional_cache.cache_info().misses == 1
+
+    motional_cache.cache_clear()
+    all_order = dataclasses.replace(cfg, model=FidelityModel.ALL_ORDER)
+    result = walk.quantum_walk(all_order)
+    for n in range(cfg.n_steps + 1):
+        ensemble = walk.snapshot_ensemble(result, n)
+        assert ensemble.lattice is None
+        walk.mean_phonon(ensemble)
+        for axis in ("x", "p"):
+            probe.scan_observable(ensemble, "plus_z", k, axis, all_order.model)
+    assert motional_cache.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("n_ions, n_steps, coin_phase", [(1, 23, 0.0), (1, 15, 0.3), (2, 5, 0.3)])
+def test_lattice_observables_match_fock_path(n_ions, n_steps, coin_phase):
+    # two independent routes to one number: the closed-form lattice sums and
+    # the eigenbasis scans and ladder-operator moments on the Fock snapshot,
+    # 40 levels above required_n_max so the truncation error is below 1e-14
+    step = 2.0 * n_ions
+    p = HilbertParams(n_max=walk.required_n_max(n_steps, step) + 40, n_ions=n_ions)
+    cfg = walk.WalkConfig(n_steps=n_steps, params=p, coin_phase=coin_phase)
+    k = np.linspace(0.0, 3.0, 61)
+    reversed_ = walk.reversed_walk(cfg)
+    cases = [(walk.quantum_walk(cfg), (1, n_steps)), (reversed_, (n_steps + 2, 2 * n_steps)),
+             (walk.classical_walk(cfg), (1, n_steps))]
+    for result, steps in cases:
+        for n in steps:
+            snap = result.snapshots[n]
+            ensemble = walk.snapshot_ensemble(result, n)
+            fock_only = MotionalEnsemble(p, ensemble.factor)
+            for moment in (walk.second_moment_x, walk.second_moment_q):
+                want = moment(fock_only)
+                assert abs(moment(snap) / want - 1.0) < 1e-12
+                assert abs(moment(ensemble) / want - 1.0) < 1e-12
+            for axis in ("x", "p"):
+                for prep in ("plus_z", "plus_y"):
+                    got = probe.scan_observable(ensemble, prep, k, axis)
+                    want = probe.scan_observable(fock_only, prep, k, axis)
+                    assert np.max(np.abs(got - want)) < 1e-12
+    # an all_order probe of a lattice-backed ensemble stays on the eigenbasis path
+    model = FidelityModel.ALL_ORDER
+    assert np.array_equal(probe.scan_observable(ensemble, "plus_z", k, "x", model),
+                          probe.scan_observable(fock_only, "plus_z", k, "x", model))
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
+@pytest.mark.parametrize("coin_phase", [0.0, 0.3])
+def test_lattice_coefficients_are_the_ideal_coined_walk(n_ions, coin_phase):
+    p = HilbertParams(n_max=walk.required_n_max(30, 2.0 * n_ions), n_ions=n_ions)
+    cfg = walk.WalkConfig(n_steps=30, params=p, coin_phase=coin_phase)
+    result = walk.quantum_walk(cfg)
+    for snap, want in zip(result.snapshots[1:], coined_walk(30, n_ions, coin_phase),
+                          strict=True):
+        assert np.max(np.abs(snap.lattice.factor - want.T)) < 1e-13
+
+
+def test_coined_walk_oracle_reaches_the_weak_limit():
+    # <j^2>/N^2 of the Hadamard-type walk tends to 1 - 1/sqrt(2) (Konno 2005)
+    for c in coined_walk(1000):
+        pass
+    sites = np.arange(-1000, 1001)
+    second = np.sum(np.abs(c) ** 2 * sites ** 2) / 1000 ** 2
+    assert abs(second - (1.0 - 1.0 / np.sqrt(2.0))) < 1e-3
 
 
 def _dense_step(cfg, shift=0.0, reverse=False):
