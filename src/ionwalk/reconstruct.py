@@ -15,22 +15,24 @@ one variable of weight 2 (an odd-count grid's centre point keeps weight 1),
 so the solve runs on ceil(n/2) variables.
 
 The solver is a log-barrier Newton method (Boyd & Vandenberghe, Convex
-Optimization, ch. 11). From the uniform density (F = 0, strictly feasible)
-it minimizes t (lsq + eps F) - sum log p_i - log(4 kinetic_bound - F) on
-h sum p = 1, for t growing 20-fold until m / t <= 1e-12 (m = n + 1
-inequalities). Each Newton step solves one dense symmetric KKT system of
-size k + 2 (k variables: ceil(n/2) for an even solve, n otherwise) in the
-scaled variables du / u, where the weighted log barrier is diag(weights);
-the Fisher gradient and pentadiagonal Hessian are in closed form and their
-bands are folded straight into that matrix. The Fisher term of the Hessian
-uses a primal-dual estimate of the multiplier, and the Fisher slack may at
-most halve per step: a pure barrier Hessian let the slack collapse far below
-its central value and then crawled for hundreds of steps. The tie-break
-eps = 1e-8 (only with a bound) selects the least-Fisher, smoothest minimizer
-where noiseless data leave the least-squares minimizer non-unique; it moves
-the objective by at most eps * 4 kinetic_bound. The result carries the
-certificate gap = m / t + eps * 4 kinetic_bound, a bound on lsq(p) - lsq* at
-the central point.
+Optimization, ch. 11) with the barrier of the bound's cone lift: each term
+h d_i^2 / p_i of F is quadratic-over-linear, so F <= B = 4 kinetic_bound
+lifts to rotated cones s_i p_i >= d_i^2 at the n - 2 interior points and
+h sum s_i <= B (Lobo, Vandenberghe, Boyd & Lebret, Linear Algebra Appl. 284,
+193 (1998)), whose barrier minimized over s is the self-concordant
+-sum_interior log p_i - (n - 1) log(B - F) (Nesterov & Nemirovski, 1994).
+From the uniform density (F = 0) it minimizes t (lsq + eps F) -
+sum c_i log p_i - (n - 1) log(B - F) on h sum p = 1, c_i = 2 inside (cone
+and p_i >= 0) and 1 at the ends, for t growing 20-fold until m / t <= 1e-12
+(m = 3n - 3, the barrier parameter; c = 1 and m = n without a bound). The
+weight n - 1 makes the Newton model of -log(B - F) good near the bound,
+where weight 1 let the slack collapse and centering crawl. A Newton step is
+one dense symmetric KKT solve of size k + 2 (k = ceil(n/2) for an even
+solve, n otherwise), with F's gradient and banded Hessian in closed form.
+The tie-break eps = 1e-8 (only with a bound) selects the least-Fisher
+minimizer where noiseless data leave lsq's minimizer non-unique, moving the
+objective by at most eps B. The result carries gap = m / t + eps B, a bound
+on lsq(p) - lsq*, and the bound's multiplier, which plus eps is -d lsq* / dB.
 """
 
 from __future__ import annotations
@@ -229,27 +231,31 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
                     bound: float | None, even: bool):
     """Log-barrier Newton method for the problem in the module docstring.
 
-    Minimizes phi_t = t (||Ap - b||^2 + eps F) - sum log p_i - log(bound - F)
-    over h sum p = 1 for t = t0, 20 t0, ... until m / t <= GAP_TARGET. The
-    variables are u with p = E u (see _mirror_fold): k = ceil(n/2) of them
-    with weights w for an even solve, n of weight 1 otherwise. In u the
-    barrier is -sum w_j log u_j, the mass row h w.u, the least-squares term
-    ||A E u - b||^2, and F's gradient and Hessian fold to E^T g and E^T H E.
-    Each Newton step solves one dense symmetric KKT system of size k + 2
-    (k + 1 without a bound) in the scaled variables du / u, where the barrier
-    Hessian is diag(w). Returns (p, newton_steps, gap, multiplier of the
-    Fisher bound).
+    Minimizes t (||Ap - b||^2 + eps F) - sum c_i log p_i - nu log(bound - F),
+    nu = n - 1, on h sum p = 1 in the variables u, p = E u (_mirror_fold), of
+    weights w: the barrier is -sum (E^T c)_j log u_j and F's derivatives fold
+    to E^T g and E^T H E. The rank-one part (nu / slack^2) g g^T of the
+    Hessian of -nu log(bound - F) is bordered by z = (nu / slack^2) g.dp,
+    the linearized change of nu / slack, so the multiplier is
+    (nu / slack + z) / t at the last Newton solve. slack = bound - F is
+    tracked by accurate increments (_fisher_change), not recomputed: near the
+    optimum it falls far below the rounding error of F itself.
+    Returns (p, newton_steps, gap, multiplier of the Fisher bound).
     """
     n = a.shape[1]
     j, w = _mirror_fold(n, even)
     k = w.size
+    bounded = bound is not None
+    c = np.r_[1.0, np.full(n - 2, 1.0 + bounded), 1.0]
+    cw = np.bincount(j, c)                   # E^T c, the barrier weights in u
+    nu = n - 1.0
     af = np.zeros((a.shape[0], k))
     np.add.at(af, (slice(None), j), a)       # A E: mirrored columns summed
     q = 2.0 * (af.T @ af)
     qb = 2.0 * (af.T @ b)
-    eps = FISHER_TIEBREAK if bound is not None else 0.0
-    m = n + (bound is not None)
-    size = k + 1 + (bound is not None)
+    eps = FISHER_TIEBREAK if bounded else 0.0
+    m = 3 * n - 3 if bounded else n
+    size = k + 1 + bounded
     # every entry is rewritten on each step: the solve overwrites the matrix
     kkt = np.zeros((size, size))
     # the optimal workspace selects LAPACK's blocked factorization; the
@@ -261,33 +267,26 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
     p = u[j]
     r = af @ u - b
     t = m / max(float(r @ r), 1.0)
-    # slack = bound - F is tracked through accurate increments: near the
-    # optimum it falls far below the rounding error of F itself.
-    # mu estimates 1 / slack at the centre (t times the Fisher multiplier).
     slack = bound
-    mu = 1.0 / bound if bound is not None else 0.0
     steps = 0
     while True:
         tq = t * q
         for _ in range(MAX_CENTERING_STEPS):
-            # scaled variables y = du / u: the log barrier becomes diag(w)
-            dg = u * (tq @ u - t * qb) - w
+            # scaled variables y = du / u: the log barrier becomes diag(cw)
+            dg = u * (tq @ u - t * qb) - cw
             np.multiply(tq, u[:, None], out=kkt[:k, :k])   # diag(u) t Q diag(u)
             kkt[:k, :k] *= u
-            kkt[diag] += w
+            kkt[diag] += cw
             kkt[:k, k] = kkt[k, :k] = spacing * w * u
             kkt[k:, k:] = 0.0
-            if bound is not None:
+            if bounded:
                 gf, bands = _fisher_bands(p, spacing)
                 gfu = u * np.bincount(j, gf, minlength=k)      # u * E^T gf
-                dg += (t * eps + 1.0 / slack) * gfu
-                # primal-dual Hessian of -log(bound - F): mu in place of
-                # 1 / slack, so a slack that dropped below its central value
-                # does not freeze the steps; the rank-one part
-                # (mu / slack) gf gf^T is bordered, keeping it out of the matrix
-                np.add.at(kkt.reshape(-1), slots, (t * eps + mu) * bands)
+                weight = t * eps + nu / slack
+                dg += weight * gfu
+                np.add.at(kkt.reshape(-1), slots, weight * bands)
                 kkt[:k, k + 1] = kkt[k + 1, :k] = gfu
-                kkt[k + 1, k + 1] = -slack / mu
+                kkt[k + 1, k + 1] = -slack * slack / nu
             rhs = np.zeros(size)
             rhs[:k] = -dg
             # kkt is symmetric, so its transpose is the same matrix in the
@@ -306,13 +305,13 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
             ad = af @ du
             rad, adad = 2.0 * float(r @ ad), float(ad @ ad)
             for _ in range(MAX_BACKTRACKS):
-                change = t * (s * rad + s * s * adad) - float(w @ np.log1p(s * y))
-                if bound is not None:
+                change = t * (s * rad + s * s * adad) - float(cw @ np.log1p(s * y))
+                if bounded:
                     f_step = _fisher_change(p, s * dp, spacing)
-                    if f_step >= 0.5 * slack:   # the slack at most halves per step
+                    if f_step >= slack:          # outside the Fisher bound
                         s *= 0.5
                         continue
-                    change += t * eps * f_step - np.log1p(-f_step / slack)
+                    change += t * eps * f_step - nu * np.log1p(-f_step / slack)
                 if change <= -ARMIJO * s * decrement:
                     break
                 s *= 0.5
@@ -326,21 +325,16 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
             p = u[j]
             r = af @ u - b
             steps += 1
-            if bound is not None:
-                # the dual takes the full Newton step of mu * slack = 1 (fewer
-                # steps than scaling it by s), kept positive
-                dmu = (1.0 - mu * slack + mu * float(gf @ dp)) / slack
-                mu = mu + dmu if dmu > -mu else 0.01 * mu
+            if bounded:
                 slack -= f_step
         else:
             raise RuntimeError(f"barrier centering at t = {t:.3g} did not converge")
         if m / t <= GAP_TARGET:
             break
         t *= BARRIER_GROWTH
-        mu *= BARRIER_GROWTH
-    if bound is None:
+    if not bounded:
         return p, steps, m / t, 0.0
-    return p, steps, m / t + eps * bound, 1.0 / (t * slack)
+    return p, steps, m / t + eps * bound, (nu / slack + sol[k + 1]) / t
 
 
 def reconstruct_density(model: ForwardModel, c_values, s_values=None,

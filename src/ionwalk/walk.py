@@ -164,7 +164,7 @@ class _FockPath:
         check_tail(self.params, columns, where)
         return columns
 
-    def lattice(self, columns: np.ndarray) -> None:
+    def lattice(self, columns: np.ndarray, mixed: bool = False) -> None:
         """Fock columns have no lattice factor."""
         return None
 
@@ -229,10 +229,14 @@ class _Lattice:
         check_tail(self.params, fock, where, lost=1.0 - norm)
         return fock / np.sqrt(norm)
 
-    def lattice(self, columns: np.ndarray) -> LatticeFactor:
-        """The motional lattice factor of the columns: spin branches side by side."""
-        return LatticeFactor(_branches(columns, self.params.spin_dim),
-                             self.config.pulse_displacement)
+    def lattice(self, columns: np.ndarray, mixed: bool = False) -> LatticeFactor:
+        """The motional lattice factor of the columns: spin branches side by side,
+        if mixed (a dephased factor) without the exactly-zero ones outside each
+        column's S_z sector, which _recombine drops from the Fock factor too."""
+        branches = _branches(columns, self.params.spin_dim)
+        if mixed:
+            branches = branches[:, np.any(branches != 0.0, axis=0)]
+        return LatticeFactor(branches, self.config.pulse_displacement)
 
 
 def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
@@ -415,9 +419,10 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns), cutoff=0.0)]
+    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns, mixed=True),
+                            cutoff=0.0)]
     for columns, fock in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(_recombine(p, fock, path.lattice(columns), cutoff=0.0))
+        snapshots.append(_recombine(p, fock, path.lattice(columns, mixed=True), cutoff=0.0))
     return WalkResult(config, tuple(snapshots))
 
 

@@ -217,7 +217,11 @@ def test_noise_robustness_ground(ground_setup, ground64):
 
 
 def _trust_constr_oracle(a, b, h, bound):
-    """Independent solve of the Fisher-constrained problem with scipy."""
+    """Independent solve of the Fisher-constrained problem with scipy.
+
+    Returns the density, its Fisher value and the Fisher bound's Lagrange
+    multiplier (res.v lists the multipliers constraint by constraint).
+    """
     from scipy.optimize import (Bounds, LinearConstraint, NonlinearConstraint,
                                 minimize)
 
@@ -247,7 +251,7 @@ def _trust_constr_oracle(a, b, h, bound):
                    bounds=Bounds(np.full(n, 1e-14), np.inf, keep_feasible=True),
                    options={"gtol": 1e-8, "xtol": 1e-10, "barrier_tol": 1e-8,
                             "maxiter": 3000})
-    return res.x, fisher(res.x)
+    return res.x, fisher(res.x), float(res.v[1][0])
 
 
 @pytest.mark.parametrize("n_points,extent", [(31, 3.0), (30, 3.0), (41, 4.0)])
@@ -262,12 +266,14 @@ def test_fisher_constrained_solver_agrees_with_trust_constr(ground64, n_points, 
     for seed in range(2):
         c_vals = probe.simulate_scan(ground64, "plus_z", ks, shots=250, seed=seed).estimates
         est = rec.reconstruct_density(model, c_vals, kinetic_bound=0.275)
-        p_oracle, f_oracle = _trust_constr_oracle(model.ccos, c_vals, h, 1.1)
+        p_oracle, f_oracle, lam_oracle = _trust_constr_oracle(model.ccos, c_vals, h, 1.1)
         obj_oracle = float(np.sum((model.ccos @ p_oracle - c_vals) ** 2))
         assert f_oracle <= 1.1 + 1e-6
         assert est.fisher > 1.1 - 1e-6            # the bound is active
         assert est.gap <= rec.GAP_TARGET + rec.FISHER_TIEBREAK * 1.1
-        assert est.multiplier > 0.0
+        # the tie-break's eps joins the bound's multiplier in the
+        # stationarity condition of the plain least-squares problem
+        assert abs(est.multiplier + rec.FISHER_TIEBREAK - lam_oracle) <= 2e-3 * lam_oracle
         # scipy stops within about 4e-7 of the optimum, above it
         assert abs(est.objective - obj_oracle) <= 1e-6
         assert est.objective <= obj_oracle + est.gap
@@ -290,7 +296,7 @@ def test_even_fold_matches_general_path(ground64, n_points, kinetic_bound):
     assert np.max(np.abs(even.density - even.density[::-1])) < 1e-10
     assert abs(even.objective - full.objective) <= 1e-9 * full.objective
     assert abs(even.gap - full.gap) <= 1e-9 * full.gap
-    assert abs(even.multiplier - full.multiplier) <= 1e-4 * full.multiplier
+    assert abs(even.multiplier - full.multiplier) <= 1e-9 * full.multiplier
 
 
 @pytest.mark.parametrize("n,even", [(11, True), (10, True), (11, False), (10, False)])
@@ -311,23 +317,23 @@ def test_banded_fisher_block_matches_dense_hessian(n, even):
     assert np.max(np.abs(grad - dense_grad)) <= 1e-12 * np.max(np.abs(dense_grad))
 
 
-def test_fisher_bound_reaches_exact_density_objective(tmp_path):
-    # 5-step fig2b chain, seed 23, step 3: the exact density meets the Fisher
-    # bound, so an optimal solve cannot end above its objective (a solver
-    # that stopped short reported 0.2476 against the exact density's 0.2389)
+@pytest.fixture(scope="module")
+def fig2b_step3(tmp_path_factory):
+    """5-step fig2b chain, seed 23, step 3: the CLI's diagnostics and density
+    grid, the cosine scan it reconstructed from, and the walk's snapshot."""
     cfg = {"schema_version": 1, "experiment": "reconstruct", "seed": 23,
            "hilbert": {"n_max": 400, "eta": 0.06},
            "walk": {"n_steps": 5, "model": "all_order"},
            "scan": {"n_points": 61, "k_max": 3.0, "shots": 250},
            "reconstruction": {"kind": "x_diagonal", "grid_spacing": 0.1,
                               "use_kinetic_bound": True, "steps": [3]}}
+    tmp_path = tmp_path_factory.mktemp("fig2b")
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     prefix = tmp_path / "fig2b"
     assert cli.main(["run", str(path), "--out", str(prefix)]) == 0
     diag = json.loads((tmp_path / "fig2b_diagnostics.json").read_text())["3"]
     x = np.loadtxt(tmp_path / "fig2b_step03_density.csv", delimiter=",", skiprows=1)[:, 0]
-    h = x[1] - x[0]
 
     wcfg = walk.WalkConfig(n_steps=5, params=HilbertParams(n_max=400),
                            model=FidelityModel.ALL_ORDER)
@@ -338,9 +344,32 @@ def test_fisher_bound_reaches_exact_density_objective(tmp_path):
                                  FidelityModel.ALL_ORDER, shots=250,
                                  seed=23 + 7919 * 4).estimates
     model = rec.build_forward_model(ks, rec.PositionGrid(x), rec.KIND_X_DIAGONAL, 0.06)
+    return diag, model, c_vals, result
+
+
+def test_fisher_bound_reaches_exact_density_objective(fig2b_step3):
+    # the exact density meets the Fisher bound, so an optimal solve cannot
+    # end above its objective (a solver that stopped short reported 0.2476
+    # against the exact density's 0.2389)
+    diag, model, c_vals, result = fig2b_step3
+    x = model.grid.points
+    h = model.grid.spacing
     exact = walk.snapshot_density(result, 3, x)
     exact /= exact.sum() * h
     assert rec.fisher_functional(exact, h) <= 4 * diag["kinetic_bound"]
     exact_obj = float(np.sum((model.ccos @ exact - c_vals) ** 2))
     assert diag["objective"] <= exact_obj
     assert diag["gap"] <= rec.GAP_TARGET + rec.FISHER_TIEBREAK * 4 * diag["kinetic_bound"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3, 0.1])
+def test_fisher_multiplier_is_the_objective_sensitivity(fig2b_step3, scale):
+    # oracle: the central difference -d lsq* / dB of the certified optimum,
+    # B = 4 kinetic_bound; the tie-break adds eps to the bound's multiplier
+    diag, model, c_vals, _ = fig2b_step3
+    bound = scale * diag["kinetic_bound"]
+    est = rec.reconstruct_density(model, c_vals, kinetic_bound=bound)
+    lo, hi = (rec.reconstruct_density(model, c_vals, kinetic_bound=bound * (1.0 + sign * 1e-4))
+              for sign in (-1.0, 1.0))
+    slope = -(hi.objective - lo.objective) / (4.0 * bound * 2e-4)
+    assert abs(est.multiplier + rec.FISHER_TIEBREAK - slope) <= 1e-6 * slope

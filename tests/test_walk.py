@@ -468,9 +468,9 @@ def test_lattice_observables_match_fock_path(n_ions, n_steps, coin_phase):
     p = HilbertParams(n_max=walk.required_n_max(n_steps, step) + 40, n_ions=n_ions)
     cfg = walk.WalkConfig(n_steps=n_steps, params=p, coin_phase=coin_phase)
     k = np.linspace(0.0, 3.0, 61)
-    reversed_ = walk.reversed_walk(cfg)
+    reversed_, classical = walk.reversed_walk(cfg), walk.classical_walk(cfg)
     cases = [(walk.quantum_walk(cfg), (1, n_steps)), (reversed_, (n_steps + 2, 2 * n_steps)),
-             (walk.classical_walk(cfg), (1, n_steps))]
+             (classical, (1, n_steps))]
     for result, steps in cases:
         for n in steps:
             snap = result.snapshots[n]
@@ -485,6 +485,19 @@ def test_lattice_observables_match_fock_path(n_ions, n_steps, coin_phase):
                     got = probe.scan_observable(ensemble, prep, k, axis)
                     want = probe.scan_observable(fock_only, prep, k, axis)
                     assert np.max(np.abs(got - want)) < 1e-12
+    # the dephased snapshots' lattice factors drop the exactly-zero spin
+    # branches outside each column's S_z sector, which change no observable
+    path = walk._path(cfg)
+    columns = walk._dephase(p, path.start(walk.prepare_initial(p)))
+    full = [path.lattice(columns),
+            *(path.lattice(c) for c, _ in walk._steps(path, columns, n_steps, dephase=True))]
+    for snap, whole in zip(classical.snapshots, full, strict=True):
+        assert np.all(np.any(snap.lattice.factor != 0.0, axis=0))
+        assert snap.lattice.factor.shape[1] < whole.factor.shape[1]
+        for axis in ("x", "p"):
+            assert abs(snap.lattice.second_moment(axis) / whole.second_moment(axis) - 1.0) < 1e-14
+            assert np.max(np.abs(snap.lattice.characteristic(k, axis)
+                                 - whole.characteristic(k, axis))) < 1e-14
     # an all_order probe of a lattice-backed ensemble stays on the eigenbasis path
     model = FidelityModel.ALL_ORDER
     assert np.array_equal(probe.scan_observable(ensemble, "plus_z", k, "x", model),
