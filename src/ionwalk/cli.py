@@ -237,11 +237,17 @@ def validate_config(cfg: dict) -> tuple[bool, list[str]]:
 # ------------------------------------------------------------------ output
 
 def _format_column(column: np.ndarray) -> list[str]:
-    """Integers as str(int), everything else as repr(float): exact round trip."""
+    """Integers as str(int), everything else as "%.14g".
+
+    A written float lies within 5e-14 relative of the double, finer than
+    the model's agreement between paths (about 1e-13 of the peak); at 14
+    digits CPython's dtoa stays on its fast path, which repr leaves.
+    """
     column = np.asarray(column)
     if column.dtype.kind in "iu":
         return list(map(str, column.tolist()))
-    return list(map(repr, column.astype(float).tolist()))
+    values = tuple(column.astype(float).tolist())
+    return (("%.14g\n" * len(values)) % values).splitlines()
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -251,7 +257,10 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: list[str], columns: list) -> None:
-    """One CSV row per entry; a column is an array or its _format_column cells."""
+    """One CSV row per entry; a column is an array or its _format_column cells.
+
+    Floats are written to 14 significant digits, not round-tripped exactly.
+    """
     cells = [c if isinstance(c, list) else _format_column(c) for c in columns]
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*cells)))

@@ -321,17 +321,56 @@ def test_missing_config_file(capsys):
 
 
 def test_write_csv_golden_bytes(tmp_path):
-    # floats as repr(float), integers as str(int), one column at a time
+    # floats as "%.14g", integers as str(int), one column at a time;
+    # 0.1 + 0.2 needs 17 digits under repr
     path = tmp_path / "g.csv"
-    floats = np.array([0.1, -2.5, -0.0, 3.0, 1e-300, 1.0 / 3.0, 5e-324])
-    ints = np.array([0, -7, 12, 3, 100000, 2, 1])
+    floats = np.array([0.1, -2.5, -0.0, 3.0, 1e-300, 1.0 / 3.0, 5e-324, 0.1 + 0.2])
+    ints = np.array([0, -7, 12, 3, 100000, 2, 1, 8])
     cli.write_csv(str(path), ["x", "n"], [floats, ints])
-    assert path.read_bytes() == (b"x,n\n0.1,0\n-2.5,-7\n-0.0,12\n3.0,3\n1e-300,100000\n"
-                                 b"0.3333333333333333,2\n5e-324,1\n")
+    assert path.read_bytes() == (b"x,n\n0.1,0\n-2.5,-7\n-0,12\n3,3\n1e-300,100000\n"
+                                 b"0.33333333333333,2\n4.9406564584125e-324,1\n0.3,8\n")
     # a column formatted once and reused writes the same bytes
     again = tmp_path / "h.csv"
     cli.write_csv(str(again), ["x", "n"], [cli._format_column(floats), ints])
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_run_csv_precision_contract(tmp_path):
+    # every written float within 5e-14 relative of the computed double (plus
+    # the half-ulp of reading it back), zeros exact, at most 14 significant
+    # digits, and the same bytes from a second run; the grid reaches far
+    # enough for the tails to underflow to zero and through the subnormals
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, density_grid={"extent": 40.0, "spacing": 0.05})
+    outputs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / name / "w")]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert outputs[0] == outputs[1]
+    files = outputs[0]
+
+    result = walk.quantum_walk(walk.WalkConfig(n_steps=3, params=HilbertParams(n_max=96)))
+    grid = reconstruct.PositionGrid.symmetric(40.0, 0.05).points
+    exact = {f"w_step{n:02d}_density.csv": np.column_stack([grid, dens]) for n, dens in
+             enumerate(walk.snapshot_densities(result, range(4), grid))}
+    snaps = result.snapshots
+    exact["w_summary.csv"] = np.column_stack([
+        np.arange(4), [walk.width_x(s) for s in snaps], [walk.width_p(s) for s in snaps],
+        [walk.mean_phonon(s) for s in snaps]])
+    assert sorted(files) == sorted(exact)
+    assert np.any(exact["w_step03_density.csv"] == 0.0)
+
+    for name, text in files.items():
+        rows = [line.split(",") for line in text.decode().splitlines()[1:]]
+        written = np.array(rows, dtype=float)
+        assert written.shape == exact[name].shape
+        err = np.abs(written - exact[name])
+        assert np.all(err <= (5e-14 + 2.0 ** -53) * np.abs(exact[name])), name
+        assert np.all(written[exact[name] == 0.0] == 0.0)
+        for cell in (c for row in rows for c in row):
+            mantissa = cell.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+            assert len(mantissa) <= 14, (name, cell)
 
 
 def assert_rejected(tmp_path, capsys, cfg, stage, message):
