@@ -94,7 +94,8 @@ CONFIG_SCHEMA = {
                 "grid_extent": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "grid_spacing": {"type": "number", "exclusiveMinimum": 0},
                 "use_kinetic_bound": {"type": "boolean"},
-                "steps": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+                "steps": {"type": "array", "uniqueItems": True,
+                          "items": {"type": "integer", "minimum": 0}},
             },
         },
         "density_grid": {
@@ -174,22 +175,16 @@ def _grid(wcfg: walk.WalkConfig, extent: float | None,
 
 
 def _resolve(cfg: dict, seed: int) -> _Run:
-    """Merge the section defaults and build the walk, grid and steps; ConfigError if unusable."""
-    experiment, hil, w = cfg["experiment"], cfg["hilbert"], cfg["walk"]
+    """Merge the section defaults and build the walk, grid and steps; ConfigError if unusable.
+
+    hilbert and walk keys are HilbertParams' and WalkConfig's fields, with their defaults."""
+    experiment = cfg["experiment"]
     if seed < 0:
         raise ConfigError(f"seed {seed} must be >= 0")
     sec = {name: {**defaults, **cfg.get(name, {})} for name, defaults in _DEFAULTS.items()}
     try:
-        wcfg = walk.WalkConfig(
-            n_steps=w["n_steps"],
-            params=HilbertParams(n_max=hil["n_max"], eta=hil.get("eta", 0.06),
-                                 n_ions=hil.get("n_ions", 1)),
-            model=FidelityModel(w.get("model", "lamb_dicke")),
-            step_size=w.get("step_size"),
-            coin_phase=w.get("coin_phase", 0.0),
-            seed=seed,
-        )
-    except ValueError as exc:
+        wcfg = walk.WalkConfig(params=HilbertParams(**cfg["hilbert"]), seed=seed, **cfg["walk"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if experiment == "two_ion" and wcfg.params.n_ions != 2:
         raise ConfigError("two_ion experiment requires hilbert.n_ions = 2")
@@ -213,9 +208,19 @@ def _resolve(cfg: dict, seed: int) -> _Run:
                 np.linspace(0.0, sc["k_max"], sc["n_points"]), grid, steps)
 
 
+def _split_prefix(prefix: str) -> tuple[str, str]:
+    """(directory, file name) of an output prefix; ConfigError if it names no file."""
+    directory, base = os.path.split(prefix)
+    if base in ("", os.curdir, os.pardir):
+        raise ConfigError(f"output prefix {prefix!r} has no file name after its directory")
+    return directory or os.curdir, base
+
+
 def validate_config(cfg: dict) -> tuple[bool, list[str]]:
     """Physics adequacy report without running; ConfigError where run would raise one."""
     run = _resolve(cfg, cfg.get("seed", 0))
+    if "output_prefix" in cfg:
+        _split_prefix(cfg["output_prefix"])
     wcfg = run.wcfg
     needed = walk.required_n_max(wcfg.n_steps, wcfg.step_size)
     ok = wcfg.params.n_max >= needed
@@ -391,8 +396,7 @@ def run_experiment(cfg: dict, prefix: str, seed: int, threads: int | None = None
     threads is ignored; it stays only because bench/workloads.py passes it.
     """
     run = _resolve(cfg, seed)
-    directory, base = os.path.split(prefix)
-    directory = directory or os.curdir
+    directory, base = _split_prefix(prefix)
     try:
         staging = tempfile.mkdtemp(prefix=f".{base}.", suffix=".staging", dir=directory)
     except OSError as exc:

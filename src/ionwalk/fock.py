@@ -15,7 +15,8 @@ columns) and members ((weight, vector) pairs) are derived views.
 
 A state or ensemble that a lamb_dicke walk produces also carries its
 LatticeFactor: the same motional state, untruncated, as a factor over real
-coherent states |alpha_j> on a lattice. Its second moments and probe
+coherent states |alpha_j> on a lattice. Its position density (a Gaussian
+mixture, in exact_position_densities), second moments and probe
 characteristic functions are closed-form sums over two vectors of length
 2L - 1 (L lattice sites), with no Fock-space call.
 """
@@ -341,49 +342,52 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def position_densities(table: np.ndarray, factors, grid: np.ndarray) -> np.ndarray:
-    """Densities sum over columns of (T^T F)^2 (row i: factors[i]) on a uniform grid.
+def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
+    """Densities of several ensembles (row i: ensembles[i]) on a uniform grid.
 
-    table T is a real (rows, grid.size) table of basis wavefunctions on the
-    grid, and each factor F a real matrix of at most rows rows (the
-    (re, im) view of a complex factor; fewer rows are zero-padded). The
-    factors are stacked into one matrix and multiplied by the table in
-    blocks of at most rows columns, so the products are never larger than
-    the table; an indicator matrix then sums each factor's squares. Raises
-    GridCoverageError if any density holds less than 0.999 on the grid.
-    """
+    An ensemble with a lattice factor is read from its position_sums: real
+    coherent states have <x|alpha_i><alpha_j|x> = G_ij N(x; (x_i + x_j)/2, 1)
+    (Glauber, Phys. Rev. 131, 2766 (1963)), so its density is the Gaussian
+    mixture sum_s A_s N(x; s d/2, 1), clipped at 0 (rounding can take a node
+    below it), from one table of unit Gaussians per (L, d). The others share
+    one Hermite table phi up to their largest n_max: sum over columns of
+    (phi^T F)^2, F the (re, im) view of the zero-padded Fock factor, in
+    blocks of at most the table's row count. GridCoverageError if any row
+    holds less than 0.999."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         raise ValueError("grid needs at least two points")
     h = grid[1] - grid[0]
     if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * abs(h)):
         raise ValueError("grid must be uniformly spaced")
-    rows = table.shape[0]
-    stacked = np.hstack([np.pad(f, ((0, rows - f.shape[0]), (0, 0))) for f in factors])
-    owner = np.repeat(np.eye(len(factors)), [f.shape[1] for f in factors], axis=0)
-    out = np.zeros((grid.size, len(factors)))
-    for start in range(0, stacked.shape[1], rows):
-        block = table.T @ stacked[:, start:start + rows]
-        out += block ** 2 @ owner[start:start + rows]
-    out = np.ascontiguousarray(out.T)
+    out = np.empty((len(ensembles), grid.size))
+    gaussians, fock = {}, []
+    for i, lattice in enumerate(ens.lattice for ens in ensembles):
+        if lattice is None:
+            fock.append(i)
+            continue
+        key = (lattice.factor.shape[0], lattice.spacing)
+        if key not in gaussians:
+            means = 0.5 * lattice._shifts()[:, None]
+            gaussians[key] = np.exp(-0.5 * (grid - means) ** 2 - 0.5 * np.log(2.0 * np.pi))
+        out[i] = np.maximum(lattice.position_sums @ gaussians[key], 0.0)
+    if fock:
+        table = hermite_functions(max(ensembles[i].params.n_max for i in fock), grid)
+        rows = table.shape[0]
+        factors = [ensembles[i].factor.view(np.float64) for i in fock]
+        stacked = np.hstack([np.pad(f, ((0, rows - f.shape[0]), (0, 0))) for f in factors])
+        owner = np.repeat(np.eye(len(fock)), [f.shape[1] for f in factors], axis=0)
+        dens = np.zeros((grid.size, len(fock)))
+        for start in range(0, stacked.shape[1], rows):
+            block = table.T @ stacked[:, start:start + rows]
+            dens += block ** 2 @ owner[start:start + rows]
+        out[fock] = dens.T
     mass = float(np.min(np.sum(out, axis=1)) * h)
     if mass < 0.999:
         raise GridCoverageError(
             f"grid [{grid[0]:g}, {grid[-1]:g}] captures only {mass:.6f} of the state"
         )
     return out
-
-
-def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
-    """Densities of several ensembles (row i: ensembles[i]) from one Hermite table.
-
-    position_densities on the table of hermite_functions up to the largest
-    n_max; the density of a truncated ensemble is that of its Fock factor.
-    """
-    grid = np.asarray(grid, dtype=float)
-    levels = max(e.params.n_max for e in ensembles)
-    return position_densities(hermite_functions(levels, grid),
-                              [e.factor.view(np.float64) for e in ensembles], grid)
 
 
 def exact_position_density(ensemble: MotionalEnsemble, grid: np.ndarray) -> np.ndarray:

@@ -24,9 +24,9 @@ trials, seed or threads.
 Snapshots are Fock states or ensembles either way. Each snapshot of a
 lamb_dicke walk also carries its lattice factor (fock.LatticeFactor, the
 state untruncated), and every observable of it is read from there: the
-position densities (snapshot_densities, a table of the Gaussians
-<x|alpha_j> in place of a Hermite table), the second moments and widths
-here, and probe.scan_observable's lamb_dicke scans. They are those of the
+position densities (fock.exact_position_densities, through
+snapshot_densities), the second moments and widths here, and
+probe.scan_observable's lamb_dicke scans. They are those of the
 untruncated state, and differ from the truncated Fock snapshot's by no more
 than the tail check allows. Fock snapshots serve the rest (the fidelity,
 carrier Rabi scans, all_order probes) and all_order walks.
@@ -53,7 +53,6 @@ from .fock import (
     coherent_amplitudes,
     exact_position_densities,
     fock_state,
-    position_densities,
 )
 
 COIN_AREA = np.pi / 4.0
@@ -164,7 +163,7 @@ class _FockPath:
         check_tail(self.params, columns, where)
         return columns
 
-    def lattice(self, columns: np.ndarray, mixed: bool = False) -> None:
+    def lattice(self, columns: np.ndarray) -> None:
         """Fock columns have no lattice factor."""
         return None
 
@@ -229,14 +228,10 @@ class _Lattice:
         check_tail(self.params, fock, where, lost=1.0 - norm)
         return fock / np.sqrt(norm)
 
-    def lattice(self, columns: np.ndarray, mixed: bool = False) -> LatticeFactor:
-        """The motional lattice factor of the columns: spin branches side by side,
-        if mixed (a dephased factor) without the exactly-zero ones outside each
-        column's S_z sector, which _recombine drops from the Fock factor too."""
-        branches = _branches(columns, self.params.spin_dim)
-        if mixed:
-            branches = branches[:, np.any(branches != 0.0, axis=0)]
-        return LatticeFactor(branches, self.config.pulse_displacement)
+    def lattice(self, columns: np.ndarray) -> LatticeFactor:
+        """The motional lattice factor of the columns: spin branches side by side."""
+        return LatticeFactor(_branches(columns, self.params.spin_dim),
+                             self.config.pulse_displacement)
 
 
 def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
@@ -247,28 +242,6 @@ def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
     """
     rows = columns.shape[0] // spin_dim
     return columns.reshape(spin_dim, rows, -1).transpose(1, 2, 0).reshape(rows, -1)
-
-
-def _lattice_densities(lattices, grid: np.ndarray) -> np.ndarray:
-    """Position densities of one walk's lattice factors (row i: lattices[i]), one table.
-
-    Site j holds |alpha_j> with the real wavefunction g_j(x) = <x|alpha_j> =
-    (2 pi)^(-1/4) exp(-(x - j d)^2 / 4), so the density of a factor C is
-    sum over columns of |sum_j C_j g_j(x)|^2: position_densities with the
-    (sites, grid) table g and the (re, im) view F of C. It depends only on
-    F F^T, so a factor with more columns than sites is replaced by R^T from
-    the QR of F^T, which has the same F F^T and at most L columns. It is
-    the density of the untruncated state.
-    """
-    grid = np.asarray(grid, dtype=float)
-    sites, spacing = lattices[0].factor.shape[0], lattices[0].spacing
-    centres = spacing * np.arange(-(sites // 2), sites // 2 + 1)
-    table = (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * (grid - centres[:, None]) ** 2)
-    factors = []
-    for lattice in lattices:
-        real = lattice.factor.view(np.float64)
-        factors.append(np.linalg.qr(real.T, mode="r").T if real.shape[1] > sites else real)
-    return position_densities(table, factors, grid)
 
 
 def _path(config: WalkConfig):
@@ -411,18 +384,18 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     held as a factor F on the walk's path (lattice or Fock space), split by
     sector and compressed by an SVD after every step (_dephase); the result
     needs no trials and no seed. Snapshots are motional ensembles (spin
-    recombined), built as each step ends; they drop only the exact zeros
-    outside each column's sector, since the SVD cut already bounds what is
-    left out. threads is ignored; it stays only because bench/workloads.py
-    passes it.
+    recombined), built as each step ends. Their Fock factors drop only the
+    exact zeros outside each column's sector, since the SVD cut already
+    bounds what is left out; their lattice factors keep them, as zero
+    columns change no entry of M = conj(C) C^T. threads is ignored; it
+    stays only because bench/workloads.py passes it.
     """
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns, mixed=True),
-                            cutoff=0.0)]
+    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns), cutoff=0.0)]
     for columns, fock in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(_recombine(p, fock, path.lattice(columns, mixed=True), cutoff=0.0))
+        snapshots.append(_recombine(p, fock, path.lattice(columns), cutoff=0.0))
     return WalkResult(config, tuple(snapshots))
 
 
@@ -485,18 +458,10 @@ def snapshot_ensemble(result: WalkResult, step: int) -> MotionalEnsemble:
 
 
 def snapshot_densities(result: WalkResult, steps, grid: np.ndarray) -> np.ndarray:
-    """Position densities of several snapshots (row i for steps[i]) from one table.
+    """Position densities of several snapshots (row i for steps[i]), by exact_position_densities.
 
-    A lamb_dicke walk's densities come from its snapshots' lattice factors and
-    one Gaussian table (_lattice_densities): they are those of the untruncated
-    state, and differ from the truncated Fock snapshots' by no more than the
-    tail check allows. An all_order walk's come from its Fock snapshots and
-    one Hermite table (exact_position_densities).
-    """
-    lattices = [result.snapshots[s].lattice for s in steps]
-    if any(lattice is None for lattice in lattices):
-        return exact_position_densities([snapshot_ensemble(result, s) for s in steps], grid)
-    return _lattice_densities(lattices, grid)
+    A lamb_dicke walk's come from its lattice factors, an all_order walk's from Fock snapshots."""
+    return exact_position_densities([snapshot_ensemble(result, s) for s in steps], grid)
 
 
 def snapshot_density(result: WalkResult, step: int, grid: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ matrices, the spin (x) motion Hamiltonians as full matrices (with their
 Laguerre factors from scipy.special, not from the package's recurrence),
 the closed-form scan under the probe coupling that the x_diagonal
 reconstruction kernel models, the ideal coined walk on an integer lattice,
-a Fisher-information Hessian assembled entry by entry, and an active-set
+the position density of a coherent-state lattice factor site by site, a
+Fisher-information Hessian assembled entry by entry, and an active-set
 solve of the reconstruction problem without the Fisher bound.
 """
 
@@ -133,6 +134,18 @@ def coined_walk(n_steps: int, n_ions: int = 1, coin_phase: float = 0.0):
         c = coin @ sum(np.roll(proj @ c, int(shift), axis=1)
                        for shift, proj in zip(shifts, projectors))
         yield c
+
+
+def lattice_density(factor: np.ndarray, spacing: float, grid: np.ndarray) -> np.ndarray:
+    """Density sum over columns k of |sum_j C_jk g_j(x)|^2 of a lattice factor C.
+
+    Row j + (L-1)/2 of the (L, K) factor holds site j, the real coherent
+    state with wavefunction g_j(x) = (2 pi)^(-1/4) exp(-(x - j d)^2 / 4).
+    """
+    half = factor.shape[0] // 2
+    centres = spacing * np.arange(-half, half + 1)
+    g = (2.0 * np.pi) ** -0.25 * np.exp(-0.25 * (grid[:, None] - centres) ** 2)
+    return np.sum(np.abs(g @ factor) ** 2, axis=1)
 
 
 def carrier_hamiltonian(params: HilbertParams, phase: float,

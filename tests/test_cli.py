@@ -409,6 +409,54 @@ def test_reconstruction_step_beyond_walk_rejected(tmp_path, capsys):
     assert_rejected(tmp_path, capsys, cfg, "reconstruct", "beyond walk.n_steps = 6")
 
 
+def test_duplicate_reconstruction_steps_rejected(tmp_path, capsys):
+    # each step is solved and written once
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="reconstruct", walk={"n_steps": 2},
+              scan={"noiseless": True, "n_points": 41},
+              reconstruction={"steps": [2, 2, 1]})
+    assert_rejected(tmp_path, capsys, cfg, "config", "[2, 2, 1] has non-unique elements")
+
+
+@pytest.mark.parametrize("route, prefix", [("--out", "out/"), ("output_prefix", "out/"),
+                                           ("--out", "out/.")])
+def test_prefix_without_file_name_exits_1(tmp_path, capsys, monkeypatch, route, prefix):
+    # "out/" and "out/." name a directory and no file, so the outputs would
+    # be bare suffixes such as "_step00_density.csv" or "._step00_density.csv"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    if route == "--out":
+        write_cfg(tmp_path / "c.json")
+        commands = [["run", "c.json", "--out", prefix]]
+    else:
+        write_cfg(tmp_path / "c.json", output_prefix=prefix)
+        commands = [["run", "c.json"], ["validate", "c.json"]]
+    for argv in commands:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"stage=walk: output prefix {prefix!r} has no file name" in err
+        assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_walk_sections_resolve_to_the_dataclass_defaults(tmp_path):
+    # hilbert and walk keys are HilbertParams' and WalkConfig's fields, so
+    # an unset key takes the dataclass default and an unknown one, in a dict
+    # passed straight to run_experiment, is a ConfigError
+    cfg = {"schema_version": 1, "experiment": "walk",
+           "hilbert": {"n_max": 40}, "walk": {"n_steps": 2}}
+    want = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=40), seed=5)
+    assert cli._resolve(cfg, 5).wcfg == want
+    for section, key in (("hilbert", "nmax"), ("walk", "trails"), ("walk", "seed")):
+        bad = {**cfg, section: {**cfg[section], key: 1}}
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.run_experiment(bad, str(tmp_path / "o"), 5)
+    with pytest.raises(cli.ConfigError, match="n_max"):
+        cli.run_experiment({**cfg, "hilbert": {}}, str(tmp_path / "o"), 5)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_into_missing_directory_exits_1(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     write_cfg(cfg)

@@ -18,7 +18,7 @@ from ionwalk.fock import (
     hermite_functions,
 )
 from ionwalk import fock, probe, walk
-from oracles import coherent_state, ladder_operators, quadrature_operators
+from oracles import coherent_state, ladder_operators, lattice_density, quadrature_operators
 
 
 def test_params_validation():
@@ -382,3 +382,64 @@ def test_lattice_factor_matches_its_fock_state(spacing):
     rho = fock_only.factor @ fock_only.factor.conj().T
     assert abs(lattice.second_moment("x") / np.trace(rho @ xq @ xq).real - 1.0) < 1e-12
     assert abs(lattice.second_moment("p") / np.trace(rho @ (4.0 * pq @ pq)).real - 1.0) < 1e-12
+    # the Gaussian mixture over A_s against the sites' wavefunctions summed
+    # column by column, and against the Hermite density of the Fock state
+    grid = np.arange(-400, 401) * 0.05
+    dens = exact_position_density(both, grid)
+    want = lattice_density(c, spacing, grid)
+    assert np.max(np.abs(dens - want)) < 1e-13 * want.max()
+    assert np.max(np.abs(dens - exact_position_density(fock_only, grid))) < 1e-12 * want.max()
+
+
+def _lattice_ensemble(c, spacing, n_max=60):
+    """MotionalEnsemble of the lattice factor c, trace-normalized, beside its Fock factor."""
+    x = spacing * np.arange(-(c.shape[0] // 2), c.shape[0] // 2 + 1)
+    overlap = np.exp(-0.125 * np.subtract.outer(x, x) ** 2)
+    c = c / np.sqrt(np.trace(c.conj().T @ overlap @ c).real)
+    p = HilbertParams(n_max=n_max)
+    return MotionalEnsemble(p, coherent_amplitudes(0.5 * x, n_max) @ c, LatticeFactor(c, spacing))
+
+
+@pytest.mark.parametrize("spacing", [0.3, 0.7, 1.3, 2.0, 2.9])
+def test_lattice_density_is_nonnegative_at_a_node(spacing):
+    # |alpha_-1> - |alpha_1> is odd, so its density vanishes at x = 0, where
+    # the signed mixture sum_s A_s N(0; s d/2, 1) cancels to the rounding of
+    # its terms, of order eps sum_s |A_s|, and unclipped dips below 0 at
+    # three of these spacings
+    ens = _lattice_ensemble(np.array([[1.0], [0.0], [-1.0]], dtype=complex), spacing)
+    grid = np.arange(-240, 241) * 0.05                          # grid[240] = 0 exactly
+    dens = exact_position_density(ens, grid)
+    assert np.all(dens >= 0.0)
+    assert dens[240] < 1e-15 * np.sum(np.abs(ens.lattice.position_sums))
+    want = lattice_density(ens.lattice.factor, spacing, grid)
+    assert np.max(np.abs(dens - want)) < 1e-13 * dens.max()
+
+
+def test_mixed_batch_rows_are_single_call_rows():
+    # one call on lattice-backed ensembles of three (L, d) and on Fock-only
+    # ones gives each row its own single call's result: a lattice row bit for
+    # bit, a Hermite row to the rounding of its blocked product
+    rng = np.random.default_rng(11)
+    lattices = []
+    for sites, spacing in ((3, 2.0), (7, 1.7), (7, 2.0), (3, 2.0)):
+        c = rng.normal(size=(sites, 2)) + 1j * rng.normal(size=(sites, 2))
+        lattices.append(_lattice_ensemble(c, spacing))
+    p, q = HilbertParams(n_max=24), HilbertParams(n_max=9)
+    fock_only = [MotionalEnsemble(p, coherent_state(0.7 - 0.2j, p)[:, None]),
+                 MotionalEnsemble(q, fock_state(3, q)[:, None])]
+    ensembles = [lattices[0], fock_only[0], lattices[1], lattices[2], fock_only[1], lattices[3]]
+    grid = np.arange(-12.0, 12.001, 0.05)
+    rows = exact_position_densities(ensembles, grid)
+    for row, ens in zip(rows, ensembles):
+        single = exact_position_density(ens, grid)
+        if ens.lattice is not None:
+            assert np.array_equal(row, single)
+        else:
+            assert np.max(np.abs(row - single)) < 1e-14 * single.max()
+    # the coverage check holds for lattice rows too: a packet at x = 6
+    far = np.zeros((7, 1), dtype=complex)
+    far[6] = 1.0
+    narrow = np.arange(-7.0, 7.001, 0.05)
+    exact_position_densities(fock_only, narrow)
+    with pytest.raises(GridCoverageError):
+        exact_position_densities(fock_only + [_lattice_ensemble(far, 2.0)], narrow)

@@ -396,6 +396,26 @@ def test_lattice_walks_match_fock_path(n_ions, n_steps, step_size, coin_phase):
 
 
 @pytest.mark.parametrize("n_ions", [1, 2])
+def test_lattice_ensemble_density_is_the_snapshot_density(n_ions):
+    # exact_position_density reads a lamb_dicke ensemble from its lattice
+    # factor, so it gives snapshot_density bit for bit; the Fock-only copy of
+    # the ensemble, 40 levels above required_n_max, agrees to 1e-12 of the peak
+    n_steps = 3
+    p = HilbertParams(n_max=walk.required_n_max(n_steps, 2.0 * n_ions) + 40, n_ions=n_ions)
+    cfg = walk.WalkConfig(n_steps=n_steps, params=p, coin_phase=0.3)
+    extent = 2.0 * n_ions * n_steps + 8.0
+    grid = np.linspace(-extent, extent, int(20 * extent) + 1)
+    for result in (walk.quantum_walk(cfg), walk.reversed_walk(cfg), walk.classical_walk(cfg)):
+        for n, snap in enumerate(result.snapshots):
+            ens = snap if isinstance(snap, MotionalEnsemble) else walk.recombine_spin(snap)
+            assert ens.lattice is not None
+            dens = exact_position_density(ens, grid)
+            assert np.array_equal(dens, walk.snapshot_density(result, n, grid))
+            fock_only = exact_position_density(MotionalEnsemble(p, ens.factor), grid)
+            assert np.max(np.abs(dens - fock_only)) < 1e-12 * fock_only.max()
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
 def test_lamb_dicke_densities_use_no_hermite_table(monkeypatch, n_ions):
     def refuse(*args, **kwargs):
         raise AssertionError("hermite_functions called")
@@ -485,19 +505,6 @@ def test_lattice_observables_match_fock_path(n_ions, n_steps, coin_phase):
                     got = probe.scan_observable(ensemble, prep, k, axis)
                     want = probe.scan_observable(fock_only, prep, k, axis)
                     assert np.max(np.abs(got - want)) < 1e-12
-    # the dephased snapshots' lattice factors drop the exactly-zero spin
-    # branches outside each column's S_z sector, which change no observable
-    path = walk._path(cfg)
-    columns = walk._dephase(p, path.start(walk.prepare_initial(p)))
-    full = [path.lattice(columns),
-            *(path.lattice(c) for c, _ in walk._steps(path, columns, n_steps, dephase=True))]
-    for snap, whole in zip(classical.snapshots, full, strict=True):
-        assert np.all(np.any(snap.lattice.factor != 0.0, axis=0))
-        assert snap.lattice.factor.shape[1] < whole.factor.shape[1]
-        for axis in ("x", "p"):
-            assert abs(snap.lattice.second_moment(axis) / whole.second_moment(axis) - 1.0) < 1e-14
-            assert np.max(np.abs(snap.lattice.characteristic(k, axis)
-                                 - whole.characteristic(k, axis))) < 1e-14
     # an all_order probe of a lattice-backed ensemble stays on the eigenbasis path
     model = FidelityModel.ALL_ORDER
     assert np.array_equal(probe.scan_observable(ensemble, "plus_z", k, "x", model),
