@@ -51,7 +51,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n_max": {"type": "integer", "minimum": 1},
                 "eta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "n_ions": {"enum": [1, 2]},
+                "n_ions": {"type": "integer", "enum": [1, 2]},
             },
         },
         "walk": {
@@ -110,8 +110,13 @@ CONFIG_SCHEMA = {
 }
 
 # built once: jsonschema.validate re-checks the schema against its meta-schema
-# on every call, about 100 times the cost of the validation (test_cli checks it)
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# on every call, about 100 times the cost of the validation (test_cli checks it).
+# Draft 2020-12 counts 3.0 as an "integer"; here an integer is a Python int.
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
+)(CONFIG_SCHEMA)
 
 # section -> defaults, merged into the config's own values once by _resolve
 _DEFAULTS = {

@@ -14,20 +14,23 @@ Both models use the exact couplings (Wineland et al., J. Res. NIST 103, 259
 Every generator factors as S (x) M: a collective spin operator
 S = sum_ions sigma_phi times a motional M that is tridiagonal (bichromatic)
 or diagonal (carrier) in the Fock basis. A Pulse holds the eigenpairs of
-both factors: S's in closed form (spin_eigenbasis), M's from one
-tridiagonal eigensolve of size n_max + 1, so exp(-i theta S (x) M) never
-needs a dense eigendecomposition. After the gauge D_n = e^{i n phi_minus}
-the bichromatic M depends only on (n_max, coupling eta), so that eigensolve
-runs once per (n_max, coupling eta) per process and its read-only eigenpairs
-are shared by both probe quadratures and the displacement of an all_order
-walk (lamb_dicke walks run on walk's coherent-state lattice, and lamb_dicke
+both factors: S's in closed form (spin_eigenbasis), M's from one SVD of
+M's parity block, so exp(-i theta S (x) M) never needs a dense
+eigendecomposition. The sidebands change n by +-1, so the bichromatic M
+anticommutes with the parity (-1)^n: ordered as (even levels, odd levels)
+it is the Golub-Kahan matrix [[0, B], [B^T, 0]] of a bidiagonal B of half
+the size (Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965)), and B's
+singular triples are M's eigenpairs. After the gauge D_n = e^{i n phi_minus}
+the bichromatic M depends only on (n_max, coupling eta), so that SVD runs
+once per (n_max, coupling eta) per process and its read-only eigenpairs are
+shared by both probe quadratures and the displacement of an all_order walk
+(lamb_dicke walks run on walk's coherent-state lattice, and lamb_dicke
 scans of the ensembles they produce read its closed forms, so neither needs
 it).
 
 The couplings need the Laguerre polynomials L_n(eta^2) and L_n^(1)(eta^2)
 for every n <= n_max: laguerre() runs their recurrence once over n, in the
-difference form that scipy.special uses, so the module needs only numpy and
-scipy.linalg.
+difference form that scipy.special uses, so the module needs only numpy.
 
 apply_propagator acts on a state vector or a (dim, K) block of them and does
 not check truncation: SpinMotionState and the walk's step loop do.
@@ -40,7 +43,6 @@ import enum
 import functools
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fock import HilbertParams
 
@@ -129,15 +131,30 @@ def _coupling_eta(params: HilbertParams, model: FidelityModel) -> float:
 
 @functools.lru_cache(maxsize=4)
 def _motional_eigenpairs(n_max: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigenpairs of the gauged real tridiagonal M at coupling eta.
+    """Read-only eigenpairs of the gauged real tridiagonal M at coupling eta, ascending.
 
-    M couples Fock neighbours by e^{-eta^2/2} L_n^(1)(eta^2) / sqrt(n+1),
-    which is sqrt(n+1) at eta = 0.
+    M couples Fock neighbours by off_n = e^{-eta^2/2} L_n^(1)(eta^2) / sqrt(n+1),
+    which is sqrt(n+1) at eta = 0, and has a zero diagonal. Its block between
+    the even and the odd levels is the lower bidiagonal B, B[i, i] = off_{2i},
+    B[i+1, i] = off_{2i+1}, of shape (ceil(d/2), floor(d/2)), d = n_max + 1.
+    Each singular triple (sigma, u, v) of B gives the eigenvalues +-sigma with
+    the eigenvector u on the even levels and +-v on the odd ones, over
+    sqrt(2); for odd d, B's last left singular vector is the zero mode.
     """
     eta2 = eta ** 2
     root = np.sqrt(np.arange(1.0, n_max + 1.0))
     off = np.exp(-0.5 * eta2) * laguerre(n_max - 1, 1, eta2) / root
-    values, vectors = eigh_tridiagonal(np.zeros(n_max + 1), off)
+    dim, n_odd = n_max + 1, (n_max + 1) // 2
+    block = np.zeros((dim - n_odd, n_odd))
+    np.fill_diagonal(block, off[0::2])
+    np.fill_diagonal(block[1:], off[1::2])
+    u, sigma, vt = np.linalg.svd(block)      # sigma descending
+    even, odd = u[:, :n_odd] * np.sqrt(0.5), vt.T * np.sqrt(0.5)
+    values = np.concatenate([-sigma, np.zeros(dim - 2 * n_odd), sigma[::-1]])
+    vectors = np.zeros((dim, dim))
+    vectors[0::2] = np.hstack([even, u[:, n_odd:], even[:, ::-1]])
+    vectors[1::2, :n_odd] = -odd
+    vectors[1::2, dim - n_odd:] = odd[:, ::-1]
     values.flags.writeable = False
     vectors.flags.writeable = False
     return values, vectors

@@ -16,12 +16,13 @@ ensemble a lamb_dicke walk produces) reads the characteristic function
 Tr rho e^{ikG} from it (fock.LatticeFactor.characteristic): that is the
 untruncated state's scan, within the tail tolerance of the Fock one, and
 needs no motional eigensolve. Every other scan (all_order probes, and
-Fock-only ensembles such as a hand-built state) comes from one tridiagonal
-eigendecomposition of G: <O(k)> is a sum over its eigenvalues weighted by
-the ensemble's populations in its eigenbasis. That eigendecomposition is
-the one dynamics computes once per (n_max, coupling eta) and process: the
-x probe, the p probe and an all_order walk's displacement differ only in
-the gauge, so they share it.
+Fock-only ensembles such as a hand-built state) comes from the
+eigendecomposition of the tridiagonal G: <O(k)> is a sum over its
+eigenvalues weighted by the ensemble's populations in its eigenbasis. That
+eigendecomposition is the one dynamics computes once per (n_max, coupling
+eta) and process, from the SVD of G's bidiagonal block between even and odd
+Fock levels: the x probe, the p probe and an all_order walk's displacement
+differ only in the gauge, so they share it.
 
 The probe always attaches a single effective spin: for two-ion ensembles
 the collective pulse conjugates each ion's sigma_z exactly as in the
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import dynamics
 from .dynamics import FidelityModel
@@ -164,10 +166,10 @@ def simulate_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     exact = scan_observable(ensemble, spin_prep, k_grid, axis, model)
     prob = np.clip(0.5 * (1.0 + exact), 0.0, 1.0)
-    seeds = np.random.SeedSequence(seed).spawn(k_grid.size)
+    seeds = SeedSequence(seed).spawn(k_grid.size)
     est = np.empty_like(exact)
     for i, (p, ss) in enumerate(zip(prob, seeds)):
-        ups = np.random.default_rng(ss).binomial(shots, p)
+        ups = default_rng(ss).binomial(shots, p)
         est[i] = 2.0 * ups / shots - 1.0
     return ProbeScan(axis=axis, spin_prep=spin_prep, k=k_grid, estimates=est, shots=shots)
 
@@ -245,10 +247,9 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
     if expected_nbar is not None:
         n_cap = min(n_cap, int(np.ceil(2.0 * expected_nbar + 20.0)))
     times = scan.times
-    if np.unique(times).size < n_cap:
-        raise FitWindowError(
-            f"{np.unique(times).size} distinct times cannot resolve {n_cap} populations"
-        )
+    n_times = len(set(times.tolist()))
+    if n_times < n_cap:
+        raise FitWindowError(f"{n_times} distinct times cannot resolve {n_cap} populations")
     ratios = dynamics.carrier_coupling_ratios(params)[:n_cap]
     a = np.sin(0.5 * np.outer(times, ratios)) ** 2
     pops, _, gap, _ = _barrier_newton(a, scan.excitation, 1.0, None, False)

@@ -27,8 +27,9 @@ and p_i >= 0) and 1 at the ends, for t growing 20-fold until m / t <= 1e-12
 (m = 3n - 3, the barrier parameter; c = 1 and m = n without a bound). The
 weight n - 1 makes the Newton model of -log(B - F) good near the bound,
 where weight 1 let the slack collapse and centering crawl. A Newton step is
-one dense symmetric KKT solve of size k + 2 (k = ceil(n/2) for an even
-solve, n otherwise), with F's gradient and banded Hessian in closed form.
+one dense LU solve (numpy.linalg.solve) of the symmetric KKT system of size
+k + 2 (k = ceil(n/2) for an even solve, n otherwise), with F's gradient and
+banded Hessian in closed form.
 The tie-break eps = 1e-8 (only with a bound) selects the least-Fisher
 minimizer where noiseless data leave lsq's minimizer non-unique, moving the
 objective by at most eps B. The result carries gap = m / t + eps B, a bound
@@ -40,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsysv as _sysv, dsysv_lwork as _sysv_lwork
 
 from .probe import ProbeScan, width_from_curvature
 
@@ -256,11 +256,8 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
     eps = FISHER_TIEBREAK if bounded else 0.0
     m = 3 * n - 3 if bounded else n
     size = k + 1 + bounded
-    # every entry is rewritten on each step: the solve overwrites the matrix
+    # every entry but the zero corner of the bordered rows is rewritten on each step
     kkt = np.zeros((size, size))
-    # the optimal workspace selects LAPACK's blocked factorization; the
-    # default (size) falls back to the unblocked one, several times slower
-    lwork = int(_sysv_lwork(size)[0])
     slots = _band_slots(j, size)
     diag = np.diag_indices(k)
     u = np.full(k, 1.0 / (n * spacing))   # F = 0: strictly feasible
@@ -278,7 +275,6 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
             kkt[:k, :k] *= u
             kkt[diag] += cw
             kkt[:k, k] = kkt[k, :k] = spacing * w * u
-            kkt[k:, k:] = 0.0
             if bounded:
                 gf, bands = _fisher_bands(p, spacing)
                 gfu = u * np.bincount(j, gf, minlength=k)      # u * E^T gf
@@ -289,11 +285,10 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
                 kkt[k + 1, k + 1] = -slack * slack / nu
             rhs = np.zeros(size)
             rhs[:k] = -dg
-            # kkt is symmetric, so its transpose is the same matrix in the
-            # Fortran order LAPACK factors in place
-            *_, sol, info = _sysv(kkt.T, rhs, lwork=lwork, overwrite_a=True)
-            if info != 0:
-                raise RuntimeError(f"singular barrier KKT system (LAPACK info {info})")
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"singular barrier KKT system ({exc})") from exc
             y = sol[:k]
             decrement = -float(dg @ y)
             if decrement <= 2.0 * NEWTON_TOL:

@@ -281,7 +281,7 @@ def _dephase(params: HilbertParams, columns: np.ndarray, where: str = "") -> np.
     mz, _ = dynamics.spin_eigenbasis(0.0, params.n_ions)     # S_z's diagonal
     blocks = columns.reshape(params.spin_dim, -1, columns.shape[1])
     parts = []
-    for m in np.unique(mz):
+    for m in sorted(set(mz.tolist())):
         rows = mz == m
         u, s, _ = np.linalg.svd(blocks[rows].reshape(-1, columns.shape[1]), full_matrices=False)
         keep = s > _RANK_CUTOFF * s[0]

@@ -280,18 +280,43 @@ def test_config_schema_is_valid():
     jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
 
 
-def test_cli_import_stays_lean():
-    # scipy.optimize (with sparse, spatial, fft) and scipy.special cost
-    # about 0.3 s of every run's start-up; the package needs neither
-    code = ("import sys, ionwalk.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'scipy.sparse') "
-            "if m in sys.modules))")
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of code run with args in a new interpreter on this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_stays_lean():
+    # import scipy.linalg alone is about half of every run's start-up; the
+    # package needs no scipy module at all
+    code = ("import sys, ionwalk.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_runs_load_neither_scipy_nor_numpy_ma(tmp_path):
+    # an all_order reconstruction under the kinetic bound (motional SVD, barrier
+    # solver), a lamb_dicke classical walk (dephasing) and a lamb_dicke phonon
+    # fit (shot noise, simplex solve); np.unique would load numpy.ma
+    runs = {
+        "rec": {"experiment": "reconstruct", "hilbert": {"n_max": 60, "eta": 0.06},
+                "walk": {"n_steps": 2, "model": "all_order"}, "scan": {"n_points": 21},
+                "reconstruction": {"kind": "x_diagonal", "grid_spacing": 0.4,
+                                   "use_kinetic_bound": True, "steps": [2]}},
+        "classical": {"experiment": "classical", "walk": {"n_steps": 2}},
+        "nbar": {"experiment": "nbar_curve", "walk": {"n_steps": 2}},
+    }
+    for name, overrides in runs.items():
+        write_cfg(tmp_path / f"{name}.json", **overrides)
+    code = ("import sys; from ionwalk import cli; "
+            "codes = [cli.main(['run', f'{p}.json', '--out', p]) for p in sys.argv[1:]]; "
+            "print(codes, [m for m in ('scipy', 'numpy.ma') if m in sys.modules])")
+    out = _fresh_python(code, *(str(tmp_path / name) for name in runs))
+    assert out.strip() == "[0, 0, 0] []"
+    assert (tmp_path / "rec_step02_density.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["run", "c.json", "--threads", "2"], ["run"], ["validate"]],
@@ -416,6 +441,19 @@ def test_duplicate_reconstruction_steps_rejected(tmp_path, capsys):
               scan={"noiseless": True, "n_points": 41},
               reconstruction={"steps": [2, 2, 1]})
     assert_rejected(tmp_path, capsys, cfg, "config", "[2, 2, 1] has non-unique elements")
+
+
+@pytest.mark.parametrize("overrides", [{"experiment": "scan", "scan": {"n_points": 3.0}},
+                                       {"walk": {"n_steps": 2.0}},
+                                       {"hilbert": {"n_max": 60.0}},
+                                       {"experiment": "two_ion",
+                                        "hilbert": {"n_max": 160, "n_ions": 2.0}}],
+                         ids=["scan.n_points", "walk.n_steps", "hilbert.n_max", "hilbert.n_ions"])
+def test_integral_floats_for_integer_keys_rejected(tmp_path, capsys, overrides):
+    # Draft 2020-12 counts 3.0 as an integer; the runners then raised TypeError
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, **overrides)
+    assert_rejected(tmp_path, capsys, cfg, "config", "is not of type 'integer'")
 
 
 @pytest.mark.parametrize("route, prefix", [("--out", "out/"), ("output_prefix", "out/"),

@@ -322,14 +322,7 @@ def test_model_names_select_the_coupling_eta(make):
         make(p, *args, "bogus")
 
 
-def test_one_eigensolve_per_walk_and_scans(monkeypatch, motional_cache):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return eigh_tridiagonal(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "eigh_tridiagonal", counting)
+def test_one_eigensolve_per_walk_and_scans(motional_cache):
     cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60, eta=ETA),
                           model=FidelityModel.ALL_ORDER)
     result = walk.quantum_walk(cfg)
@@ -338,7 +331,25 @@ def test_one_eigensolve_per_walk_and_scans(monkeypatch, motional_cache):
         ensemble = walk.snapshot_ensemble(result, n)
         for axis in ("x", "p"):
             probe.scan_observable(ensemble, "plus_z", k, axis, cfg.model)
-    assert calls == [61]
+    assert motional_cache.cache_info().misses == 1
+    values, _ = motional_cache(60, ETA)          # the one entry: a hit
+    assert motional_cache.cache_info().misses == 1 and values.size == 61
+
+
+@pytest.mark.parametrize("eta", [0.0, ETA])
+@pytest.mark.parametrize("n_max", [1, 2, 47, 60, 400])
+def test_motional_eigenpairs_match_tridiagonal_oracle(n_max, eta):
+    # the SVD of M's parity block against LAPACK's tridiagonal eigensolver,
+    # for both parities of n_max + 1
+    n = np.arange(n_max)
+    off = np.exp(-0.5 * eta ** 2) * eval_genlaguerre(n, 1, eta ** 2) / np.sqrt(n + 1.0)
+    m = np.diag(off, 1) + np.diag(off, -1)
+    values, vectors = dynamics._motional_eigenpairs(n_max, eta)
+    oracle, _ = eigh_tridiagonal(np.zeros(n_max + 1), off)
+    assert np.max(np.abs(m @ vectors - vectors * values)) <= 1e-13 * np.linalg.norm(m, 2)
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(n_max + 1))) <= 1e-14
+    assert np.max(np.abs(values - oracle)) <= 1e-13      # both ascending
+    assert np.array_equal(values, -values[::-1])
 
 
 @pytest.mark.parametrize("n_ions", [1, 2])
