@@ -6,6 +6,7 @@ Conventions (dimensionless throughout):
 so [x_hat, pi_hat] = i, <0|x_hat^2|0> = 1 and <0|pi_hat^2|0> = 1/4.
 Momentum *widths* are usually quoted in units of the ground-state momentum
 spread, i.e. for the operator q_hat = 2*pi_hat with <0|q_hat^2|0> = 1.
+apply_quadrature applies x_hat (axis 'x') or q_hat (axis 'p') to Fock amplitudes.
 
 A mixed motional state is held as one complex factor F of shape
 (motion_dim, K) with rho = F F^dagger: column m is sqrt(w_m) psi_m, so the
@@ -18,7 +19,8 @@ LatticeFactor: the same motional state, untruncated, as a factor over real
 coherent states |alpha_j> on a lattice. Its position density (a Gaussian
 mixture, in exact_position_densities), second moments and probe
 characteristic functions are closed-form sums over two vectors of length
-2L - 1 (L lattice sites), with no Fock-space call.
+2L - 1 (L lattice sites), with no Fock-space call. The density of any
+other ensemble comes from a Hermite table, one ensemble at a time.
 """
 
 from __future__ import annotations
@@ -281,23 +283,16 @@ class MotionalEnsemble:
         return np.sum(np.abs(self.factor) ** 2, axis=1)
 
 
-def apply_position(arr: np.ndarray) -> np.ndarray:
-    """Apply x_hat = a + a' along the last (Fock) axis of an amplitude array."""
-    arr = np.asarray(arr, dtype=complex)
-    n = np.arange(arr.shape[-1])
-    out = np.zeros_like(arr)
-    out[..., 1:] += np.sqrt(n[1:]) * arr[..., :-1]       # a' part
-    out[..., :-1] += np.sqrt(n[1:]) * arr[..., 1:]       # a part
-    return out
+def apply_quadrature(arr: np.ndarray, axis: str) -> np.ndarray:
+    """Apply x_hat = a + a' (axis 'x') or q_hat = i(a' - a) = 2*pi_hat (axis 'p').
 
-
-def apply_momentum(arr: np.ndarray) -> np.ndarray:
-    """Apply q_hat = i(a' - a) = 2*pi_hat along the last (Fock) axis."""
+    Along the last (Fock) axis of an amplitude array.
+    """
     arr = np.asarray(arr, dtype=complex)
-    n = np.arange(arr.shape[-1])
+    up = np.sqrt(np.arange(1.0, arr.shape[-1])) * (1.0 if axis == "x" else 1j)
     out = np.zeros_like(arr)
-    out[..., 1:] += 1j * np.sqrt(n[1:]) * arr[..., :-1]
-    out[..., :-1] += -1j * np.sqrt(n[1:]) * arr[..., 1:]
+    out[..., 1:] += up * arr[..., :-1]                   # a' part
+    out[..., :-1] += up.conj() * arr[..., 1:]            # a part
     return out
 
 
@@ -349,10 +344,11 @@ def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
     coherent states have <x|alpha_i><alpha_j|x> = G_ij N(x; (x_i + x_j)/2, 1)
     (Glauber, Phys. Rev. 131, 2766 (1963)), so its density is the Gaussian
     mixture sum_s A_s N(x; s d/2, 1), clipped at 0 (rounding can take a node
-    below it), from one table of unit Gaussians per (L, d). The others share
-    one Hermite table phi up to their largest n_max: sum over columns of
-    (phi^T F)^2, F the (re, im) view of the zero-padded Fock factor, in
-    blocks of at most the table's row count. GridCoverageError if any row
+    below it), from one table of unit Gaussians per (L, d). The others are
+    read one at a time from one Hermite table phi up to their largest n_max:
+    sum over columns of (phi[:m]^T F)^2, F the (re, im) view of the (m, K)
+    Fock factor. The recurrence's first m rows do not depend on the table's
+    length, so each row is its single call's. GridCoverageError if any row
     holds less than 0.999."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
@@ -372,16 +368,10 @@ def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
             gaussians[key] = np.exp(-0.5 * (grid - means) ** 2 - 0.5 * np.log(2.0 * np.pi))
         out[i] = np.maximum(lattice.position_sums @ gaussians[key], 0.0)
     if fock:
-        table = hermite_functions(max(ensembles[i].params.n_max for i in fock), grid)
-        rows = table.shape[0]
-        factors = [ensembles[i].factor.view(np.float64) for i in fock]
-        stacked = np.hstack([np.pad(f, ((0, rows - f.shape[0]), (0, 0))) for f in factors])
-        owner = np.repeat(np.eye(len(fock)), [f.shape[1] for f in factors], axis=0)
-        dens = np.zeros((grid.size, len(fock)))
-        for start in range(0, stacked.shape[1], rows):
-            block = table.T @ stacked[:, start:start + rows]
-            dens += block ** 2 @ owner[start:start + rows]
-        out[fock] = dens.T
+        phi = hermite_functions(max(ensembles[i].params.n_max for i in fock), grid)
+        for i in fock:
+            factor = ensembles[i].factor
+            out[i] = np.sum((phi[:factor.shape[0]].T @ factor.view(np.float64)) ** 2, axis=1)
     mass = float(np.min(np.sum(out, axis=1)) * h)
     if mass < 0.999:
         raise GridCoverageError(

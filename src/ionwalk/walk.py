@@ -47,8 +47,7 @@ from .fock import (
     LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
-    apply_momentum,
-    apply_position,
+    apply_quadrature,
     check_tail,
     coherent_amplitudes,
     exact_position_densities,
@@ -56,7 +55,6 @@ from .fock import (
 )
 
 COIN_AREA = np.pi / 4.0
-_BRANCH_CUTOFF = 1e-12
 _RANK_CUTOFF = 1e-9       # relative singular-value cut of the dephased factor
 
 
@@ -115,12 +113,14 @@ def _step_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
     """(spin phase, area, displaces) of one step's pulses in the order they act.
 
     Displacement then coin; in reverse, the inverse coin then the inverse
-    displacement (pi-phase-shifted pulses). The displacement's phase is
-    phi_plus (it drives phi_minus = pi/2), the coin's is its carrier phase.
+    displacement. The displacement's phase is phi_plus (it drives
+    phi_minus = pi/2), the coin's is its carrier phase. S_{phi + pi} = -S_phi,
+    so an inverse (pi-phase-shifted) pulse is the pulse of negated area,
+    exact at any phase: phi + pi rounds to phi once |phi| >~ 1e16.
     """
-    flip = np.pi if reverse else 0.0
-    pulses = ((flip, 0.5 * config.pulse_displacement, True),
-              (config.coin_phase + np.pi / 2.0 + flip, COIN_AREA, False))
+    sign = -1.0 if reverse else 1.0
+    pulses = ((0.0, sign * 0.5 * config.pulse_displacement, True),
+              (config.coin_phase + np.pi / 2.0, sign * COIN_AREA, False))
     return pulses[::-1] if reverse else pulses
 
 
@@ -202,7 +202,7 @@ class _Lattice:
                columns: np.ndarray) -> np.ndarray:
         """exp(-i area S (x) M) in the eigenbasis of the collective spin S.
 
-        A displacement (area delta) moves branch s by s sites; the coin
+        A displacement (area +-delta) moves branch s by +-s sites; the coin
         (M = 1) multiplies it by exp(-i area s).
         """
         values, vectors = spin
@@ -210,7 +210,7 @@ class _Lattice:
         branches = (vectors.conj().T @ columns.reshape(s, -1)).reshape(s, -1, columns.shape[1])
         for branch, value in zip(branches, values):
             if displaces:
-                branch[:] = np.roll(branch, int(value), axis=0)
+                branch[:] = np.roll(branch, int(value if area > 0 else -value), axis=0)
             else:
                 branch *= np.exp(-1j * area * value)
         return (vectors @ branches.reshape(s, -1)).reshape(columns.shape)
@@ -330,7 +330,8 @@ def quantum_walk(config: WalkConfig) -> WalkResult:
 def reversed_walk(config: WalkConfig) -> WalkResult:
     """n_steps forward, then the exact inverse pulse sequence.
 
-    Each reverse step undoes the most recent step. The result holds
+    Each reverse step undoes the most recent step: its pulses are the
+    forward ones in reverse order with their areas negated. The result holds
     2*n_steps + 1 snapshots; the last one should match the initial state.
     """
     return _coherent_walk(config, reverse=True)
@@ -355,18 +356,17 @@ def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
 
 
 def _recombine(params: HilbertParams, columns: np.ndarray,
-               lattice: LatticeFactor | None = None,
-               cutoff: float = _BRANCH_CUTOFF) -> MotionalEnsemble:
+               lattice: LatticeFactor | None = None) -> MotionalEnsemble:
     """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) factor F = columns.
 
     Column k's spin branch s becomes factor column k * spin_dim + s (_branches);
-    branches of weight <= cutoff are dropped and the factor is trace-normalized
-    once. lattice, the same ensemble's lattice factor, is kept whole: it is
-    the untruncated state, and the branches dropped weigh at most cutoff each.
+    exactly-zero branches are dropped and the factor is trace-normalized
+    once. lattice, the same ensemble's lattice factor, is kept whole: zero
+    columns change no entry of M = conj(C) C^T.
     """
     factor = _branches(columns, params.spin_dim)
     weights = np.sum(np.abs(factor) ** 2, axis=0)
-    keep = weights > cutoff
+    keep = weights > 0.0
     if not keep.all():
         factor, weights = factor[:, keep], weights[keep]
     return MotionalEnsemble(params, factor / np.sqrt(np.sum(weights)), lattice)
@@ -384,44 +384,43 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     held as a factor F on the walk's path (lattice or Fock space), split by
     sector and compressed by an SVD after every step (_dephase); the result
     needs no trials and no seed. Snapshots are motional ensembles (spin
-    recombined), built as each step ends. Their Fock factors drop only the
-    exact zeros outside each column's sector, since the SVD cut already
-    bounds what is left out; their lattice factors keep them, as zero
-    columns change no entry of M = conj(C) C^T. threads is ignored; it
-    stays only because bench/workloads.py passes it.
+    recombined), built as each step ends; like every recombination, their
+    Fock factors drop the exact zeros outside each column's sector and
+    their lattice factors keep them. threads is ignored; it stays only
+    because bench/workloads.py passes it.
     """
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns), cutoff=0.0)]
+    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns))]
     for columns, fock in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(_recombine(p, fock, path.lattice(columns), cutoff=0.0))
+        snapshots.append(_recombine(p, fock, path.lattice(columns)))
     return WalkResult(config, tuple(snapshots))
 
 
 # ---------------------------------------------------------------- summaries
 
-def _motional_rows(obj) -> np.ndarray:
-    """Rows r_i with rho_motion = sum_i |r_i><r_i|: spin branches, or the columns of F."""
-    return obj.branch_matrix() if isinstance(obj, SpinMotionState) else obj.factor.T
+def _second_moment(obj, axis: str) -> float:
+    """<x_hat^2> (axis 'x') or <q_hat^2> (axis 'p') of a SpinMotionState or MotionalEnsemble.
+
+    From its lattice factor if it has one (the untruncated state's, in closed
+    form), else ||Q R||_F^2 over its motional rows R, with rho_motion =
+    R^T conj(R): a state's spin branches, or the columns of an ensemble's F.
+    """
+    if obj.lattice is not None:
+        return obj.lattice.second_moment(axis)
+    rows = obj.branch_matrix() if isinstance(obj, SpinMotionState) else obj.factor.T
+    return float(np.sum(np.abs(apply_quadrature(rows, axis)) ** 2))
 
 
 def second_moment_x(obj) -> float:
-    """<x_hat^2> of a SpinMotionState or MotionalEnsemble.
-
-    From its lattice factor if it has one (the untruncated state's, in closed
-    form), else ||X R||_F^2 on its Fock rows.
-    """
-    if obj.lattice is not None:
-        return obj.lattice.second_moment("x")
-    return float(np.sum(np.abs(apply_position(_motional_rows(obj))) ** 2))
+    """<x_hat^2> of a SpinMotionState or MotionalEnsemble."""
+    return _second_moment(obj, "x")
 
 
 def second_moment_q(obj) -> float:
-    """<q_hat^2> with q_hat = 2*pi_hat (ground state gives 1), read as second_moment_x."""
-    if obj.lattice is not None:
-        return obj.lattice.second_moment("p")
-    return float(np.sum(np.abs(apply_momentum(_motional_rows(obj))) ** 2))
+    """<q_hat^2> with q_hat = 2*pi_hat (ground state gives 1)."""
+    return _second_moment(obj, "p")
 
 
 def width_x(obj) -> float:

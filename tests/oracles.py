@@ -5,12 +5,15 @@ matrices, the spin (x) motion Hamiltonians as full matrices (with their
 Laguerre factors from scipy.special, not from the package's recurrence),
 the closed-form scan under the probe coupling that the x_diagonal
 reconstruction kernel models, the ideal coined walk on an integer lattice,
-the position density of a coherent-state lattice factor site by site, a
-Fisher-information Hessian assembled entry by entry, and an active-set
-solve of the reconstruction problem without the Fisher bound.
+the binomial weights of its dephased one-ion limit, the position density
+of a coherent-state lattice factor site by site, a Fisher-information
+Hessian assembled entry by entry, and an active-set solve of the
+reconstruction problem without the Fisher bound.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -134,6 +137,20 @@ def coined_walk(n_steps: int, n_ions: int = 1, coin_phase: float = 0.0):
         c = coin @ sum(np.roll(proj @ c, int(shift), axis=1)
                        for shift, proj in zip(shifts, projectors))
         yield c
+
+
+def binomial_walk_weights(n_steps: int, reach: int) -> np.ndarray:
+    """2^-n C(n, (n + j)/2) on sites j = -reach..reach: n fair +-1 steps from j = 0.
+
+    Zero on the sites of the other parity and beyond |j| = n. For one ion the
+    dephased walk's motion after n steps is the mixture of the coherent
+    states |alpha_j> with these weights, at any coin phase (the coin acts on
+    the spin alone and drops out of the spin trace; Brun, Carteret &
+    Ambainis, PRL 91, 130602 (2003)).
+    """
+    return np.array([math.comb(n_steps, (n_steps + j) // 2) / 2.0 ** n_steps
+                     if abs(j) <= n_steps and (n_steps + j) % 2 == 0 else 0.0
+                     for j in range(-reach, reach + 1)])
 
 
 def lattice_density(factor: np.ndarray, spacing: float, grid: np.ndarray) -> np.ndarray:

@@ -163,6 +163,19 @@ def test_run_reverse_experiment(tmp_path):
     assert payload["fidelity"] > 0.999
 
 
+def test_run_reverse_at_huge_coin_phase(tmp_path, capsys):
+    # coin_phase + pi rounds to coin_phase at 1e300: the inverse coin must
+    # not be a pi-shifted copy, or the packet wraps round the lattice
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="reverse", hilbert={"n_max": 40},
+              walk={"n_steps": 2, "coin_phase": 1e300})
+    prefix = tmp_path / "r"
+    assert cli.main(["run", str(cfg), "--out", str(prefix)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((prefix.parent / f"{prefix.name}_summary.json").read_text())
+    assert payload["fidelity"] >= 1.0 - 1e-12
+
+
 def test_run_scan_experiment(tmp_path):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment="scan", walk={"n_steps": 1},

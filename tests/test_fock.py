@@ -8,8 +8,7 @@ from ionwalk.fock import (
     LeakyStateError,
     MotionalEnsemble,
     SpinMotionState,
-    apply_momentum,
-    apply_position,
+    apply_quadrature,
     check_tail,
     coherent_amplitudes,
     exact_position_densities,
@@ -85,8 +84,8 @@ def test_apply_position_momentum_match_matrices():
     x, pi = quadrature_operators(p)
     rng = np.random.default_rng(5)
     v = rng.normal(size=21) + 1j * rng.normal(size=21)
-    assert np.allclose(apply_position(v), x @ v, atol=1e-13)
-    assert np.allclose(apply_momentum(v), 2 * (pi @ v), atol=1e-13)
+    assert np.allclose(apply_quadrature(v, "x"), x @ v, atol=1e-13)
+    assert np.allclose(apply_quadrature(v, "p"), 2 * (pi @ v), atol=1e-13)
 
 
 def test_coherent_state_basics():
@@ -233,10 +232,9 @@ def test_density_grid_too_narrow():
 
 def test_batch_densities_share_one_table():
     # one Hermite table serves ensembles of different truncations; each row
-    # equals that ensemble's own table product (the per-ensemble reference)
-    # and is coverage-checked on its own. 5 + 2 + 8 complex columns stack to
-    # 30 real ones, more than the 17-row table, so the product runs in blocks
-    # that straddle ensembles
+    # equals, bit for bit, that ensemble's own table product (the
+    # per-ensemble reference), as the recurrence's first rows do not depend
+    # on the table's length, and is coverage-checked on its own
     grid = np.arange(-8.0, 8.001, 0.05)
     small, big = HilbertParams(n_max=16), HilbertParams(n_max=9)
     rng = np.random.default_rng(3)
@@ -252,7 +250,7 @@ def test_batch_densities_share_one_table():
     for row, ens in zip(rows, ensembles):
         phi = hermite_functions(ens.params.n_max, grid)
         want = np.sum((phi.T @ ens.factor.view(np.float64)) ** 2, axis=1)
-        assert np.max(np.abs(row - want)) < 1e-14 * np.max(want)
+        assert np.array_equal(row, want)
         assert np.array_equal(exact_position_density(ens, grid),
                               exact_position_densities([ens], grid)[0])
     p64 = HilbertParams(n_max=64)
@@ -417,8 +415,7 @@ def test_lattice_density_is_nonnegative_at_a_node(spacing):
 
 def test_mixed_batch_rows_are_single_call_rows():
     # one call on lattice-backed ensembles of three (L, d) and on Fock-only
-    # ones gives each row its own single call's result: a lattice row bit for
-    # bit, a Hermite row to the rounding of its blocked product
+    # ones gives each row its own single call's result, bit for bit
     rng = np.random.default_rng(11)
     lattices = []
     for sites, spacing in ((3, 2.0), (7, 1.7), (7, 2.0), (3, 2.0)):
@@ -431,11 +428,7 @@ def test_mixed_batch_rows_are_single_call_rows():
     grid = np.arange(-12.0, 12.001, 0.05)
     rows = exact_position_densities(ensembles, grid)
     for row, ens in zip(rows, ensembles):
-        single = exact_position_density(ens, grid)
-        if ens.lattice is not None:
-            assert np.array_equal(row, single)
-        else:
-            assert np.max(np.abs(row - single)) < 1e-14 * single.max()
+        assert np.array_equal(row, exact_position_density(ens, grid))
     # the coverage check holds for lattice rows too: a packet at x = 6
     far = np.zeros((7, 1), dtype=complex)
     far[6] = 1.0

@@ -21,6 +21,7 @@ from conftest import split_halves
 from oracles import (
     SIGMA_Y,
     bichromatic_hamiltonian,
+    binomial_walk_weights,
     carrier_hamiltonian,
     coherent_state,
     coined_walk,
@@ -163,6 +164,17 @@ def test_reversibility_up_to_eight_steps(model):
     assert walk.reversal_fidelity(result) >= 0.999
 
 
+@pytest.mark.parametrize("coin_phase", [1e17, 1e300])
+@pytest.mark.parametrize("model", [FidelityModel.LAMB_DICKE, FidelityModel.ALL_ORDER])
+def test_reversal_is_exact_at_huge_coin_phases(model, coin_phase):
+    # coin_phase + pi/2 + pi rounds to coin_phase + pi/2 at these sizes, so a
+    # pi-shifted inverse coin would be the forward coin; the inverse pulses
+    # negate the areas instead
+    cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=80), model=model,
+                          coin_phase=coin_phase)
+    assert walk.reversal_fidelity(walk.reversed_walk(cfg)) >= 1.0 - 1e-12
+
+
 def test_walk_rejects_x_only_models():
     # the x-only models, which could not drive the walk's momentum kicks,
     # are no FidelityModel any more: their names are refused like any other
@@ -182,6 +194,16 @@ def test_recombine_pure_spin_state():
     w, vec = ens.members[0]
     assert abs(w - 1.0) < 1e-12
     assert abs(abs(np.vdot(vec, coherent_state(1.0, p))) - 1.0) < 1e-12
+
+
+def test_recombine_keeps_every_nonzero_branch():
+    # only exactly-zero spin branches are dropped: one of weight 1e-20 stays
+    p = HilbertParams(n_max=32)
+    coh = coherent_state(1.0, p)
+    state = SpinMotionState(p, np.concatenate([np.sqrt(1.0 - 1e-20) * coh, 1e-10 * coh]))
+    ens = walk.recombine_spin(state)
+    assert ens.factor.shape == (p.motion_dim, 2)
+    assert np.allclose(ens.weights(), [1.0, 1e-20], rtol=1e-12, atol=0)
 
 
 def test_recombine_one_step_branches():
@@ -243,6 +265,36 @@ def test_classical_walk_deterministic_and_thread_independent():
     for other in runs[1:]:
         for sa, sb in zip(runs[0].snapshots, other.snapshots, strict=True):
             assert np.array_equal(sa.factor, sb.factor)
+
+
+@pytest.mark.parametrize("coin_phase, n_steps", [(0.0, 15), (0.3, 15), (1.1, 15), (1.1, 23)])
+def test_dephased_one_ion_walk_is_the_binomial_walk(coin_phase, n_steps):
+    # the one-ion dephased walk's motion is sum_j 2^-n C(n, (n+j)/2)
+    # |alpha_j><alpha_j| at every step and coin phase, so its lattice matrix
+    # M = conj(C) C^T is diagonal with the binomial weights
+    p = HilbertParams(n_max=walk.required_n_max(n_steps, 2.0))
+    cfg = walk.WalkConfig(n_steps=n_steps, params=p, coin_phase=coin_phase)
+    for n, snap in enumerate(walk.classical_walk(cfg).snapshots):
+        c = snap.lattice.factor
+        m = c.conj() @ c.T
+        assert np.max(np.abs(m - np.diag(np.diag(m)))) <= 1e-13
+        assert np.max(np.abs(np.diag(m) - binomial_walk_weights(n, n_steps))) <= 1e-13
+
+
+def test_dephased_two_ion_walk_is_diagonal_at_coin_phase_0():
+    # two ions at coin phase 0 keep no coherence between sites either; at
+    # step 1 the S_z = +-2 sectors (weight 1/2) give 1/8, 1/4, 1/8 and the
+    # S_z = 0 one, (|++> - |-->)/sqrt(2) in the sigma_x basis, gives 1/4, 0, 1/4
+    cfg = walk.WalkConfig(n_steps=5, params=HilbertParams(n_max=walk.required_n_max(5, 4.0),
+                                                          n_ions=2))
+    for n, snap in enumerate(walk.classical_walk(cfg).snapshots):
+        c = snap.lattice.factor
+        m = c.conj() @ c.T
+        assert np.max(np.abs(m - np.diag(np.diag(m)))) <= 1e-13
+        if n == 1:
+            want = np.zeros(c.shape[0])
+            want[[8, 10, 12]] = 3 / 8, 1 / 4, 3 / 8                # sites -2, 0, 2
+            assert np.max(np.abs(np.diag(m) - want)) <= 1e-13
 
 
 def test_classical_reference_width_formula():
@@ -372,7 +424,7 @@ def test_lattice_walks_match_fock_path(n_ions, n_steps, step_size, coin_phase):
     grid = np.linspace(-extent, extent, int(20 * extent) + 1)
 
     def densities_match(result, factors):
-        oracle = exact_position_densities([walk._recombine(p, f, cutoff=0.0) for f in factors],
+        oracle = exact_position_densities([walk._recombine(p, f) for f in factors],
                                           grid)
         dens = walk.snapshot_densities(result, range(len(factors)), grid)
         assert np.max(np.abs(dens - oracle) / oracle.max(axis=1)[:, None]) < 1e-12
@@ -389,7 +441,7 @@ def test_lattice_walks_match_fock_path(n_ions, n_steps, step_size, coin_phase):
     densities_match(result, reference)
     result, reference = walk.classical_walk(cfg), _fock_walk(cfg, dephase=True)
     for snap, want in zip(result.snapshots, reference, strict=True):
-        want = walk._recombine(p, want, cutoff=0.0)
+        want = walk._recombine(p, want)
         assert snap.factor.shape == want.factor.shape
         assert np.max(np.abs(_dense_rho(snap) - _dense_rho(want))) < 1e-12
     densities_match(result, reference)
