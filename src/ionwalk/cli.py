@@ -6,6 +6,10 @@ summaries as JSON), published together once the experiment has succeeded.
 Widths and nbar are read through walk.width_x, width_p and mean_phonon.
 No plotting, no interaction.
 
+A config is checked against CONFIG_SCHEMA by _schema_error, which
+implements the keywords the schema uses, so no run imports jsonschema
+(the tests use it as the oracle); its message names the key path.
+
 Exit codes: 0 success, 1 usage or configuration/validation failure, 2
 numerical failure (leaky state, infeasible bound, non-convergence) with the
 failing stage named on stderr.
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import operator
 import os
 import shutil
 import sys
@@ -24,7 +29,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import jsonschema
 
 from . import probe, reconstruct, walk
 from .dynamics import FidelityModel, step_size
@@ -110,14 +114,87 @@ CONFIG_SCHEMA = {
     },
 }
 
-# built once: jsonschema.validate re-checks the schema against its meta-schema
-# on every call, about 100 times the cost of the validation (test_cli checks it).
-# Draft 2020-12 counts 3.0 as an "integer"; here an integer is a Python int.
-_VALIDATOR = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
-)(CONFIG_SCHEMA)
+# JSON types as Python types. A bool is a "boolean" only, never an "integer"
+# or a "number"; an "integer" is an int (Draft 2020-12 also counts 3.0).
+_JSON_TYPES = {"null": type(None), "boolean": bool, "integer": int, "number": (int, float),
+               "string": str, "array": list, "object": dict}
+
+# (keyword, violated if, wording), checked on numbers only
+_BOUNDS = (("minimum", operator.lt, "is less than the minimum of"),
+           ("exclusiveMinimum", operator.le, "is less than or equal to the minimum of"),
+           ("exclusiveMaximum", operator.ge, "is greater than or equal to the maximum of"))
+
+
+def _is_type(value, name: str) -> bool:
+    return isinstance(value, _JSON_TYPES[name]) and isinstance(value, bool) == (name == "boolean")
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: 1.0 equals 1, but True equals neither, inside arrays and objects too."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+def _schema_error(value, schema: dict, path: str = "") -> str | None:
+    """First violation of schema by value as "path: message", or None if value conforms.
+
+    Checks the keywords CONFIG_SCHEMA uses, with jsonschema's wording, and
+    descends into objects and arrays in the value's own order. path is the
+    dotted key path of value ("" for the whole config, [i] for an array item).
+    """
+    at = f"{path}: " if path else ""
+    types = schema.get("type")
+    if types is not None:
+        types = [types] if isinstance(types, str) else types
+        if not any(_is_type(value, name) for name in types):
+            return f"{at}{value!r} is not of type {', '.join(map(repr, types))}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        return f"{at}{schema['const']!r} was expected"
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        return f"{at}{value!r} is not one of {schema['enum']!r}"
+    if _is_type(value, "number"):
+        for key, violated, wording in _BOUNDS:
+            if key in schema and violated(value, schema[key]):
+                return f"{at}{value!r} {wording} {schema[key]!r}"
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        short = "should be non-empty" if schema["minLength"] == 1 else "is too short"
+        return f"{at}{value!r} {short}"
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{at}{key!r} is a required property"
+        extras = sorted(key for key in value if key not in properties)
+        if extras and schema.get("additionalProperties") is False:
+            return (f"{at}Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                    f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        for key, item in value.items():
+            if key in properties:
+                error = _schema_error(item, properties[key], f"{path}.{key}" if path else key)
+                if error is not None:
+                    return error
+    if isinstance(value, list):
+        # pairwise, not through a set: items may be unhashable lists or objects
+        if schema.get("uniqueItems") and any(_equal(value[i], value[j])
+                                             for j in range(len(value)) for i in range(j)):
+            return f"{at}{value!r} has non-unique elements"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                error = _schema_error(item, schema["items"], f"{path}[{i}]")
+                if error is not None:
+                    return error
+    return None
+
+
+# Largest density or reconstruction grid, in points: about five times
+# walk23's 2,081, or +-250 widths at the default spacing. The reconstruction
+# holds a few dense matrices of side half the grid, 0.2 GB each at this size.
+MAX_GRID_POINTS = 10_001
 
 # section -> defaults, merged into the config's own values once by _resolve
 _DEFAULTS = {
@@ -142,14 +219,20 @@ def _finite_float(text: str) -> float:
 
 
 def load_config(path: str) -> dict:
+    """The config at path, checked against CONFIG_SCHEMA by _schema_error.
+
+    ConfigError if the file cannot be read or parsed, holds a non-finite
+    number, or violates the schema; the message names the first violation
+    and its key path, such as walk.model.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    error = _schema_error(raw, CONFIG_SCHEMA)
     if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+        raise ConfigError(f"config schema violation: {error}")
     return raw
 
 
@@ -172,12 +255,20 @@ class _Run:
 
 def _grid(wcfg: walk.WalkConfig, extent: float | None,
           spacing: float) -> reconstruct.PositionGrid:
-    """Symmetric grid of the given extent, by default the walk's reach s*N plus 6 widths."""
+    """Symmetric grid of the given extent, by default the walk's reach s*N plus 6 widths.
+
+    ConfigError for a grid of more than MAX_GRID_POINTS points, counted in
+    floating point before anything is allocated (the count may be inf).
+    """
     extent = extent or wcfg.n_steps * wcfg.step_size + 6.0
+    grid = f"grid of extent {extent:g} and spacing {spacing:g}"
+    points = 2.0 * extent / spacing + 1.0
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(f"{grid}: {points:.3g} points exceed the limit of {MAX_GRID_POINTS}")
     try:
         return reconstruct.PositionGrid.symmetric(extent, spacing)
     except ValueError as exc:
-        raise ConfigError(f"grid of extent {extent:g} and spacing {spacing:g}: {exc}") from exc
+        raise ConfigError(f"{grid}: {exc}") from exc
 
 
 def _resolve(cfg: dict, seed: int) -> _Run:
@@ -194,6 +285,11 @@ def _resolve(cfg: dict, seed: int) -> _Run:
         raise ConfigError(str(exc)) from exc
     if experiment == "two_ion" and wcfg.params.n_ions != 2:
         raise ConfigError("two_ion experiment requires hilbert.n_ions = 2")
+    try:
+        walk.required_n_max(wcfg.n_steps, wcfg.step_size)
+    except OverflowError as exc:
+        raise ConfigError(f"walk reach s*N = {wcfg.n_steps * wcfg.step_size:g}: no Fock "
+                          f"truncation holds it, the heuristic (s*N/2 + 3)^2 overflows") from exc
     n, rec, dg = wcfg.n_steps, sec["reconstruction"], sec["density_grid"]
     grid, steps = None, list(range(n + 1))
     if experiment == "reconstruct":

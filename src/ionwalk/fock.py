@@ -89,12 +89,16 @@ def coherent_amplitudes(alphas, n_max: int) -> np.ndarray:
     levels either side of the peak, where the amplitudes have fallen below
     1e-40 of it, and is normalized over that window, beyond n_max too: the
     truncated table keeps the true amplitudes, and its column norms fall
-    short of 1 by the population above n_max.
+    short of 1 by the population above n_max. A column whose window starts
+    above n_max (|alpha| > 10 + sqrt(n_max + 142)) stays zero, and is skipped
+    before its window is sized, so no |alpha| is too large.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     out = np.zeros((n_max + 1, alphas.size))
     for col, alpha in enumerate(alphas):
         mod = abs(alpha)
+        if mod > 10.0 + np.sqrt(n_max + 142.0):
+            continue
         peak = int(mod ** 2)
         width = int(np.ceil(20.0 * mod + 40.0))
         lo, hi = max(0, peak - width), peak + width

@@ -104,7 +104,10 @@ class WalkResult:
 
 
 def required_n_max(n_steps: int, step_size: float) -> int:
-    """Fock truncation adequacy heuristic (alpha + 3)^2 with alpha = N*s/2."""
+    """Fock truncation adequacy heuristic (alpha + 3)^2 with alpha = N*s/2.
+
+    OverflowError where that exceeds the largest float (alpha above ~1e154).
+    """
     alpha = 0.5 * n_steps * step_size
     return max(16, int(np.ceil((alpha + 3.0) ** 2)))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,51 @@ def test_run_grid_too_coarse_exits_1(tmp_path, capsys, experiment, section):
     assert f"stage={experiment}: grid of extent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, section", [
+    ("walk", {"density_grid": {"spacing": 1e-12}}),                     # 1.6e13 points
+    ("reconstruct", {"reconstruction": {"grid_extent": 1e12}}),         # 2e13 points
+    ("reverse", {"density_grid": {"extent": 1e308, "spacing": 1e-300}}),  # inf points
+], ids=["density_grid.spacing", "reconstruction.grid_extent", "infinite_count"])
+def test_oversized_grid_rejected(tmp_path, capsys, experiment, section):
+    # counted before np.arange allocates terabytes or int(inf) overflows
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment=experiment, walk={"n_steps": 1}, **section)
+    assert_rejected(tmp_path, capsys, cfg, experiment,
+                    f"points exceed the limit of {cli.MAX_GRID_POINTS}")
+
+
+def test_grid_at_the_size_limit_is_built():
+    wcfg = walk.WalkConfig(n_steps=1, params=HilbertParams(n_max=40))
+    assert cli._grid(wcfg, cli.MAX_GRID_POINTS // 2, 1.0).points.size == cli.MAX_GRID_POINTS
+    with pytest.raises(cli.ConfigError, match="exceed the limit"):
+        cli._grid(wcfg, cli.MAX_GRID_POINTS // 2 + 1, 1.0)
+
+
+@pytest.mark.parametrize("model", ["lamb_dicke", "all_order"])
+def test_overflowing_step_size_rejected(tmp_path, capsys, model):
+    # (s*N/2 + 3)^2 overflows a float: validate raised OverflowError in
+    # required_n_max, and run in fock.coherent_amplitudes
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="nbar_curve", hilbert={"n_max": 40},
+              walk={"n_steps": 2, "step_size": 1e300, "model": model})
+    assert_rejected(tmp_path, capsys, cfg, "nbar_curve", "walk reach s*N = 2e+300")
+
+
+def test_step_beyond_the_truncation_exits_2(tmp_path, capsys):
+    # a finite heuristic: validate fails it, and run finds the whole packet
+    # above n_max (the coherent-state table no longer sizes a 1e101-level window)
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="nbar_curve", hilbert={"n_max": 40},
+              walk={"n_steps": 2, "step_size": 1e100})
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "VALIDATION FAILED"
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "nb")]) == 2
+    err = capsys.readouterr().err
+    assert "stage=nbar_curve: LeakyStateError: step 1: tail population 1.00e+00" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
 def test_run_reverse_experiment(tmp_path):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment="reverse", walk={"n_steps": 2})
@@ -303,11 +349,24 @@ def _fresh_python(code: str, *args: str) -> str:
 
 
 def test_cli_import_stays_lean():
-    # import scipy.linalg alone is about half of every run's start-up; the
-    # package needs no scipy module at all
-    code = ("import sys, ionwalk.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    assert _fresh_python(code).strip() == "[]"
+    # scipy.linalg and jsonschema (with referencing, attrs and rpds) were most
+    # of every run's start-up; importing the CLI and checking a config loads
+    # none of them, and of the third-party packages only the declared runtime
+    # dependencies. Modules that site's .pth files import before are not
+    # counted, nor the spec-less modules Cython extensions create.
+    code = ("import json, sys; before = set(sys.modules); import ionwalk.cli; "
+            "ionwalk.cli.load_config(sys.argv[1]); "
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before "
+            "         if sys.modules[m].__spec__ is not None}; "
+            "print(json.dumps([sorted(added - set(sys.stdlib_module_names) - {'ionwalk'}), "
+            "sorted(m for m in sys.modules if m.partition('.')[0] in "
+            "('scipy', 'jsonschema', 'referencing', 'attrs', 'attr', 'rpds'))]))")
+    added, forbidden = json.loads(_fresh_python(code, str(CONFIGS[0])))
+    assert forbidden == []
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert added == sorted(re.split(r"[<>=!~;\[ ]", dep)[0] for dep in dependencies) == ["numpy"]
 
 
 def test_runs_load_neither_scipy_nor_numpy_ma(tmp_path):

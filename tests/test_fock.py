@@ -143,6 +143,21 @@ def test_coherent_amplitudes_keep_the_truncated_tail():
     assert abs(lost[2] - np.sum(full[13:, 2] ** 2)) < 1e-15
 
 
+def test_coherent_amplitudes_above_the_table_are_zero():
+    # a packet wholly above n_max is skipped before its window is sized:
+    # |alpha|^2 overflowed at 1e300, and 1e100 asked for 2e101 levels
+    alphas = [1e300, -1e100, 1e8, 3.0]
+    table = fock.coherent_amplitudes(alphas, 40)
+    assert not np.any(table[:, :3])
+    assert np.array_equal(table[:, 3], fock.coherent_amplitudes([3.0], 40)[:, 0])
+    # skipped columns are those whose window starts above n_max: over |alpha|
+    # up to 40 (skipped above 23.5 at n_max 40, never at 2000) the tables agree
+    alphas = np.linspace(-40.0, 40.0, 301)
+    big = fock.coherent_amplitudes(alphas, 2000)
+    assert np.array_equal(fock.coherent_amplitudes(alphas, 40), big[:41])
+    assert np.any(big[:41, np.abs(alphas) > 20.0])
+
+
 def test_coherent_truncation_guard():
     # tail above n = |a|^2 + 6|a| stays below 1e-6 once |a| >~ 2.5; for
     # smaller packets the heavy Poisson tail needs a few extra levels
