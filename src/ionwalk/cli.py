@@ -196,6 +196,14 @@ def _schema_error(value, schema: dict, path: str = "") -> str | None:
 # holds a few dense matrices of side half the grid, 0.2 GB each at this size.
 MAX_GRID_POINTS = 10_001
 
+# Largest array a run may build, in entries (8 or 16 bytes each, so 0.27 or
+# 0.54 GB at the limit). A lamb_dicke walk of N = 200 at n_max =
+# required_n_max(200, 2) = 41,209 holds 41,210 x 401 = 16.5 million in its
+# coherent-state table; an all_order walk's dense motional eigenbasis
+# reaches the limit at n_max 5,791. Larger runs would not fit the memory of
+# a small machine, and a count of 1e12 from a typo would fail in numpy.
+MAX_ARRAY_ENTRIES = 2 ** 25
+
 # section -> defaults, merged into the config's own values once by _resolve
 _DEFAULTS = {
     "scan": {"axis": "x", "spin_prep": "plus_z", "k_max": probe.DEFAULT_K_MAX,
@@ -271,10 +279,28 @@ def _grid(wcfg: walk.WalkConfig, extent: float | None,
         raise ConfigError(f"{grid}: {exc}") from exc
 
 
+def _largest_array(experiment: str, wcfg: walk.WalkConfig, n_points: int,
+                   grid: reconstruct.PositionGrid | None) -> tuple[int, str]:
+    """(entries, name) of the largest array the run would build, counted before any is."""
+    p, all_order = wcfg.params, wcfg.model is FidelityModel.ALL_ORDER
+    sites = 2 * wcfg.n_steps * p.n_ions + 1                  # the lamb_dicke lattice's L
+    sizes = {"the Fock state": p.dim, "the k grid": n_points,
+             "the step list": wcfg.n_steps + 1,
+             "the motional eigenbasis" if all_order else "the coherent-state table":
+                 p.motion_dim * (p.motion_dim if all_order else sites)}
+    if experiment in ("scan", "reconstruct"):
+        sizes["a scan's phase table"] = n_points * (p.motion_dim if all_order else 2 * sites - 1)
+    if experiment == "reconstruct":
+        sizes["the forward model"] = n_points * grid.points.size
+    return max((entries, name) for name, entries in sizes.items())
+
+
 def _resolve(cfg: dict, seed: int) -> _Run:
     """Merge the section defaults and build the walk, grid and steps; ConfigError if unusable.
 
-    hilbert and walk keys are HilbertParams' and WalkConfig's fields, with their defaults."""
+    hilbert and walk keys are HilbertParams' and WalkConfig's fields, with
+    their defaults. ConfigError also where the run's largest array would
+    hold more than MAX_ARRAY_ENTRIES entries, before any is allocated."""
     experiment = cfg["experiment"]
     if seed < 0:
         raise ConfigError(f"seed {seed} must be >= 0")
@@ -290,8 +316,8 @@ def _resolve(cfg: dict, seed: int) -> _Run:
     except OverflowError as exc:
         raise ConfigError(f"walk reach s*N = {wcfg.n_steps * wcfg.step_size:g}: no Fock "
                           f"truncation holds it, the heuristic (s*N/2 + 3)^2 overflows") from exc
-    n, rec, dg = wcfg.n_steps, sec["reconstruction"], sec["density_grid"]
-    grid, steps = None, list(range(n + 1))
+    n, rec, dg, sc = wcfg.n_steps, sec["reconstruction"], sec["density_grid"], sec["scan"]
+    grid, steps = None, None
     if experiment == "reconstruct":
         grid = _grid(wcfg, rec["grid_extent"], rec["grid_spacing"])
         steps = [n] if rec["steps"] is None else rec["steps"]
@@ -305,9 +331,13 @@ def _resolve(cfg: dict, seed: int) -> _Run:
                            else reconstruct.KIND_X_DIAGONAL)
     elif experiment in ("walk", "classical", "reverse", "two_ion"):
         grid = _grid(wcfg, dg["extent"], dg["spacing"])
-    sc = sec["scan"]
-    return _Run(experiment, wcfg, sc, rec,
-                np.linspace(0.0, sc["k_max"], sc["n_points"]), grid, steps)
+    entries, name = _largest_array(experiment, wcfg, sc["n_points"], grid)
+    if entries > MAX_ARRAY_ENTRIES:
+        raise ConfigError(f"{name} would hold {entries:.3g} entries, above the limit of "
+                          f"{MAX_ARRAY_ENTRIES} (hilbert.n_max {wcfg.params.n_max}, "
+                          f"walk.n_steps {n}, scan.n_points {sc['n_points']})")
+    return _Run(experiment, wcfg, sc, rec, np.linspace(0.0, sc["k_max"], sc["n_points"]),
+                grid, list(range(n + 1)) if steps is None else steps)
 
 
 def _split_prefix(prefix: str) -> tuple[str, str]:
@@ -326,8 +356,9 @@ def validate_config(cfg: dict) -> tuple[bool, list[str]]:
     wcfg = run.wcfg
     needed = walk.required_n_max(wcfg.n_steps, wcfg.step_size)
     ok = wcfg.params.n_max >= needed
+    shown = f"{needed:g}" if needed > 1e15 else needed     # exact, unless too long to read
     lines = [f"{'OK' if ok else 'FAIL'}: n_max {wcfg.params.n_max}, truncation heuristic "
-             f"(s*N/2 + 3)^2 = {needed} for N={wcfg.n_steps}, s={wcfg.step_size:g}"]
+             f"(s*N/2 + 3)^2 = {shown} for N={wcfg.n_steps}, s={wcfg.step_size:g}"]
     if run.grid is not None:
         extent, support = run.grid.points[-1], wcfg.n_steps * wcfg.step_size + 2.0
         fits = extent >= support

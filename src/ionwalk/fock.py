@@ -14,10 +14,11 @@ trace condition is ||F||_F = 1 and every consumer works on F directly.
 weights() (squared column norms), member_matrix() (F with normalized
 columns) and members ((weight, vector) pairs) are derived views.
 
-A state or ensemble that a lamb_dicke walk produces also carries its
+A state or ensemble that a lamb_dicke walk produces carries its
 LatticeFactor: the same motional state, untruncated, as a factor over real
-coherent states |alpha_j> on a lattice. Its position density (a Gaussian
-mixture, in exact_position_densities), second moments and probe
+coherent states |alpha_j> on a lattice, and builds its Fock amplitudes or
+factor from that only when they are read. Its position density (a
+Gaussian mixture, in exact_position_densities), second moments and probe
 characteristic functions are closed-form sums over two vectors of length
 2L - 1 (L lattice sites), with no Fock-space call. The density of any
 other ensemble comes from a Hermite table, one ensemble at a time.
@@ -25,6 +26,8 @@ other ensemble comes from a Hermite table, one ensemble at a time.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,18 +118,26 @@ def coherent_amplitudes(alphas, n_max: int) -> np.ndarray:
     return out
 
 
-def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "",
-               lost: float = 0.0) -> float:
-    """Spin-traced population of the top TAIL_FRACTION Fock levels, plus lost.
+def tail_levels(params: HilbertParams) -> int:
+    """Number of top Fock levels watched for leakage: the top TAIL_FRACTION, at least one."""
+    return max(1, int(np.ceil(TAIL_FRACTION * params.motion_dim)))
+
+
+def check_tail(params: HilbertParams, amplitudes: np.ndarray, where: str = "") -> float:
+    """Spin-traced population of the top tail_levels Fock levels, by check_leak.
 
     Of a state vector, or of rho = F F^dagger for a (dim, K) factor F (summed
-    over its columns); lost is population the truncated space could not hold
-    at all. Above TAIL_TOLERANCE it raises LeakyStateError, if not finite
-    FloatingPointError, the message prefixed with where.
+    over its columns).
     """
-    k = max(1, int(np.ceil(TAIL_FRACTION * params.motion_dim)))
-    top = amplitudes.reshape(params.spin_dim, params.motion_dim, -1)[:, -k:]
-    tail = float(np.sum(np.abs(top) ** 2)) + lost
+    top = amplitudes.reshape(params.spin_dim, params.motion_dim, -1)[:, -tail_levels(params):]
+    return check_leak(params, float(np.sum(np.abs(top) ** 2)), where)
+
+
+def check_leak(params: HilbertParams, tail: float, where: str = "") -> float:
+    """tail, the population a truncation leaks; LeakyStateError above TAIL_TOLERANCE.
+
+    FloatingPointError if it is not finite. Messages are prefixed with where.
+    """
     if not np.isfinite(tail):
         raise FloatingPointError(f"{where}state has non-finite amplitudes")
     if tail > TAIL_TOLERANCE:
@@ -213,53 +224,75 @@ class LatticeFactor:
         return float(np.real(self.offset_sums @ weights))
 
 
-@dataclass(frozen=True)
+def _read(source) -> np.ndarray:
+    """The array a snapshot was given, or the one its source function returns."""
+    return np.asarray(source() if callable(source) else source, dtype=complex)
+
+
+@dataclass(frozen=True, eq=False)
 class SpinMotionState:
     """Pure state on (spin tensor motion), amplitudes in kron(spin, motion) order.
 
-    lattice, if given, is the same state untruncated: a LatticeFactor whose
-    column s is spin branch s.
+    source is the amplitude vector, or a function of no arguments that
+    builds it: a lamb_dicke walk's snapshots build theirs from the lattice on
+    first read of amplitudes, and most are never read. The vector is checked
+    for its shape, norm and truncation tail when it is read, a given one at
+    once. lattice, if given, is the same state untruncated: a LatticeFactor
+    whose column s is spin branch s. A state equals only itself.
     """
 
     params: HilbertParams
-    amplitudes: np.ndarray
+    source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     lattice: LatticeFactor | None = None
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        if self.lattice is not None and self.lattice.factor.shape[1] != self.params.spin_dim:
+            raise ValueError(f"lattice factor has {self.lattice.factor.shape[1]} columns, "
+                             f"expected one per spin branch ({self.params.spin_dim})")
+        if not callable(self.source):
+            _ = self.amplitudes                          # a given vector is checked at once
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        amps = _read(self.source)
         if amps.shape != (self.params.dim,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.params.dim},)"
             )
-        object.__setattr__(self, "amplitudes", amps)
         nrm = np.linalg.norm(amps)
         if not np.isfinite(nrm):
             raise FloatingPointError(f"state has non-finite amplitudes (norm {nrm!r})")
         if abs(nrm - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {NORM_TOLERANCE}")
         check_tail(self.params, amps)
-        if self.lattice is not None and self.lattice.factor.shape[1] != self.params.spin_dim:
-            raise ValueError(f"lattice factor has {self.lattice.factor.shape[1]} columns, "
-                             f"expected one per spin branch ({self.params.spin_dim})")
+        return amps
 
     def branch_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (spin_dim, motion_dim)."""
         return self.amplitudes.reshape(self.params.spin_dim, self.params.motion_dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionalEnsemble:
     """Mixed motional state rho = F F^dagger, F of shape (motion_dim, K), ||F||_F = 1.
 
-    lattice, if given, is the same ensemble untruncated (a LatticeFactor).
+    source is F, or a function of no arguments that builds it on first read
+    of factor, as for SpinMotionState; F is checked then, a given one at
+    once. lattice, if given, is the same ensemble untruncated (a
+    LatticeFactor). An ensemble equals only itself.
     """
 
     params: HilbertParams
-    factor: np.ndarray
+    source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
     lattice: LatticeFactor | None = None
 
     def __post_init__(self):
-        factor = np.ascontiguousarray(self.factor, dtype=complex)
+        if not callable(self.source):
+            _ = self.factor                              # a given factor is checked at once
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        factor = np.ascontiguousarray(_read(self.source))
         if factor.ndim != 2 or factor.shape[0] != self.params.motion_dim or not factor.shape[1]:
             raise ValueError(f"factor has shape {factor.shape}, expected "
                              f"({self.params.motion_dim}, K) with K >= 1")
@@ -268,7 +301,7 @@ class MotionalEnsemble:
             raise FloatingPointError(f"ensemble factor has non-finite entries (trace {trace!r})")
         if abs(trace - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"ensemble trace {trace!r} deviates from 1 beyond {NORM_TOLERANCE}")
-        object.__setattr__(self, "factor", factor)
+        return factor
 
     def weights(self) -> np.ndarray:
         """Member weights w_m: the squared column norms of F."""

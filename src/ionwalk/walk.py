@@ -10,26 +10,29 @@ coin_phase shifts the coin axis away from that default.
 
 Every walk runs through one step loop, _steps, on a factor F of
 rho = F F^dagger (one column for a pure state), along one of two paths
-that differ only in how a pulse acts and how F maps to Fock amplitudes.
-lamb_dicke walks run on the coherent-state lattice (_Lattice): real
-displacements compose with no phase and the coin acts on the spin alone,
-so F holds the coefficients of |s> (x) |alpha = j delta>, a displacement
-shifts them and no motional eigensolve is needed. all_order walks run in
-the Fock space (_FockPath), with dynamics' propagators. After each step
-the Fock factor is checked for truncation leakage. The classical walk is
-the exact limit of randomizing the laser phase at every step: after each
-step its factor is split into the S_z sectors of the spin, so it needs no
+that differ only in how a pulse acts, how the truncation is checked and
+how F maps to Fock amplitudes. lamb_dicke walks run on the coherent-state
+lattice (_Lattice): real displacements compose with no phase and the coin
+acts on the spin alone, so F holds the coefficients of |s> (x) |alpha = j
+delta>, a displacement shifts them and no motional eigensolve is needed.
+all_order walks run in the Fock space (_FockPath), with dynamics'
+propagators. After each step the truncation tail is checked: on the
+lattice from F itself, through two small matrices of the walk's
+coherent-state table, in the Fock space on F. The classical walk is the
+exact limit of randomizing the laser phase at every step: after each step
+its factor is split into the S_z sectors of the spin, so it needs no
 trials, seed or threads.
 
-Snapshots are Fock states or ensembles either way. Each snapshot of a
-lamb_dicke walk also carries its lattice factor (fock.LatticeFactor, the
-state untruncated), and every observable of it is read from there: the
-position densities (fock.exact_position_densities, through
-snapshot_densities), the second moments and widths here, and
-probe.scan_observable's lamb_dicke scans. They are those of the
-untruncated state, and differ from the truncated Fock snapshot's by no more
-than the tail check allows. Fock snapshots serve the rest (the fidelity,
-carrier Rabi scans, all_order probes) and all_order walks.
+Snapshots are states or ensembles either way. Each snapshot of a
+lamb_dicke walk carries its lattice factor (fock.LatticeFactor, the state
+untruncated), and every observable of it is read from there: the position
+densities (fock.exact_position_densities, through snapshot_densities), the
+second moments and widths here, and probe.scan_observable's lamb_dicke
+scans. They are those of the untruncated state, and differ from the
+truncated Fock state's by no more than the tail check allows. Its Fock
+amplitudes (or factor) are built from the lattice only when read, by the
+fidelity, carrier Rabi scans and all_order probes; a walk reads none of
+them. all_order snapshots hold Fock states alone.
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ from .fock import (
     MotionalEnsemble,
     SpinMotionState,
     apply_quadrature,
+    check_leak,
     check_tail,
     coherent_amplitudes,
     exact_position_densities,
     fock_state,
+    tail_levels,
 )
 
 COIN_AREA = np.pi / 4.0
@@ -91,12 +96,13 @@ class WalkConfig:
         return self.step_size / self.params.n_ions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkResult:
     """Per-step snapshots (index 0 = initial state) plus the configuration.
 
     Each snapshot of a lamb_dicke walk carries its lattice factor (the
-    snapshot's lattice attribute); an all_order walk's carry none.
+    snapshot's lattice attribute) and builds its Fock state from it when
+    read; an all_order walk's carry none. A result equals only itself.
     """
 
     config: WalkConfig
@@ -138,10 +144,10 @@ def _walk_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
 class _FockPath:
     """Walk on the truncated Fock space: each pulse is a dynamics propagator.
 
-    Holds (dim, K) Fock factors, so to_fock is the tail check alone. The
-    truncated x spans about +-2 sqrt(n_max); a step that carries the packet
-    beyond that folds it back instead of filling the top band, where the
-    tail check would see it, so such a walk is refused up front.
+    Holds (dim, K) Fock factors, so fock is the identity. The truncated x
+    spans about +-2 sqrt(n_max); a step that carries the packet beyond that
+    folds it back instead of filling the top band, where the tail check
+    would see it, so such a walk is refused up front.
     """
 
     def __init__(self, config: WalkConfig):
@@ -162,8 +168,10 @@ class _FockPath:
         return [functools.partial(dynamics.apply_propagator, pulse, area)
                 for pulse, area in _walk_pulses(self.config, reverse)]
 
-    def to_fock(self, columns: np.ndarray, where: str = "") -> np.ndarray:
-        check_tail(self.params, columns, where)
+    def check(self, columns: np.ndarray, where: str = "") -> float:
+        return check_tail(self.params, columns, where)
+
+    def fock(self, columns: np.ndarray) -> np.ndarray:
         return columns
 
     def lattice(self, columns: np.ndarray) -> None:
@@ -178,7 +186,11 @@ class _Lattice:
     coefficient of |alpha = (j - reach) delta>, delta the displacement
     pulse's area; reach = n_steps * n_ions, the largest collective-spin
     eigenvalue times the steps, so no shift wraps. table is the real
-    (n_max + 1, L) table <n|alpha_j>.
+    (n_max + 1, L) table T = <n|alpha_j>, which maps columns C to their Fock
+    factor T C. A walk builds that factor only for the snapshots it reads
+    (fock); the truncation check after each step reads C through two
+    matrices built from T once: top, the tail_levels rows of T that
+    check_tail watches, and gram, T^T T (L x L).
     """
 
     def __init__(self, config: WalkConfig):
@@ -188,6 +200,8 @@ class _Lattice:
         sites = np.arange(-self.reach, self.reach + 1)
         self.table = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
                                          config.params.n_max)
+        self.top = self.table[-tail_levels(self.params):]
+        self.gram = self.table.T @ self.table
 
     def start(self, state: SpinMotionState) -> np.ndarray:
         """Coefficients of a state whose motion is |0> = |alpha = 0> (prepare_initial's)."""
@@ -218,18 +232,25 @@ class _Lattice:
                 branch *= np.exp(-1j * area * value)
         return (vectors @ branches.reshape(s, -1)).reshape(columns.shape)
 
-    def to_fock(self, columns: np.ndarray, where: str = "") -> np.ndarray:
-        """Fock factor of the columns, normalized once the tail check passes.
-
-        The leak is the top-band population plus what the truncated space
-        cannot hold at all, 1 - ||F||^2 (the lattice state has norm 1).
-        """
+    def _blocks(self, columns: np.ndarray) -> np.ndarray:
+        """The columns' spin blocks as real (spin_dim, L, 2K) views of (re, im)."""
         k = columns.shape[1]
-        block = np.ascontiguousarray(columns).reshape(self.params.spin_dim, -1, k)
-        fock = (self.table @ block.view(np.float64)).view(complex).reshape(-1, k)
-        norm = float(np.vdot(fock, fock).real)
-        check_tail(self.params, fock, where, lost=1.0 - norm)
-        return fock / np.sqrt(norm)
+        return np.ascontiguousarray(columns).reshape(self.params.spin_dim, -1, k).view(np.float64)
+
+    def check(self, columns: np.ndarray, where: str = "") -> float:
+        """check_leak of what check_tail finds in F = T C, read from C: ||top C||^2 + 1 - ||F||^2.
+
+        The top-band population plus what the truncated space cannot hold at
+        all (the lattice state has norm 1), with ||F||^2 = Re tr(C^H T^T T C).
+        """
+        blocks = self._blocks(columns)
+        held = float(np.sum(blocks * (self.gram @ blocks)))
+        return check_leak(self.params, float(np.sum((self.top @ blocks) ** 2)) + 1.0 - held, where)
+
+    def fock(self, columns: np.ndarray) -> np.ndarray:
+        """The normalized Fock factor T C / ||T C|| of the columns (whose tail check has passed)."""
+        fock = (self.table @ self._blocks(columns)).view(complex).reshape(-1, columns.shape[1])
+        return fock / np.sqrt(float(np.vdot(fock, fock).real))
 
     def lattice(self, columns: np.ndarray) -> LatticeFactor:
         """The motional lattice factor of the columns: spin branches side by side."""
@@ -256,8 +277,8 @@ def _steps(path, columns: np.ndarray, n_steps: int, reverse: bool = False,
            dephase: bool = False):
     """Advance a factor F of rho = F F^dagger by n_steps walk steps on path.
 
-    Yields (F, its Fock-space factor) after each step; path.to_fock checks
-    the spin-traced truncation tail there, and LeakyStateError or
+    Yields F after each step, once path.check has found its spin-traced
+    truncation tail within the tolerance; LeakyStateError or
     FloatingPointError names the step. With dephase, F is first replaced by
     _dephase(params, F).
     """
@@ -269,7 +290,8 @@ def _steps(path, columns: np.ndarray, n_steps: int, reverse: bool = False,
             columns = pulse(columns)
         if dephase:
             columns = _dephase(path.params, columns, where)
-        yield columns, path.to_fock(columns, where)
+        path.check(columns, where)
+        yield columns
 
 
 def _dephase(params: HilbertParams, columns: np.ndarray, where: str = "") -> np.ndarray:
@@ -308,6 +330,11 @@ def prepare_initial(params: HilbertParams) -> SpinMotionState:
     return SpinMotionState(params, dynamics.apply_propagator(pulse, COIN_AREA, amps))
 
 
+def _state(path, columns: np.ndarray) -> SpinMotionState:
+    """The snapshot of a one-column factor; its amplitudes are built on first read."""
+    return SpinMotionState(path.params, lambda: path.fock(columns)[:, 0], path.lattice(columns))
+
+
 def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
     """The initial state, then the state after each step: n_steps forward, then as many back."""
     p = config.params
@@ -316,8 +343,8 @@ def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
     columns = path.start(initial)
     snapshots = [SpinMotionState(p, initial.amplitudes, path.lattice(columns))]
     for back in (False, True) if reverse else (False,):
-        for columns, fock in _steps(path, columns, config.n_steps, back):
-            snapshots.append(SpinMotionState(p, fock[:, 0], path.lattice(columns)))
+        for columns in _steps(path, columns, config.n_steps, back):
+            snapshots.append(_state(path, columns))
     return WalkResult(config, tuple(snapshots))
 
 
@@ -355,24 +382,29 @@ def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
     of the spin-branch wavefunctions weighted by the branch populations.
     The state's lattice factor, if any, becomes the ensemble's.
     """
-    return _recombine(state.params, state.amplitudes[:, None], state.lattice)
+    return _recombine(state.params, lambda: state.amplitudes[:, None], state.lattice)
 
 
-def _recombine(params: HilbertParams, columns: np.ndarray,
+def _recombine(params: HilbertParams, columns,
                lattice: LatticeFactor | None = None) -> MotionalEnsemble:
     """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) factor F = columns.
 
-    Column k's spin branch s becomes factor column k * spin_dim + s (_branches);
-    exactly-zero branches are dropped and the factor is trace-normalized
-    once. lattice, the same ensemble's lattice factor, is kept whole: zero
-    columns change no entry of M = conj(C) C^T.
+    columns is F or a function of no arguments that builds it; the
+    ensemble's factor is built from it on first read. Column k's spin branch
+    s becomes factor column k * spin_dim + s (_branches); exactly-zero
+    branches are dropped and the factor is trace-normalized once. lattice,
+    the same ensemble's lattice factor, is kept whole: zero columns change
+    no entry of M = conj(C) C^T.
     """
-    factor = _branches(columns, params.spin_dim)
-    weights = np.sum(np.abs(factor) ** 2, axis=0)
-    keep = weights > 0.0
-    if not keep.all():
-        factor, weights = factor[:, keep], weights[keep]
-    return MotionalEnsemble(params, factor / np.sqrt(np.sum(weights)), lattice)
+    def factor() -> np.ndarray:
+        out = _branches(columns() if callable(columns) else columns, params.spin_dim)
+        weights = np.sum(np.abs(out) ** 2, axis=0)
+        keep = weights > 0.0
+        if not keep.all():
+            out, weights = out[:, keep], weights[keep]
+        return out / np.sqrt(np.sum(weights))
+
+    return MotionalEnsemble(params, factor, lattice)
 
 
 def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
@@ -387,17 +419,18 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     held as a factor F on the walk's path (lattice or Fock space), split by
     sector and compressed by an SVD after every step (_dephase); the result
     needs no trials and no seed. Snapshots are motional ensembles (spin
-    recombined), built as each step ends; like every recombination, their
-    Fock factors drop the exact zeros outside each column's sector and
-    their lattice factors keep them. threads is ignored; it stays only
-    because bench/workloads.py passes it.
+    recombined); like every recombination, their Fock factors (built when
+    read) drop the exact zeros outside each column's sector and their
+    lattice factors keep them. threads is ignored; it stays only because
+    bench/workloads.py passes it.
     """
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots = [_recombine(p, path.to_fock(columns), path.lattice(columns))]
-    for columns, fock in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(_recombine(p, fock, path.lattice(columns)))
+    snapshots = [_recombine(p, functools.partial(path.fock, columns), path.lattice(columns))]
+    for columns in _steps(path, columns, config.n_steps, dephase=True):
+        snapshots.append(_recombine(p, functools.partial(path.fock, columns),
+                                    path.lattice(columns)))
     return WalkResult(config, tuple(snapshots))
 
 

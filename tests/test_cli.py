@@ -200,6 +200,60 @@ def test_step_beyond_the_truncation_exits_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
+def test_validate_prints_a_huge_heuristic_briefly(tmp_path, capsys):
+    # (s*N/2 + 3)^2 = 1e200 was printed as an exact integer of 201 digits
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="nbar_curve", hilbert={"n_max": 40},
+              walk={"n_steps": 2, "step_size": 1e100})
+    assert cli.main(["validate", str(cfg)]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == "FAIL: n_max 40, truncation heuristic (s*N/2 + 3)^2 = 1e+200 for N=2, s=1e+100"
+
+
+@pytest.mark.parametrize("experiment, section", [
+    ("walk", {"hilbert": {"n_max": 10 ** 12}}),                        # 14.6 TiB Fock state
+    ("walk", {"hilbert": {"n_max": 10 ** 7}, "walk": {"n_steps": 0, "model": "all_order"}}),
+    ("scan", {"scan": {"n_points": 10 ** 13}}),                         # 72.8 TiB k grid
+    ("scan", {"walk": {"n_steps": 10 ** 12}}),                          # range(n_steps + 1)
+], ids=["hilbert.n_max", "all_order_eigenbasis", "scan.n_points", "walk.n_steps"])
+def test_oversized_arrays_rejected(tmp_path, capsys, experiment, section):
+    # counted before anything is allocated: these ended in MemoryError
+    # tracebacks from fock_state, np.linspace and list(range(...))
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment=experiment, **{"walk": {"n_steps": 1}, **section})
+    assert_rejected(tmp_path, capsys, cfg, experiment,
+                    f"entries, above the limit of {cli.MAX_ARRAY_ENTRIES}")
+
+
+def test_long_lamb_dicke_walk_fits_the_array_limit():
+    # N = 200 at n_max = required_n_max(200, 2): a 41,210 x 401 coherent-state table
+    n_max = walk.required_n_max(200, 2.0)
+    cfg = {"schema_version": 1, "experiment": "width_curve",
+           "hilbert": {"n_max": n_max}, "walk": {"n_steps": 200}}
+    assert cli.validate_config(cfg)[0]
+    run = cli._resolve(cfg, 0)
+    assert cli._largest_array("width_curve", run.wcfg, 61, None) == (
+        41_210 * 401, "the coherent-state table")
+
+
+@pytest.mark.parametrize("experiment, n_ions, builds", [
+    ("walk", 1, 0), ("classical", 1, 0), ("two_ion", 2, 0), ("width_curve", 1, 0),
+    ("reverse", 1, 1), ("nbar_curve", 1, 3)])
+def test_runs_build_only_the_fock_states_they_read(tmp_path, monkeypatch, experiment, n_ions,
+                                                   builds):
+    # lamb_dicke walks stay on the lattice: densities, widths and nbar are
+    # read from it; the reversal fidelity reads the final state, and each
+    # carrier Rabi scan one snapshot after the initial one
+    calls = []
+    build = walk._Lattice.fock
+    monkeypatch.setattr(walk._Lattice, "fock", lambda path, columns: calls.append(1) or
+                        build(path, columns))
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment=experiment, hilbert={"n_max": 120, "n_ions": n_ions})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == builds
+
+
 def test_run_reverse_experiment(tmp_path):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment="reverse", walk={"n_steps": 2})

@@ -379,6 +379,98 @@ def test_lattice_leak_counts_what_the_truncation_cannot_hold():
             run(far)
 
 
+@pytest.mark.parametrize("n_ions, n_max, step_size", [(1, 40, None), (1, 100, 40.0), (1, 100, None),
+                                                     (2, 60, None), (2, 200, None)])
+def test_lattice_tail_is_check_tail_of_the_fock_factor(monkeypatch, n_ions, n_max, step_size):
+    # each step's leak is read from the lattice coefficients C through T_top
+    # and T^T T; it must be what check_tail finds in the Fock factor T C plus
+    # the population T C lacks, leaking steps included (with the tolerance
+    # lifted the walks run on)
+    calls = []
+    check = walk._Lattice.check
+
+    def spy(path, columns, where=""):
+        calls.append((path, columns, check(path, columns, where)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(walk._Lattice, "check", spy)
+    monkeypatch.setattr(fock, "TAIL_TOLERANCE", np.inf)
+    cfg = walk.WalkConfig(n_steps=6 if n_ions == 1 else 5, coin_phase=0.3, step_size=step_size,
+                          params=HilbertParams(n_max=n_max, n_ions=n_ions))
+    tails = []
+    for run in (walk.quantum_walk, walk.reversed_walk, walk.classical_walk):
+        calls.clear()
+        run(cfg)
+        assert len(calls) == cfg.n_steps * (2 if run is walk.reversed_walk else 1)
+        for path, columns, got in calls:
+            k = columns.shape[1]
+            block = np.ascontiguousarray(columns).reshape(cfg.params.spin_dim, -1, k)
+            f = np.einsum("nj,sjk->snk", path.table, block).reshape(-1, k)
+            want = fock.check_tail(cfg.params, f) + 1.0 - np.vdot(f, f).real
+            assert abs(got - want) <= 1e-15
+            tails.append(want)
+    assert (max(tails) > 1e-6) == (n_max in (40, 60) or step_size == 40.0)
+
+
+def _fock_of_lattice(lattice, n_max, spin_dim):
+    """Test-only: T C / ||T C|| for a lattice factor's spin blocks C, T = <n|alpha_j>.
+
+    The product is formed as the walk forms it, on (re, im) views of (spin_dim, L, K) blocks.
+    """
+    sites = lattice.factor.shape[0]
+    table = fock.coherent_amplitudes(0.5 * lattice.spacing * (np.arange(sites) - sites // 2),
+                                     n_max)
+    k = lattice.factor.shape[1] // spin_dim
+    block = np.ascontiguousarray(lattice.factor.reshape(sites, k, spin_dim).transpose(2, 0, 1))
+    f = (table @ block.view(np.float64)).view(complex).reshape(-1, k)
+    return f / np.sqrt(float(np.vdot(f, f).real))
+
+
+def _recombined(f, spin_dim):
+    """Test-only: Tr_spin of a Fock factor, exactly-zero branches dropped, trace-normalized."""
+    rows = f.shape[0] // spin_dim
+    out = f.reshape(spin_dim, rows, -1).transpose(1, 2, 0).reshape(rows, -1)
+    weights = np.sum(np.abs(out) ** 2, axis=0)
+    out, weights = out[:, weights > 0.0], weights[weights > 0.0]
+    return out / np.sqrt(np.sum(weights))
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
+def test_lazy_fock_snapshots_are_the_table_product(n_ions):
+    # a lamb_dicke snapshot builds its Fock amplitudes or factor only when
+    # read, bit for bit as T C / ||T C|| (then recombined, for an ensemble)
+    p = HilbertParams(n_max=120, n_ions=n_ions)
+    cfg = walk.WalkConfig(n_steps=3, params=p, coin_phase=0.3)
+    for result in (walk.quantum_walk(cfg), walk.reversed_walk(cfg)):
+        for snap in result.snapshots[1:]:
+            ensemble = walk.recombine_spin(snap)
+            assert "amplitudes" not in vars(snap) and "factor" not in vars(ensemble)
+            want = _fock_of_lattice(snap.lattice, p.n_max, p.spin_dim)
+            assert np.array_equal(snap.amplitudes, want[:, 0])
+            assert np.array_equal(ensemble.factor, _recombined(want, p.spin_dim))
+    for snap in walk.classical_walk(cfg).snapshots:
+        assert "factor" not in vars(snap)
+        want = _fock_of_lattice(snap.lattice, p.n_max, p.spin_dim)
+        assert np.array_equal(snap.factor, _recombined(want, p.spin_dim))
+
+
+def test_snapshots_and_results_equal_only_themselves():
+    # equality compared the arrays field by field, which raised ValueError
+    cfg = walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=60))
+    first, second = walk.quantum_walk(cfg), walk.quantum_walk(cfg)
+    pairs = [(first, second), (first.snapshots[0], second.snapshots[0]),
+             (first.snapshots[1], second.snapshots[1]),
+             (MotionalEnsemble(cfg.params, fock_state(0, cfg.params)[:, None]),
+              MotionalEnsemble(cfg.params, fock_state(0, cfg.params)[:, None])),
+             (walk.snapshot_ensemble(first, 2), walk.snapshot_ensemble(second, 2)),
+             (walk.classical_walk(cfg).snapshots[2], walk.classical_walk(cfg).snapshots[2]),
+             (first.snapshots[0].lattice, second.snapshots[0].lattice)]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+    assert walk.WalkResult(cfg, first.snapshots) != first
+
+
 @pytest.mark.parametrize("n_ions", [1, 2])
 @pytest.mark.parametrize("n_steps, step_size, first", [(1, 40.0, 1), (2, 15.0, 2)])
 def test_all_order_walk_refuses_reach_beyond_truncation(n_ions, n_steps, step_size, first):
@@ -404,8 +496,8 @@ def _fock_walk(cfg, reverse=False, dephase=False):
         columns = walk._dephase(cfg.params, columns)
     out = [columns]
     for back in (False, True) if reverse else (False,):
-        for columns, fock in walk._steps(path, columns, cfg.n_steps, back, dephase):
-            out.append(fock)
+        for columns in walk._steps(path, columns, cfg.n_steps, back, dephase):
+            out.append(columns)
     return out
 
 
