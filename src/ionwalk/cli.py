@@ -197,12 +197,16 @@ def _schema_error(value, schema: dict, path: str = "") -> str | None:
 MAX_GRID_POINTS = 10_001
 
 # Largest array a run may build, in entries (8 or 16 bytes each, so 0.27 or
-# 0.54 GB at the limit). A lamb_dicke walk of N = 200 at n_max =
-# required_n_max(200, 2) = 41,209 holds 41,210 x 401 = 16.5 million in its
-# coherent-state table; an all_order walk's dense motional eigenbasis
-# reaches the limit at n_max 5,791. Larger runs would not fit the memory of
-# a small machine, and a count of 1e12 from a typo would fail in numpy.
+# 0.54 GB at the limit), as _largest_array counts them. A lamb_dicke walk of
+# N = 200 at n_max = required_n_max(200, 2) = 41,209 holds 41,210 x 401 =
+# 16.5 million in its coherent-state table, and 401 x 401 in its L x L
+# matrices; an all_order walk's dense motional eigenbasis reaches the limit
+# at n_max 5,791. Larger runs would not fit the memory of a small machine,
+# and a count of 1e12 from a typo would fail in numpy.
 MAX_ARRAY_ENTRIES = 2 ** 25
+
+# Times of an nbar_curve's carrier Rabi scan, evenly spaced over Omega_0 t in [0, 250]
+_RABI_TIMES = 200
 
 # section -> defaults, merged into the config's own values once by _resolve
 _DEFAULTS = {
@@ -281,17 +285,33 @@ def _grid(wcfg: walk.WalkConfig, extent: float | None,
 
 def _largest_array(experiment: str, wcfg: walk.WalkConfig, n_points: int,
                    grid: reconstruct.PositionGrid | None) -> tuple[int, str]:
-    """(entries, name) of the largest array the run would build, counted before any is."""
+    """(entries, name) of the largest array the run would build, counted before any is.
+
+    A lamb_dicke walk holds its coherent-state table and L x L lattice
+    matrices (the truncation check's, each snapshot's LatticeFactor), an
+    all_order walk its motional eigenbasis. A scan's phase table and a
+    density table hold one row per term of the sum they evaluate: the 2L - 1
+    lattice offsets, or the n_max + 1 Fock levels (eigenvalues of the probe
+    or Hermite functions of the density)."""
     p, all_order = wcfg.params, wcfg.model is FidelityModel.ALL_ORDER
     sites = 2 * wcfg.n_steps * p.n_ions + 1                  # the lamb_dicke lattice's L
+    terms = p.motion_dim if all_order else 2 * sites - 1
     sizes = {"the Fock state": p.dim, "the k grid": n_points,
-             "the step list": wcfg.n_steps + 1,
-             "the motional eigenbasis" if all_order else "the coherent-state table":
-                 p.motion_dim * (p.motion_dim if all_order else sites)}
+             "the step list": wcfg.n_steps + 1}
+    if all_order:
+        sizes["the motional eigenbasis"] = p.motion_dim ** 2
+    else:
+        sizes["the coherent-state table"] = p.motion_dim * sites
+        sizes["an L x L lattice matrix"] = sites ** 2
     if experiment in ("scan", "reconstruct"):
-        sizes["a scan's phase table"] = n_points * (p.motion_dim if all_order else 2 * sites - 1)
+        sizes["a scan's phase table"] = n_points * terms
     if experiment == "reconstruct":
         sizes["the forward model"] = n_points * grid.points.size
+    elif grid is not None:
+        name = "the Hermite table" if all_order else "the Gaussian table"
+        sizes[name] = terms * grid.points.size
+    if experiment == "nbar_curve":
+        sizes["the carrier Rabi table"] = _RABI_TIMES * p.motion_dim
     return max((entries, name) for name, entries in sizes.items())
 
 
@@ -360,7 +380,7 @@ def validate_config(cfg: dict) -> tuple[bool, list[str]]:
     lines = [f"{'OK' if ok else 'FAIL'}: n_max {wcfg.params.n_max}, truncation heuristic "
              f"(s*N/2 + 3)^2 = {shown} for N={wcfg.n_steps}, s={wcfg.step_size:g}"]
     if run.grid is not None:
-        extent, support = run.grid.points[-1], wcfg.n_steps * wcfg.step_size + 2.0
+        extent, support = float(run.grid.points[-1]), wcfg.n_steps * wcfg.step_size + 2.0
         fits = extent >= support
         ok = ok and fits
         lines.append(f"{'OK' if fits else 'FAIL'}: grid extent {extent:g}, "
@@ -498,7 +518,7 @@ def _run_width_curve(run: _Run, out: str) -> None:
 
 def _run_nbar_curve(run: _Run, out: str) -> None:
     result = walk.quantum_walk(run.wcfg)
-    times = np.linspace(0.0, 250.0, 200)
+    times = np.linspace(0.0, 250.0, _RABI_TIMES)
     exact = np.array([walk.mean_phonon(s) for s in result.snapshots])
     fitted = np.empty_like(exact)
     for n in run.steps:
@@ -573,6 +593,10 @@ def main(argv=None) -> int:
             for line in lines:
                 print(line)
             print("OK" if ok else "VALIDATION FAILED")
+            if not ok:
+                failed = "; ".join(line.removeprefix("FAIL: ") for line in lines
+                                   if line.startswith("FAIL: "))
+                print(f"stage={stage}: validation failed: {failed}", file=sys.stderr)
             return 0 if ok else 1
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         prefix = args.out or cfg.get("output_prefix") or stage

@@ -207,10 +207,11 @@ class LatticeFactor:
         """
         k = np.atleast_1d(np.asarray(k, dtype=float))
         shifts = self._shifts()
-        if axis == "x":
-            return np.exp(-0.5 * k ** 2) * (np.exp(0.5j * np.outer(k, shifts))
-                                            @ self.position_sums)
-        return np.exp(-0.125 * np.add.outer(2.0 * k, shifts) ** 2) @ self.offset_sums
+        with np.errstate(over="ignore"):    # a square past 1e308 is inf, and e^-inf = 0 exactly
+            if axis == "x":
+                return np.exp(-0.5 * k ** 2) * (np.exp(0.5j * np.outer(k, shifts))
+                                                @ self.position_sums)
+            return np.exp(-0.125 * np.add.outer(2.0 * k, shifts) ** 2) @ self.offset_sums
 
     def second_moment(self, axis: str) -> float:
         """<x_hat^2> (axis 'x') or <q_hat^2> (axis 'p'): -d^2/dk^2 of characteristic at k = 0,

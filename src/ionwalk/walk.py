@@ -17,8 +17,8 @@ acts on the spin alone, so F holds the coefficients of |s> (x) |alpha = j
 delta>, a displacement shifts them and no motional eigensolve is needed.
 all_order walks run in the Fock space (_FockPath), with dynamics'
 propagators. After each step the truncation tail is checked: on the
-lattice from F itself, through two small matrices of the walk's
-coherent-state table, in the Fock space on F. The classical walk is the
+lattice from F itself, as the population outside the kept Fock levels
+(one L x L matrix), in the Fock space on F. The classical walk is the
 exact limit of randomizing the laser phase at every step: after each step
 its factor is split into the S_z sectors of the spin, so it needs no
 trials, seed or threads.
@@ -188,9 +188,9 @@ class _Lattice:
     eigenvalue times the steps, so no shift wraps. table is the real
     (n_max + 1, L) table T = <n|alpha_j>, which maps columns C to their Fock
     factor T C. A walk builds that factor only for the snapshots it reads
-    (fock); the truncation check after each step reads C through two
-    matrices built from T once: top, the tail_levels rows of T that
-    check_tail watches, and gram, T^T T (L x L).
+    (fock). The truncation check after each step reads C through one matrix
+    built from T once: kept = T_k^T T_k (L x L), T_k the rows of T below the
+    tail_levels rows that check_tail watches.
     """
 
     def __init__(self, config: WalkConfig):
@@ -200,8 +200,8 @@ class _Lattice:
         sites = np.arange(-self.reach, self.reach + 1)
         self.table = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
                                          config.params.n_max)
-        self.top = self.table[-tail_levels(self.params):]
-        self.gram = self.table.T @ self.table
+        rows = self.table[:-tail_levels(self.params)]
+        self.kept = rows.T @ rows
 
     def start(self, state: SpinMotionState) -> np.ndarray:
         """Coefficients of a state whose motion is |0> = |alpha = 0> (prepare_initial's)."""
@@ -238,14 +238,13 @@ class _Lattice:
         return np.ascontiguousarray(columns).reshape(self.params.spin_dim, -1, k).view(np.float64)
 
     def check(self, columns: np.ndarray, where: str = "") -> float:
-        """check_leak of what check_tail finds in F = T C, read from C: ||top C||^2 + 1 - ||F||^2.
+        """check_leak of the population outside the kept levels: 1 - Re tr(C^H kept C).
 
-        The top-band population plus what the truncated space cannot hold at
-        all (the lattice state has norm 1), with ||F||^2 = Re tr(C^H T^T T C).
+        The lattice state has norm 1, so that is what check_tail finds in the
+        top band of F = T C plus what the truncated space cannot hold at all.
         """
         blocks = self._blocks(columns)
-        held = float(np.sum(blocks * (self.gram @ blocks)))
-        return check_leak(self.params, float(np.sum((self.top @ blocks) ** 2)) + 1.0 - held, where)
+        return check_leak(self.params, 1.0 - float(np.sum(blocks * (self.kept @ blocks))), where)
 
     def fock(self, columns: np.ndarray) -> np.ndarray:
         """The normalized Fock factor T C / ||T C|| of the columns (whose tail check has passed)."""

@@ -236,6 +236,62 @@ def test_long_lamb_dicke_walk_fits_the_array_limit():
         41_210 * 401, "the coherent-state table")
 
 
+@pytest.mark.parametrize("experiment, section, message", [
+    ("width_curve", {"hilbert": {"n_max": 100}, "walk": {"n_steps": 100_000, "step_size": 1e-6}},
+     f"an L x L lattice matrix would hold {200_001 ** 2:.3g} entries"),
+    ("walk", {"hilbert": {"n_max": 8000}, "walk": {"n_steps": 2000, "step_size": 0.01},
+              "density_grid": {"spacing": 0.0052}},
+     f"the Gaussian table would hold {8001 * 10_001:.3g} entries"),
+    ("walk", {"hilbert": {"n_max": 5000}, "walk": {"n_steps": 1, "model": "all_order"},
+              "density_grid": {"spacing": 0.0016}},
+     f"the Hermite table would hold {5001 * 10_001:.3g} entries"),
+    ("nbar_curve", {"hilbert": {"n_max": 16_000_000}, "walk": {"n_steps": 0}},
+     f"the carrier Rabi table would hold {200 * 16_000_001:.3g} entries"),
+], ids=["lattice_matrix", "gaussian_table", "hermite_table", "rabi_table"])
+def test_uncounted_arrays_rejected(tmp_path, capsys, experiment, section, message):
+    # each passed validate: the count's largest array was the coherent-state
+    # table, the eigenbasis or the Fock state, all below the limit, while the
+    # run would build the L x L matrices of a 200,001-site lattice, a density
+    # table on 10,001 grid points, or 200 Rabi times by 16 million levels
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment=experiment, **section)
+    assert_rejected(tmp_path, capsys, cfg, experiment, message)
+
+
+def test_validate_config_returns_a_bool(tmp_path):
+    # with a grid, extent >= support compared numpy floats and gave numpy.bool
+    cfg = write_cfg(tmp_path / "c.json", experiment="reverse")
+    assert cli.validate_config(cfg)[0] is True
+    assert cli.validate_config({**cfg, "density_grid": {"extent": 3}})[0] is False
+    for path in CONFIGS:
+        assert cli.validate_config(cli.load_config(str(path)))[0] is True
+
+
+def test_validate_failure_names_the_stage(tmp_path, capsys):
+    # validate's exit 1 after VALIDATION FAILED named no stage on stderr
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, hilbert={"n_max": 50}, walk={"n_steps": 23}, density_grid={"extent": 3})
+    assert cli.main(["validate", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "VALIDATION FAILED"
+    assert captured.err == ("stage=walk: validation failed: n_max 50, truncation heuristic "
+                            "(s*N/2 + 3)^2 = 676 for N=23, s=2; grid extent 3, "
+                            "walk support s*N + 2 = 48\n")
+
+
+@pytest.mark.parametrize("axis", ["x", "p"])
+def test_lamb_dicke_scan_at_a_huge_k(tmp_path, capsys, axis):
+    # k^2 overflowed to inf: the result, e^-inf = 0, was exact, but numpy
+    # warned (an error under the tests' warning filter)
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="scan", hilbert={"n_max": 40}, walk={"n_steps": 2},
+              scan={"axis": axis, "k_max": 1e300, "n_points": 3, "noiseless": True})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    assert capsys.readouterr().err == ""
+    _, data = read_csv(tmp_path / "s_scan.csv")
+    assert data[0, 1] == 1.0 and np.all(data[1:, 1] == 0.0)
+
+
 @pytest.mark.parametrize("experiment, n_ions, builds", [
     ("walk", 1, 0), ("classical", 1, 0), ("two_ion", 2, 0), ("width_curve", 1, 0),
     ("reverse", 1, 1), ("nbar_curve", 1, 3)])
