@@ -344,6 +344,11 @@ def _resolve(cfg: dict, seed: int) -> _Run:
         beyond = [s for s in steps if s > n]
         if beyond:
             raise ConfigError(f"reconstruction.steps {beyond} beyond walk.n_steps = {n}")
+        if rec["use_kinetic_bound"] and sc["n_points"] < probe.FIT_MIN_POINTS:
+            # the kinetic bound's momentum width fit could never get its window
+            raise ConfigError(f"reconstruction.use_kinetic_bound needs scan.n_points >= "
+                              f"{probe.FIT_MIN_POINTS} for the momentum width fit, "
+                              f"got {sc['n_points']}")
         if rec["kind"] is None:
             # match the kernel to the probe physics: the linear kernel is exact
             # for lamb_dicke scans, the x-diagonal one undoes all_order probes
@@ -490,6 +495,8 @@ def _run_reconstruct(run: _Run, out: str) -> None:
             bound = reconstruct.estimate_kinetic_bound(p_scan)
         est = reconstruct.reconstruct_density(model, cos_scan.estimates,
                                               kinetic_bound=bound)
+        log.info("step %d: %d Newton steps, gap %.3g, multiplier %.6g",
+                 n, est.iterations, est.gap, est.multiplier)
         write_csv(f"{out}_step{n:02d}_density.csv", ["x", "p"], [x_cells, est.density])
         diagnostics[str(n)] = {
             "objective": est.objective,
@@ -523,8 +530,9 @@ def _run_nbar_curve(run: _Run, out: str) -> None:
     fitted = np.empty_like(exact)
     for n in run.steps:
         scan = probe.carrier_rabi_scan(walk.snapshot_ensemble(result, n), times)
-        fitted[n] = probe.fit_mean_phonon(scan, run.wcfg.params,
-                                          expected_nbar=max(exact[n], 1.0)).nbar
+        fit = probe.fit_mean_phonon(scan, run.wcfg.params, expected_nbar=max(exact[n], 1.0))
+        log.info("step %d: %d Newton steps, gap %.3g", n, fit.iterations, fit.gap)
+        fitted[n] = fit.nbar
     write_csv(f"{out}_nbar.csv", ["N", "nbar_exact", "nbar_fit"],
               [np.array(run.steps), exact, fitted])
 

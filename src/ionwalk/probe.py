@@ -108,13 +108,15 @@ class RabiScan:
 
 @dataclass(frozen=True)
 class PhononFit:
-    """Fitted Fock populations, their mean, the residual norm ||A P - e||
-    and gap, a certified bound on ||A P - e||^2 above its minimum."""
+    """Fitted Fock populations, their mean, the residual norm ||A P - e||,
+    gap, a certified bound on ||A P - e||^2 above its minimum, and the
+    solver's Newton steps."""
 
     populations: np.ndarray
     nbar: float
     residual: float
     gap: float
+    iterations: int
 
 
 def probe_strength(eta: float, omega_p: float, t) -> np.ndarray:
@@ -252,8 +254,9 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
         raise FitWindowError(f"{n_times} distinct times cannot resolve {n_cap} populations")
     ratios = dynamics.carrier_coupling_ratios(params)[:n_cap]
     a = np.sin(0.5 * np.outer(times, ratios)) ** 2
-    pops, _, gap, _ = _barrier_newton(a, scan.excitation, 1.0, None, False)
+    pops, steps, gap, _ = _barrier_newton(a, scan.excitation, 1.0, None, False)
     pops = pops / pops.sum()
     residual = float(np.linalg.norm(a @ pops - scan.excitation))
     nbar = float(np.dot(np.arange(n_cap), pops))
-    return PhononFit(populations=pops, nbar=nbar, residual=residual, gap=gap)
+    return PhononFit(populations=pops, nbar=nbar, residual=residual, gap=gap,
+                     iterations=steps)

@@ -26,10 +26,15 @@ sum c_i log p_i - (n - 1) log(B - F) on h sum p = 1, c_i = 2 inside (cone
 and p_i >= 0) and 1 at the ends, for t growing 20-fold until m / t <= 1e-12
 (m = 3n - 3, the barrier parameter; c = 1 and m = n without a bound). The
 weight n - 1 makes the Newton model of -log(B - F) good near the bound,
-where weight 1 let the slack collapse and centering crawl. A Newton step is
-one dense LU solve (numpy.linalg.solve) of the symmetric KKT system of size
-k + 2 (k = ceil(n/2) for an even solve, n otherwise), with F's gradient and
-banded Hessian in closed form.
+where weight 1 let the slack collapse and centering crawl. A step goes at
+most the fraction 1 - 1/20 of the way to p = 0, tied to the barrier's
+growth as IPOPT ties it to its barrier parameter (Waechter & Biegler, Math.
+Program. 106, 25 (2006)): a variable held up by its barrier alone scales as
+1 / t, so after t grows 20-fold its new centre lies at that fraction; a
+fraction nearer 1 would drive it far below that centre and leave the stage
+to climb back. A Newton step is one dense LU solve (numpy.linalg.solve) of
+the symmetric KKT system of size k + 2 (k = ceil(n/2) for an even solve, n
+otherwise), with F's gradient and banded Hessian in closed form.
 The tie-break eps = 1e-8 (only with a bound) selects the least-Fisher
 minimizer where noiseless data leave lsq's minimizer non-unique, moving the
 objective by at most eps B. The result carries gap = m / t + eps B, a bound
@@ -240,6 +245,9 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
     (nu / slack + z) / t at the last Newton solve. slack = bound - F is
     tracked by accurate increments (_fisher_change), not recomputed: near the
     optimum it falls far below the rounding error of F itself.
+    A step y = du / u goes at most 1 - 1 / BARRIER_GROWTH of the way to
+    u = 0: there a stage's first step puts a variable that only its barrier
+    holds up, since it scales as 1 / t and t has just grown that much.
     Returns (p, newton_steps, gap, multiplier of the Fisher bound).
     """
     n = a.shape[1]
@@ -266,6 +274,7 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
     t = m / max(float(r @ r), 1.0)
     slack = bound
     steps = 0
+    boundary = 1.0 - 1.0 / BARRIER_GROWTH     # fraction to the boundary
     while True:
         tq = t * q
         for _ in range(MAX_CENTERING_STEPS):
@@ -294,7 +303,7 @@ def _barrier_newton(a: np.ndarray, b: np.ndarray, spacing: float,
             if decrement <= 2.0 * NEWTON_TOL:
                 break
             neg = y < 0.0
-            s = min(1.0, 0.99 / float(np.max(-y[neg]))) if neg.any() else 1.0
+            s = min(1.0, boundary / float(np.max(-y[neg]))) if neg.any() else 1.0
             du = u * y
             dp = du[j]
             ad = af @ du

@@ -443,6 +443,43 @@ def test_nbar_curve_beyond_the_scan_exits_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
 
+@pytest.mark.parametrize("experiment, overrides", [
+    ("reconstruct", {"walk": {"n_steps": 2}, "scan": {"noiseless": True, "n_points": 41},
+                     "reconstruction": {"kind": "linear", "grid_spacing": 0.2,
+                                        "steps": [1, 2]}}),
+    ("nbar_curve", {"walk": {"n_steps": 2}}),
+])
+def test_debug_log_reports_each_solve(tmp_path, monkeypatch, caplog, experiment, overrides):
+    # IONWALK_DEBUG=1 logs one line per solve: the step, its Newton steps,
+    # gap and (with a Fisher bound) multiplier; the result files do not change
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment=experiment, **overrides)
+    outputs, logged = {}, {}
+    for debug in (False, True):
+        if debug:
+            monkeypatch.setenv("IONWALK_DEBUG", "1")
+        caplog.clear()
+        out = tmp_path / f"debug{int(debug)}"
+        out.mkdir()
+        assert cli.main(["run", str(cfg), "--out", str(out / "o")]) == 0
+        outputs[debug] = {p.name: p.read_bytes() for p in out.iterdir()}
+        logged[debug] = [r.getMessage() for r in caplog.records
+                         if "Newton steps" in r.getMessage()]
+    assert outputs[True] == outputs[False]
+    assert logged[False] == []
+    solves = logged[True]
+    assert len(solves) == (2 if experiment == "reconstruct" else 3)
+    if experiment == "reconstruct":
+        diagnostics = json.loads(outputs[True]["o_diagnostics.json"])
+        for line, n in zip(solves, ("1", "2")):
+            d = diagnostics[n]
+            assert line == (f"step {n}: {d['iterations']} Newton steps, gap {d['gap']:.3g}, "
+                            f"multiplier {d['multiplier']:.6g}")
+    else:
+        for n, line in enumerate(solves):
+            assert re.fullmatch(rf"step {n}: [1-9]\d* Newton steps, gap \S+", line)
+
+
 def test_config_schema_is_valid():
     # load_config validates with a validator built once and no longer
     # checks the schema against its meta-schema on every call
@@ -614,6 +651,17 @@ def test_reconstruction_step_beyond_walk_rejected(tmp_path, capsys):
               scan={"noiseless": True, "n_points": 41},
               reconstruction={"steps": [1, 9]})
     assert_rejected(tmp_path, capsys, cfg, "reconstruct", "beyond walk.n_steps = 6")
+
+
+def test_kinetic_bound_with_too_few_scan_points_rejected(tmp_path, capsys):
+    # the kinetic bound's momentum width fit needs probe.FIT_MIN_POINTS
+    # points, so the run could only end in a FitWindowError: a config error
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="reconstruct", hilbert={"n_max": 40}, walk={"n_steps": 1},
+              scan={"n_points": 3, "noiseless": True},
+              reconstruction={"grid_spacing": 0.5})
+    assert_rejected(tmp_path, capsys, cfg, "reconstruct",
+                    f"scan.n_points >= {probe.FIT_MIN_POINTS} for the momentum width fit")
 
 
 def test_duplicate_reconstruction_steps_rejected(tmp_path, capsys):

@@ -373,3 +373,21 @@ def test_fisher_multiplier_is_the_objective_sensitivity(fig2b_step3, scale):
               for sign in (-1.0, 1.0))
     slope = -(hi.objective - lo.objective) / (4.0 * bound * 2e-4)
     assert abs(est.multiplier + rec.FISHER_TIEBREAK - slope) <= 1e-6 * slope
+
+
+@pytest.mark.parametrize("extent, spacing", [(8.0, 0.4), (12.0, 0.4), (10.0, 0.25)])
+def test_solver_certified_where_the_fisher_barrier_dominates(fig2b_step3, extent, spacing):
+    # bounds just above the grid's minimum Fisher value force the density
+    # towards the lowest sine mode, so the Fisher barrier, not the fit,
+    # shapes the whole central path: where a change of step rule would break
+    _, model, c_vals, _ = fig2b_step3
+    grid = rec.PositionGrid.symmetric(extent, spacing)
+    model = rec.build_forward_model(model.k, grid, rec.KIND_X_DIAGONAL, 0.06)
+    for scale in (1.02, 1.2, 2.0):
+        bound = scale * rec.minimum_fisher(grid)
+        est, lo, hi = (rec.reconstruct_density(model, c_vals, kinetic_bound=bound * f / 4.0)
+                       for f in (1.0, 1.0 - 1e-4, 1.0 + 1e-4))
+        assert est.gap <= rec.GAP_TARGET + rec.FISHER_TIEBREAK * bound
+        assert est.fisher <= bound + rec.FEASIBILITY_TOL
+        slope = -(hi.objective - lo.objective) / (bound * 2e-4)
+        assert abs(est.multiplier + rec.FISHER_TIEBREAK - slope) <= 1e-6 * slope
