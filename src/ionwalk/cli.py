@@ -10,9 +10,9 @@ A config is checked against CONFIG_SCHEMA by _schema_error, which
 implements the keywords the schema uses, so no run imports jsonschema
 (the tests use it as the oracle); its message names the key path.
 
-Exit codes: 0 success, 1 usage or configuration/validation failure, 2
-numerical failure (leaky state, infeasible bound, non-convergence) with the
-failing stage named on stderr.
+Exit codes: 0 success, 1 usage or configuration failure (_resolve's rules,
+shared by validate and run), 2 numerical failure (leaky state, infeasible
+bound, non-convergence) with the failing stage named on stderr.
 """
 
 from __future__ import annotations
@@ -315,15 +315,25 @@ def _largest_array(experiment: str, wcfg: walk.WalkConfig, n_points: int,
     return max((entries, name) for name, entries in sizes.items())
 
 
+def _split_prefix(prefix: str) -> tuple[str, str]:
+    """(directory, file name) of an output prefix; ConfigError if it names no file."""
+    directory, base = os.path.split(prefix)
+    if base in ("", os.curdir, os.pardir):
+        raise ConfigError(f"output prefix {prefix!r} has no file name after its directory")
+    return directory or os.curdir, base
+
+
 def _resolve(cfg: dict, seed: int) -> _Run:
     """Merge the section defaults and build the walk, grid and steps; ConfigError if unusable.
 
-    hilbert and walk keys are HilbertParams' and WalkConfig's fields, with
-    their defaults. ConfigError also where the run's largest array would
-    hold more than MAX_ARRAY_ENTRIES entries, before any is allocated."""
+    validate and run share these rules. hilbert and walk keys are HilbertParams'
+    and WalkConfig's fields, with their defaults. ConfigError also where the run's
+    largest array would hold more than MAX_ARRAY_ENTRIES entries, before any is allocated."""
     experiment = cfg["experiment"]
     if seed < 0:
         raise ConfigError(f"seed {seed} must be >= 0")
+    if "output_prefix" in cfg:
+        _split_prefix(cfg["output_prefix"])
     sec = {name: {**defaults, **cfg.get(name, {})} for name, defaults in _DEFAULTS.items()}
     try:
         wcfg = walk.WalkConfig(params=HilbertParams(**cfg["hilbert"]), seed=seed, **cfg["walk"])
@@ -333,9 +343,13 @@ def _resolve(cfg: dict, seed: int) -> _Run:
         raise ConfigError("two_ion experiment requires hilbert.n_ions = 2")
     try:
         walk.required_n_max(wcfg.n_steps, wcfg.step_size)
+        if wcfg.model is FidelityModel.ALL_ORDER:
+            walk._FockPath(wcfg)        # refuses a reach beyond the truncated position range
     except OverflowError as exc:
         raise ConfigError(f"walk reach s*N = {wcfg.n_steps * wcfg.step_size:g}: no Fock "
                           f"truncation holds it, the heuristic (s*N/2 + 3)^2 overflows") from exc
+    except LeakyStateError as exc:
+        raise ConfigError(str(exc)) from exc
     n, rec, dg, sc = wcfg.n_steps, sec["reconstruction"], sec["density_grid"], sec["scan"]
     grid, steps = None, None
     if experiment == "reconstruct":
@@ -344,6 +358,10 @@ def _resolve(cfg: dict, seed: int) -> _Run:
         beyond = [s for s in steps if s > n]
         if beyond:
             raise ConfigError(f"reconstruction.steps {beyond} beyond walk.n_steps = {n}")
+        support = wcfg.step_size * max(steps, default=0) + 2.0      # s*N + 2, N the last step
+        if grid.points[-1] < support:
+            raise ConfigError(f"reconstruction grid extent {grid.points[-1]:g} does not cover "
+                              f"the walk support s*N + 2 = {support:g}")
         if rec["use_kinetic_bound"] and sc["n_points"] < probe.FIT_MIN_POINTS:
             # the kinetic bound's momentum width fit could never get its window
             raise ConfigError(f"reconstruction.use_kinetic_bound needs scan.n_points >= "
@@ -365,36 +383,25 @@ def _resolve(cfg: dict, seed: int) -> _Run:
                 grid, list(range(n + 1)) if steps is None else steps)
 
 
-def _split_prefix(prefix: str) -> tuple[str, str]:
-    """(directory, file name) of an output prefix; ConfigError if it names no file."""
-    directory, base = os.path.split(prefix)
-    if base in ("", os.curdir, os.pardir):
-        raise ConfigError(f"output prefix {prefix!r} has no file name after its directory")
-    return directory or os.curdir, base
-
-
-def validate_config(cfg: dict) -> tuple[bool, list[str]]:
-    """Physics adequacy report without running; ConfigError where run would raise one."""
+def validate_config(cfg: dict) -> list[str]:
+    """_resolve's ConfigError, else validate's report; an ADVICE: line flags what the run
+    decides itself: n_max by its tail check, a density grid by its 0.999 mass check."""
     run = _resolve(cfg, cfg.get("seed", 0))
-    if "output_prefix" in cfg:
-        _split_prefix(cfg["output_prefix"])
-    wcfg = run.wcfg
+    wcfg, n_max = run.wcfg, run.wcfg.params.n_max
     needed = walk.required_n_max(wcfg.n_steps, wcfg.step_size)
-    ok = wcfg.params.n_max >= needed
     shown = f"{needed:g}" if needed > 1e15 else needed     # exact, unless too long to read
-    lines = [f"{'OK' if ok else 'FAIL'}: n_max {wcfg.params.n_max}, truncation heuristic "
+    lines = [f"{'OK' if n_max >= needed else 'ADVICE'}: n_max {n_max}, truncation heuristic "
              f"(s*N/2 + 3)^2 = {shown} for N={wcfg.n_steps}, s={wcfg.step_size:g}"]
     if run.grid is not None:
-        extent, support = float(run.grid.points[-1]), wcfg.n_steps * wcfg.step_size + 2.0
-        fits = extent >= support
-        ok = ok and fits
-        lines.append(f"{'OK' if fits else 'FAIL'}: grid extent {extent:g}, "
+        extent = float(run.grid.points[-1])
+        support = wcfg.step_size * max(run.steps, default=0) + 2.0     # as _resolve's grid rule
+        lines.append(f"{'OK' if extent >= support else 'ADVICE'}: grid extent {extent:g}, "
                      f"walk support s*N + 2 = {support:g}")
     if "pulses" in cfg:
         omega = 2.0 * np.pi * cfg["pulses"]["omega_hz"]
         d = step_size(wcfg.params.eta, omega, cfg["pulses"]["tau_s"])
         lines.append(f"OK: step_size_from_pulse = {d:.4g}")
-    return ok, lines
+    return lines
 
 
 # ------------------------------------------------------------------ output
@@ -597,15 +604,8 @@ def main(argv=None) -> int:
     stage = cfg["experiment"]
     try:
         if args.command == "validate":
-            ok, lines = validate_config(cfg)
-            for line in lines:
-                print(line)
-            print("OK" if ok else "VALIDATION FAILED")
-            if not ok:
-                failed = "; ".join(line.removeprefix("FAIL: ") for line in lines
-                                   if line.startswith("FAIL: "))
-                print(f"stage={stage}: validation failed: {failed}", file=sys.stderr)
-            return 0 if ok else 1
+            print("\n".join(validate_config(cfg) + ["OK"]))
+            return 0
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         prefix = args.out or cfg.get("output_prefix") or stage
         t0 = time.perf_counter()

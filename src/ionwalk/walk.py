@@ -153,11 +153,11 @@ class _FockPath:
     def __init__(self, config: WalkConfig):
         self.config = config
         self.params = config.params
-        limit = 2.0 * np.sqrt(self.params.n_max)
-        first = int(limit // config.step_size) + 1
+        limit = 2.0 * float(np.sqrt(self.params.n_max))
+        first = limit // config.step_size + 1      # a float: inf, not OverflowError, at a tiny step
         if first <= config.n_steps:
             raise LeakyStateError(
-                f"step {first}: reach {first * config.step_size:g} exceeds the truncated "
+                f"step {first:.0f}: reach {first * config.step_size:g} exceeds the truncated "
                 f"position range 2 sqrt(n_max) = {limit:.4g}; increase n_max "
                 f"(currently {self.params.n_max})")
 

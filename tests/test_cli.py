@@ -45,12 +45,13 @@ def test_validate_reports_derived_step_size(tmp_path, capsys):
 
 
 def test_validate_flags_inadequate_truncation(tmp_path, capsys):
+    # n_max below the heuristic is advice: the run's tail check decides
     cfg = tmp_path / "c.json"
     write_cfg(cfg, hilbert={"n_max": 50}, walk={"n_steps": 23})
-    assert cli.main(["validate", str(cfg)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out and "676" in out
-    assert "VALIDATION FAILED" in out
+    assert cli.main(["validate", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("ADVICE: n_max 50") and "676" in out[0]
+    assert out[-1] == "OK"
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
@@ -127,15 +128,42 @@ def test_run_classical_leaky_config_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_run_all_order_fold_back_exits_2(tmp_path, capsys):
+def test_all_order_reach_beyond_truncation_rejected(tmp_path, capsys):
+    # the walk's fold-back check, decided from the config alone: run exited 2
     cfg = tmp_path / "c.json"
     write_cfg(cfg, hilbert={"n_max": 100},
               walk={"n_steps": 1, "model": "all_order", "step_size": 40.0})
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    err = capsys.readouterr().err
-    assert "stage=walk: LeakyStateError: step 1: reach 40 exceeds" in err
-    assert "Traceback" not in err
-    assert os.listdir(tmp_path) == ["c.json"]
+    assert_rejected(tmp_path, capsys, cfg, "walk",
+                    "step 1: reach 40 exceeds the truncated position range 2 sqrt(n_max) = 20")
+
+
+def test_all_order_walk_at_a_subnormal_step_runs(tmp_path, capsys):
+    # the reach check's 2 sqrt(n_max) / step_size is inf here: int() of it
+    # raised OverflowError, a traceback from run
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, hilbert={"n_max": 40},
+              walk={"n_steps": 2, "model": "all_order", "step_size": 5e-324})
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_short_reconstruction_grid_rejected(tmp_path, capsys):
+    # fuzz seed 7, case 882: run exited 0 with a density squeezed onto [-3, 3]
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="reconstruct", hilbert={"n_max": 40}, walk={"n_steps": 1},
+              scan={"n_points": 21, "noiseless": True},
+              reconstruction={"grid_spacing": 0.5, "steps": [0, 1], "grid_extent": 3.0,
+                              "use_kinetic_bound": False})
+    assert_rejected(tmp_path, capsys, cfg, "reconstruct",
+                    "reconstruction grid extent 3 does not cover the walk support s*N + 2 = 4")
+
+
+def test_output_prefix_checked_under_out(tmp_path, capsys):
+    # run --out ignores output_prefix, but the config is unusable without the flag
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, output_prefix="o/")
+    assert_rejected(tmp_path, capsys, cfg, "walk", "output prefix 'o/' has no file name")
 
 
 @pytest.mark.parametrize("experiment, section", [
@@ -186,13 +214,13 @@ def test_overflowing_step_size_rejected(tmp_path, capsys, model):
 
 
 def test_step_beyond_the_truncation_exits_2(tmp_path, capsys):
-    # a finite heuristic: validate fails it, and run finds the whole packet
-    # above n_max (the coherent-state table no longer sizes a 1e101-level window)
+    # a finite heuristic: validate advises against it, and run finds the whole
+    # packet above n_max (the coherent-state table no longer sizes a 1e101-level window)
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment="nbar_curve", hilbert={"n_max": 40},
               walk={"n_steps": 2, "step_size": 1e100})
-    assert cli.main(["validate", str(cfg)]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "VALIDATION FAILED"
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("ADVICE: n_max 40")
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "nb")]) == 2
     err = capsys.readouterr().err
     assert "stage=nbar_curve: LeakyStateError: step 1: tail population 1.00e+00" in err
@@ -205,9 +233,9 @@ def test_validate_prints_a_huge_heuristic_briefly(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment="nbar_curve", hilbert={"n_max": 40},
               walk={"n_steps": 2, "step_size": 1e100})
-    assert cli.main(["validate", str(cfg)]) == 1
+    assert cli.main(["validate", str(cfg)]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    assert line == "FAIL: n_max 40, truncation heuristic (s*N/2 + 3)^2 = 1e+200 for N=2, s=1e+100"
+    assert line == "ADVICE: n_max 40, truncation heuristic (s*N/2 + 3)^2 = 1e+200 for N=2, s=1e+100"
 
 
 @pytest.mark.parametrize("experiment, section", [
@@ -230,7 +258,7 @@ def test_long_lamb_dicke_walk_fits_the_array_limit():
     n_max = walk.required_n_max(200, 2.0)
     cfg = {"schema_version": 1, "experiment": "width_curve",
            "hilbert": {"n_max": n_max}, "walk": {"n_steps": 200}}
-    assert cli.validate_config(cfg)[0]
+    assert cli.validate_config(cfg)[0].startswith("OK: n_max")
     run = cli._resolve(cfg, 0)
     assert cli._largest_array("width_curve", run.wcfg, 61, None) == (
         41_210 * 401, "the coherent-state table")
@@ -258,25 +286,25 @@ def test_uncounted_arrays_rejected(tmp_path, capsys, experiment, section, messag
     assert_rejected(tmp_path, capsys, cfg, experiment, message)
 
 
-def test_validate_config_returns_a_bool(tmp_path):
-    # with a grid, extent >= support compared numpy floats and gave numpy.bool
+def test_validate_config_returns_report_lines(tmp_path):
+    # a narrow density grid is advice: the run's 0.999 mass check decides
     cfg = write_cfg(tmp_path / "c.json", experiment="reverse")
-    assert cli.validate_config(cfg)[0] is True
-    assert cli.validate_config({**cfg, "density_grid": {"extent": 3}})[0] is False
-    for path in CONFIGS:
-        assert cli.validate_config(cli.load_config(str(path)))[0] is True
+    assert cli.validate_config(cfg) == [
+        "OK: n_max 96, truncation heuristic (s*N/2 + 3)^2 = 36 for N=3, s=2",
+        "OK: grid extent 12, walk support s*N + 2 = 8"]
+    assert cli.validate_config({**cfg, "density_grid": {"extent": 3}})[1] == (
+        "ADVICE: grid extent 3, walk support s*N + 2 = 8")
 
 
-def test_validate_failure_names_the_stage(tmp_path, capsys):
-    # validate's exit 1 after VALIDATION FAILED named no stage on stderr
+def test_validate_advice_goes_to_stdout(tmp_path, capsys):
+    # validate exited 1 on advice alone, which run's own checks decide
     cfg = tmp_path / "c.json"
     write_cfg(cfg, hilbert={"n_max": 50}, walk={"n_steps": 23}, density_grid={"extent": 3})
-    assert cli.main(["validate", str(cfg)]) == 1
+    assert cli.main(["validate", str(cfg)]) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1] == "VALIDATION FAILED"
-    assert captured.err == ("stage=walk: validation failed: n_max 50, truncation heuristic "
-                            "(s*N/2 + 3)^2 = 676 for N=23, s=2; grid extent 3, "
-                            "walk support s*N + 2 = 48\n")
+    assert captured.out == ("ADVICE: n_max 50, truncation heuristic (s*N/2 + 3)^2 = 676 "
+                            "for N=23, s=2\nADVICE: grid extent 3, walk support s*N + 2 = 48\nOK\n")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("axis", ["x", "p"])
@@ -767,4 +795,6 @@ def test_failed_run_publishes_nothing(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_shipped_configs_validate(path, capsys):
     assert cli.main(["validate", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "OK"
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "OK"
+    assert not [line for line in out if line.startswith("ADVICE:")]
