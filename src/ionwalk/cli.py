@@ -355,10 +355,12 @@ def _resolve(cfg: dict, seed: int) -> _Run:
     if experiment == "reconstruct":
         grid = _grid(wcfg, rec["grid_extent"], rec["grid_spacing"])
         steps = [n] if rec["steps"] is None else rec["steps"]
+        if not steps:
+            raise ConfigError("reconstruction.steps is empty: there is no step to reconstruct")
         beyond = [s for s in steps if s > n]
         if beyond:
             raise ConfigError(f"reconstruction.steps {beyond} beyond walk.n_steps = {n}")
-        support = wcfg.step_size * max(steps, default=0) + 2.0      # s*N + 2, N the last step
+        support = wcfg.step_size * max(steps) + 2.0      # s*N + 2, N the last step
         if grid.points[-1] < support:
             raise ConfigError(f"reconstruction grid extent {grid.points[-1]:g} does not cover "
                               f"the walk support s*N + 2 = {support:g}")
@@ -394,7 +396,7 @@ def validate_config(cfg: dict) -> list[str]:
              f"(s*N/2 + 3)^2 = {shown} for N={wcfg.n_steps}, s={wcfg.step_size:g}"]
     if run.grid is not None:
         extent = float(run.grid.points[-1])
-        support = wcfg.step_size * max(run.steps, default=0) + 2.0     # as _resolve's grid rule
+        support = wcfg.step_size * max(run.steps) + 2.0     # as _resolve's grid rule
         lines.append(f"{'OK' if extent >= support else 'ADVICE'}: grid extent {extent:g}, "
                      f"walk support s*N + 2 = {support:g}")
     if "pulses" in cfg:

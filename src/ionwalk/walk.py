@@ -11,28 +11,29 @@ coin_phase shifts the coin axis away from that default.
 Every walk runs through one step loop, _steps, on a factor F of
 rho = F F^dagger (one column for a pure state), along one of two paths
 that differ only in how a pulse acts, how the truncation is checked and
-how F maps to Fock amplitudes. lamb_dicke walks run on the coherent-state
-lattice (_Lattice): real displacements compose with no phase and the coin
-acts on the spin alone, so F holds the coefficients of |s> (x) |alpha = j
-delta>, a displacement shifts them and no motional eigensolve is needed.
-all_order walks run in the Fock space (_FockPath), with dynamics'
-propagators. After each step the truncation tail is checked: on the
-lattice from F itself, as the population outside the kept Fock levels
-(one L x L matrix), in the Fock space on F. The classical walk is the
-exact limit of randomizing the laser phase at every step: after each step
-its factor is split into the S_z sectors of the spin, so it needs no
-trials, seed or threads.
+what a snapshot keeps. lamb_dicke walks run on the coherent-state lattice
+(_Lattice): real displacements compose with no phase and the coin acts on
+the spin alone, so F holds the coefficients of |s> (x) |alpha = j delta>, a
+displacement shifts them, the coin is dynamics.apply_propagator's with the
+motional factor 1, and no motional eigensolve is needed. all_order walks
+run in the Fock space (_FockPath), with dynamics' propagators. After each
+step the truncation tail is checked: on the lattice from F itself, as the
+population outside the kept Fock levels (one L x L matrix), in the Fock
+space on F. The classical walk is the exact limit of randomizing the laser
+phase at every step: after each step its factor is split into the S_z
+sectors of the spin, so it needs no trials, seed or threads.
 
-Snapshots are states or ensembles either way. Each snapshot of a
-lamb_dicke walk carries its lattice factor (fock.LatticeFactor, the state
-untruncated), and every observable of it is read from there: the position
-densities (fock.exact_position_densities, through snapshot_densities), the
-second moments and widths here, and probe.scan_observable's lamb_dicke
-scans. They are those of the untruncated state, and differ from the
-truncated Fock state's by no more than the tail check allows. Its Fock
-amplitudes (or factor) are built from the lattice only when read, by the
-fidelity, carrier Rabi scans and all_order probes; a walk reads none of
-them. all_order snapshots hold Fock states alone.
+Snapshots are states or ensembles either way. A snapshot of a lamb_dicke
+walk stores one copy of its state, its lattice factor (fock.LatticeFactor,
+the state untruncated), and every observable of it is read from there: the
+position densities (fock.exact_position_densities, through
+snapshot_densities), the second moments and widths here, and
+probe.scan_observable's lamb_dicke scans. They are those of the
+untruncated state, and differ from the truncated Fock state's by no more
+than the tail check allows. Its Fock amplitudes (or factor) are built from
+that factor only when read, by the fidelity, carrier Rabi scans and
+all_order probes; a walk reads none of them. all_order snapshots hold Fock
+states alone.
 """
 
 from __future__ import annotations
@@ -144,10 +145,10 @@ def _walk_pulses(config: WalkConfig, reverse: bool = False) -> tuple:
 class _FockPath:
     """Walk on the truncated Fock space: each pulse is a dynamics propagator.
 
-    Holds (dim, K) Fock factors, so fock is the identity. The truncated x
-    spans about +-2 sqrt(n_max); a step that carries the packet beyond that
-    folds it back instead of filling the top band, where the tail check
-    would see it, so such a walk is refused up front.
+    Holds (dim, K) Fock factors, which a snapshot keeps as they are. The
+    truncated x spans about +-2 sqrt(n_max); a step that carries the packet
+    beyond that folds it back instead of filling the top band, where the
+    tail check would see it, so such a walk is refused up front.
     """
 
     def __init__(self, config: WalkConfig):
@@ -171,12 +172,9 @@ class _FockPath:
     def check(self, columns: np.ndarray, where: str = "") -> float:
         return check_tail(self.params, columns, where)
 
-    def fock(self, columns: np.ndarray) -> np.ndarray:
-        return columns
-
-    def lattice(self, columns: np.ndarray) -> None:
-        """Fock columns have no lattice factor."""
-        return None
+    def snapshot(self, columns: np.ndarray) -> tuple:
+        """(a function that returns the Fock columns, no lattice factor)."""
+        return (lambda: columns), None
 
 
 class _Lattice:
@@ -186,8 +184,8 @@ class _Lattice:
     coefficient of |alpha = (j - reach) delta>, delta the displacement
     pulse's area; reach = n_steps * n_ions, the largest collective-spin
     eigenvalue times the steps, so no shift wraps. table is the real
-    (n_max + 1, L) table T = <n|alpha_j>, which maps columns C to their Fock
-    factor T C. A walk builds that factor only for the snapshots it reads
+    (n_max + 1, L) table T = <n|alpha_j>. A snapshot keeps only its
+    LatticeFactor C, and builds its Fock factor T C from C when read
     (fock). The truncation check after each step reads C through one matrix
     built from T once: kept = T_k^T T_k (L x L), T_k the rows of T below the
     tail_levels rows that check_tail watches.
@@ -210,32 +208,20 @@ class _Lattice:
         return coefficients.reshape(-1, 1)
 
     def pulses(self, reverse: bool) -> list:
-        n_ions = self.params.n_ions
-        return [functools.partial(self._pulse, dynamics.spin_eigenbasis(phase, n_ions),
-                                  area, displaces)
+        """The coin acts on the spin alone: apply_propagator of S (x) 1. _shift reads only S."""
+        spin = functools.partial(dynamics.spin_eigenbasis, n_ions=self.params.n_ions)
+        return [functools.partial(self._shift if displaces else dynamics.apply_propagator,
+                                  dynamics.Pulse(spin(phase), np.ones(1)), area)
                 for phase, area, displaces in _step_pulses(self.config, reverse)]
 
-    def _pulse(self, spin: tuple, area: float, displaces: bool,
-               columns: np.ndarray) -> np.ndarray:
-        """exp(-i area S (x) M) in the eigenbasis of the collective spin S.
-
-        A displacement (area +-delta) moves branch s by +-s sites; the coin
-        (M = 1) multiplies it by exp(-i area s).
-        """
-        values, vectors = spin
+    def _shift(self, pulse: dynamics.Pulse, area: float, columns: np.ndarray) -> np.ndarray:
+        """A displacement of area +-delta: branch s of the collective spin S moves +-s sites."""
+        values, vectors = pulse.spin
         s = self.params.spin_dim
         branches = (vectors.conj().T @ columns.reshape(s, -1)).reshape(s, -1, columns.shape[1])
         for branch, value in zip(branches, values):
-            if displaces:
-                branch[:] = np.roll(branch, int(value if area > 0 else -value), axis=0)
-            else:
-                branch *= np.exp(-1j * area * value)
+            branch[:] = np.roll(branch, int(value if area > 0 else -value), axis=0)
         return (vectors @ branches.reshape(s, -1)).reshape(columns.shape)
-
-    def _blocks(self, columns: np.ndarray) -> np.ndarray:
-        """The columns' spin blocks as real (spin_dim, L, 2K) views of (re, im)."""
-        k = columns.shape[1]
-        return np.ascontiguousarray(columns).reshape(self.params.spin_dim, -1, k).view(np.float64)
 
     def check(self, columns: np.ndarray, where: str = "") -> float:
         """check_leak of the population outside the kept levels: 1 - Re tr(C^H kept C).
@@ -243,18 +229,25 @@ class _Lattice:
         The lattice state has norm 1, so that is what check_tail finds in the
         top band of F = T C plus what the truncated space cannot hold at all.
         """
-        blocks = self._blocks(columns)
+        blocks = np.ascontiguousarray(columns).reshape(self.params.spin_dim, -1, columns.shape[1])
+        blocks = blocks.view(np.float64)
         return check_leak(self.params, 1.0 - float(np.sum(blocks * (self.kept @ blocks))), where)
 
-    def fock(self, columns: np.ndarray) -> np.ndarray:
-        """The normalized Fock factor T C / ||T C|| of the columns (whose tail check has passed)."""
-        fock = (self.table @ self._blocks(columns)).view(complex).reshape(-1, columns.shape[1])
-        return fock / np.sqrt(float(np.vdot(fock, fock).real))
+    def snapshot(self, columns: np.ndarray) -> tuple:
+        """(a function that builds the Fock columns, the LatticeFactor, the one copy kept)."""
+        lattice = LatticeFactor(_branches(columns, self.params.spin_dim),
+                                self.config.pulse_displacement)
+        return (lambda: self.fock(lattice)), lattice
 
-    def lattice(self, columns: np.ndarray) -> LatticeFactor:
-        """The motional lattice factor of the columns: spin branches side by side."""
-        return LatticeFactor(_branches(columns, self.params.spin_dim),
-                             self.config.pulse_displacement)
+    def fock(self, lattice: LatticeFactor) -> np.ndarray:
+        """The normalized Fock factor T C / ||T C|| of a snapshot's factor (tail check passed).
+
+        T acts on C's (spin_dim, L, K) spin blocks, as (re, im) real views.
+        """
+        factor = lattice.factor.reshape(lattice.factor.shape[0], -1, self.params.spin_dim)
+        blocks = np.ascontiguousarray(factor.transpose(2, 0, 1))
+        fock = (self.table @ blocks.view(np.float64)).view(complex).reshape(-1, blocks.shape[2])
+        return fock / np.sqrt(float(np.vdot(fock, fock).real))
 
 
 def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
@@ -331,7 +324,8 @@ def prepare_initial(params: HilbertParams) -> SpinMotionState:
 
 def _state(path, columns: np.ndarray) -> SpinMotionState:
     """The snapshot of a one-column factor; its amplitudes are built on first read."""
-    return SpinMotionState(path.params, lambda: path.fock(columns)[:, 0], path.lattice(columns))
+    build, lattice = path.snapshot(columns)
+    return SpinMotionState(path.params, lambda: build()[:, 0], lattice)
 
 
 def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
@@ -340,7 +334,7 @@ def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
     initial = prepare_initial(p)
     path = _path(config)
     columns = path.start(initial)
-    snapshots = [SpinMotionState(p, initial.amplitudes, path.lattice(columns))]
+    snapshots = [SpinMotionState(p, initial.amplitudes, path.snapshot(columns)[1])]
     for back in (False, True) if reverse else (False,):
         for columns in _steps(path, columns, config.n_steps, back):
             snapshots.append(_state(path, columns))
@@ -426,10 +420,9 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots = [_recombine(p, functools.partial(path.fock, columns), path.lattice(columns))]
+    snapshots = [_recombine(p, *path.snapshot(columns))]
     for columns in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(_recombine(p, functools.partial(path.fock, columns),
-                                    path.lattice(columns)))
+        snapshots.append(_recombine(p, *path.snapshot(columns)))
     return WalkResult(config, tuple(snapshots))
 
 

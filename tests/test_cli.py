@@ -159,6 +159,16 @@ def test_short_reconstruction_grid_rejected(tmp_path, capsys):
                     "reconstruction grid extent 3 does not cover the walk support s*N + 2 = 4")
 
 
+def test_empty_reconstruction_steps_rejected(tmp_path, capsys):
+    # run computed the whole walk, then wrote a diagnostics file holding {} and exited 0
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, experiment="reconstruct", hilbert={"n_max": 40}, walk={"n_steps": 1},
+              scan={"n_points": 21, "noiseless": True},
+              reconstruction={"grid_spacing": 0.5, "steps": []})
+    assert_rejected(tmp_path, capsys, cfg, "reconstruct",
+                    "reconstruction.steps is empty: there is no step to reconstruct")
+
+
 def test_output_prefix_checked_under_out(tmp_path, capsys):
     # run --out ignores output_prefix, but the config is unusable without the flag
     cfg = tmp_path / "c.json"

@@ -33,6 +33,17 @@ def test_params_validation():
     assert p.dim == 4 * 9
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda p: fock_state(9, p), r"Fock index 9 outside \[0, 8\]"),
+    (lambda p: fock_state(-1, p), r"Fock index -1 outside"),
+    (lambda p: exact_position_densities([], np.array([0.0])), "at least two points"),
+    (lambda p: exact_position_densities([], np.array([0.0, 0.1, 0.3])), "uniformly spaced"),
+], ids=["fock_above", "fock_below", "one_point", "uneven_grid"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(HilbertParams(n_max=8))
+
+
 def test_ladder_operator_elements():
     p = HilbertParams(n_max=1)
     a, adag = ladder_operators(p)

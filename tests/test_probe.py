@@ -132,6 +132,19 @@ def test_width_requires_cosine_scan(ground64):
         probe.width_from_curvature(scan)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ens: probe.scan_observable(ens, "minus_z", [0.0]), "spin_prep must be one of"),
+    (lambda ens: probe.scan_observable(ens, "plus_z", [0.0], axis="q"), "axis must be 'x' or 'p'"),
+    (lambda ens: probe.simulate_scan(ens, "plus_z", [0.0], shots=0), "shots must be >= 1"),
+    (lambda ens: probe.width_from_curvature(probe.ProbeScan(
+        axis="x", spin_prep="plus_z", k=np.linspace(0.0, 1.0, 6), estimates=np.ones(6),
+        shots=None)), "scan does not decay over the fit window"),
+], ids=["spin_prep", "axis", "no_shots", "flat_scan"])
+def test_input_checks(ground64, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ground64)
+
+
 def test_width_window_too_small():
     scan = probe.ProbeScan(axis="x", spin_prep="plus_z",
                            k=np.array([0.0, 0.5, 1.0, 1.5, 2.0]),

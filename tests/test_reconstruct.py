@@ -39,6 +39,19 @@ def test_grid_construction():
         rec.PositionGrid(np.array([0.0, 0.1, 0.3]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m: rec.PositionGrid(np.array([0.0, 0.1, 0.2, 0.3, 0.5])), "uniformly spaced"),
+    (lambda m: rec.reconstruct_density(m, np.ones(m.k.size - 1)), "c_values must match"),
+    (lambda m: rec.reconstruct_density(m, np.ones(m.k.size), np.ones(2)), "s_values must match"),
+    (lambda m: rec.reconstruct_density(
+        rec.build_forward_model(m.k, rec.PositionGrid(np.linspace(-1.0, 3.0, 41))),
+        np.ones(m.k.size)), "even reconstruction needs a symmetric grid"),
+], ids=["uneven_grid", "c_values", "s_values", "asymmetric_even"])
+def test_input_checks(ground_setup, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ground_setup[2])
+
+
 def test_forward_model_zero_k_row(ground_setup):
     ks, grid, model, _ = ground_setup
     assert ks[0] == 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -452,6 +453,26 @@ def test_lazy_fock_snapshots_are_the_table_product(n_ions):
         assert "factor" not in vars(snap)
         want = _fock_of_lattice(snap.lattice, p.n_max, p.spin_dim)
         assert np.array_equal(snap.factor, _recombined(want, p.spin_dim))
+
+
+def test_lattice_snapshots_hold_one_copy_of_their_state():
+    # each lamb_dicke snapshot keeps its LatticeFactor and no second copy of
+    # the step's coefficients: what a classical walk's result holds is its
+    # factors plus the coherent-state table, and little else (a second copy
+    # would take the ratio to about 1.9)
+    walk.classical_walk(walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=20)))   # imports
+    n_steps = 20
+    p = HilbertParams(n_max=walk.required_n_max(n_steps, 2.0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = walk.classical_walk(walk.WalkConfig(n_steps=n_steps, params=p))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    table = p.motion_dim * (2 * n_steps + 1) * np.dtype(float).itemsize
+    factors = sum(snap.lattice.factor.nbytes for snap in result.snapshots)
+    assert held <= 1.3 * (factors + table)
 
 
 def test_snapshots_and_results_equal_only_themselves():
