@@ -14,10 +14,11 @@ trace condition is ||F||_F = 1 and every consumer works on F directly.
 weights() (squared column norms), member_matrix() (F with normalized
 columns) and members ((weight, vector) pairs) are derived views.
 
-A state or ensemble that a lamb_dicke walk produces carries its
-LatticeFactor: the same motional state, untruncated, as a factor over real
-coherent states |alpha_j> on a lattice, and builds its Fock amplitudes or
-factor from that only when they are read. Its position density (a
+A state or ensemble that a lamb_dicke walk produces is given by its
+LatticeFactor alone: the same motional state, untruncated, as a factor C
+over real coherent states |alpha_j> on a lattice, whose Fock view
+T C / ||T C|| (LatticeFactor.fock) it builds only when its Fock amplitudes
+or factor are read. Its position density (a
 Gaussian mixture, in exact_position_densities), second moments and probe
 characteristic functions are closed-form sums over two vectors of length
 2L - 1 (L lattice sites), with no Fock-space call. The density of any
@@ -27,7 +28,6 @@ other ensemble comes from a Hermite table, one ensemble at a time.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,12 +94,15 @@ def coherent_amplitudes(alphas, n_max: int) -> np.ndarray:
     truncated table keeps the true amplitudes, and its column norms fall
     short of 1 by the population above n_max. A column whose window starts
     above n_max (|alpha| > 10 + sqrt(n_max + 142)) stays zero, and is skipped
-    before its window is sized, so no |alpha| is too large.
+    before its window is sized, so no |alpha| is too large. It runs once per
+    distinct |alpha|, as <n|-alpha> = (-1)^n <n|alpha>.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     out = np.zeros((n_max + 1, alphas.size))
-    for col, alpha in enumerate(alphas):
-        mod = abs(alpha)
+    columns = {}                                         # |alpha| -> the columns of +-|alpha|
+    for col, mod in enumerate(np.abs(alphas).tolist()):
+        columns.setdefault(mod, []).append(col)
+    for mod, cols in columns.items():
         if mod > 10.0 + np.sqrt(n_max + 142.0):
             continue
         peak = int(mod ** 2)
@@ -111,10 +114,10 @@ def coherent_amplitudes(alphas, n_max: int) -> np.ndarray:
         amps[k + 1:] = np.cumprod(mod / np.sqrt(n[k:]))
         amps[:k] = np.cumprod(np.sqrt(n[:k][::-1]) / mod)[::-1]
         amps /= np.linalg.norm(amps)
-        if alpha < 0:
-            amps[(lo + 1) % 2::2] *= -1.0                # odd levels
         if lo <= n_max:
-            out[lo:hi + 1, col] = amps[:n_max + 1 - lo]
+            out[lo:hi + 1, cols] = amps[:n_max + 1 - lo, None]
+    odd = out[1::2]
+    np.negative(odd, out=odd, where=alphas < 0)          # odd levels of a negative alpha
     return out
 
 
@@ -193,6 +196,15 @@ class LatticeFactor:
         object.__setattr__(self, "position_sums", position)
         object.__setattr__(self, "offset_sums", offsets)
 
+    def fock(self, n_max: int) -> np.ndarray:
+        """The Fock factor T C / ||T C||_F on levels 0..n_max, T_nj = <n|alpha_j>.
+
+        T (coherent_amplitudes) acts on the (re, im) real view of C."""
+        half = self.factor.shape[0] // 2
+        table = coherent_amplitudes(0.5 * self.spacing * np.arange(-half, half + 1), n_max)
+        fock = (table @ self.factor.view(np.float64)).view(complex)
+        return fock / np.sqrt(float(np.vdot(fock, fock).real))
+
     def _shifts(self) -> np.ndarray:
         """s d for s = -(L-1)..L-1: twice the mean position of a pair of sites, or their gap."""
         n = self.factor.shape[0]
@@ -225,37 +237,35 @@ class LatticeFactor:
         return float(np.real(self.offset_sums @ weights))
 
 
-def _read(source) -> np.ndarray:
-    """The array a snapshot was given, or the one its source function returns."""
-    return np.asarray(source() if callable(source) else source, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class SpinMotionState:
     """Pure state on (spin tensor motion), amplitudes in kron(spin, motion) order.
 
-    source is the amplitude vector, or a function of no arguments that
-    builds it: a lamb_dicke walk's snapshots build theirs from the lattice on
-    first read of amplitudes, and most are never read. The vector is checked
-    for its shape, norm and truncation tail when it is read, a given one at
-    once. lattice, if given, is the same state untruncated: a LatticeFactor
-    whose column s is spin branch s. A state equals only itself.
+    Given by its amplitude vector (source), by lattice, the same state
+    untruncated as a LatticeFactor whose column s is spin branch s, or by
+    both. Given lattice alone, as a lamb_dicke walk's snapshots are, it
+    builds its amplitudes on first read (LatticeFactor.fock). The vector is
+    checked for its shape, norm and truncation tail then, a given one at
+    once. A state equals only itself.
     """
 
     params: HilbertParams
-    source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+    source: np.ndarray | None = field(default=None, repr=False)
     lattice: LatticeFactor | None = None
 
     def __post_init__(self):
+        if self.source is None and self.lattice is None:
+            raise ValueError("SpinMotionState needs a Fock array or a lattice factor, got neither")
         if self.lattice is not None and self.lattice.factor.shape[1] != self.params.spin_dim:
             raise ValueError(f"lattice factor has {self.lattice.factor.shape[1]} columns, "
                              f"expected one per spin branch ({self.params.spin_dim})")
-        if not callable(self.source):
+        if self.source is not None:
             _ = self.amplitudes                          # a given vector is checked at once
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
-        amps = _read(self.source)
+        amps = np.asarray(self.lattice.fock(self.params.n_max).T.ravel() if self.source is None
+                          else self.source, dtype=complex)
         if amps.shape != (self.params.dim,):
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.params.dim},)"
@@ -277,23 +287,25 @@ class SpinMotionState:
 class MotionalEnsemble:
     """Mixed motional state rho = F F^dagger, F of shape (motion_dim, K), ||F||_F = 1.
 
-    source is F, or a function of no arguments that builds it on first read
-    of factor, as for SpinMotionState; F is checked then, a given one at
-    once. lattice, if given, is the same ensemble untruncated (a
-    LatticeFactor). An ensemble equals only itself.
+    Given by F (source), by lattice, the same ensemble untruncated as a
+    LatticeFactor, or by both; F is built and checked as a SpinMotionState's
+    amplitudes are. An ensemble equals only itself.
     """
 
     params: HilbertParams
-    source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+    source: np.ndarray | None = field(default=None, repr=False)
     lattice: LatticeFactor | None = None
 
     def __post_init__(self):
-        if not callable(self.source):
+        if self.source is None and self.lattice is None:
+            raise ValueError("MotionalEnsemble needs a Fock array or a lattice factor, got neither")
+        if self.source is not None:
             _ = self.factor                              # a given factor is checked at once
 
     @functools.cached_property
     def factor(self) -> np.ndarray:
-        factor = np.ascontiguousarray(_read(self.source))
+        given = self.lattice.fock(self.params.n_max) if self.source is None else self.source
+        factor = np.ascontiguousarray(given, dtype=complex)
         if factor.ndim != 2 or factor.shape[0] != self.params.motion_dim or not factor.shape[1]:
             raise ValueError(f"factor has shape {factor.shape}, expected "
                              f"({self.params.motion_dim}, K) with K >= 1")

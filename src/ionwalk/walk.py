@@ -23,17 +23,16 @@ space on F. The classical walk is the exact limit of randomizing the laser
 phase at every step: after each step its factor is split into the S_z
 sectors of the spin, so it needs no trials, seed or threads.
 
-Snapshots are states or ensembles either way. A snapshot of a lamb_dicke
-walk stores one copy of its state, its lattice factor (fock.LatticeFactor,
-the state untruncated), and every observable of it is read from there: the
-position densities (fock.exact_position_densities, through
-snapshot_densities), the second moments and widths here, and
+Snapshots (each path's snapshot) are states or ensembles either way. A
+lamb_dicke one is given one copy of its state, its lattice factor
+(fock.LatticeFactor, the state untruncated), and every observable of it is
+read from there: the position densities (fock.exact_position_densities,
+through snapshot_densities), the second moments and widths here, and
 probe.scan_observable's lamb_dicke scans. They are those of the
 untruncated state, and differ from the truncated Fock state's by no more
-than the tail check allows. Its Fock amplitudes (or factor) are built from
-that factor only when read, by the fidelity, carrier Rabi scans and
-all_order probes; a walk reads none of them. all_order snapshots hold Fock
-states alone.
+than the tail check allows. The factor builds its Fock amplitudes (or
+factor) only when read, by the fidelity, carrier Rabi scans and all_order
+probes; a walk reads none. all_order snapshots hold Fock states alone.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class WalkConfig:
 class WalkResult:
     """Per-step snapshots (index 0 = initial state) plus the configuration.
 
-    Each snapshot of a lamb_dicke walk carries its lattice factor (the
-    snapshot's lattice attribute) and builds its Fock state from it when
+    Each snapshot of a lamb_dicke walk is given its lattice factor alone
+    (the snapshot's lattice attribute), which builds its Fock state when
     read; an all_order walk's carry none. A result equals only itself.
     """
 
@@ -172,9 +171,11 @@ class _FockPath:
     def check(self, columns: np.ndarray, where: str = "") -> float:
         return check_tail(self.params, columns, where)
 
-    def snapshot(self, columns: np.ndarray) -> tuple:
-        """(a function that returns the Fock columns, no lattice factor)."""
-        return (lambda: columns), None
+    def snapshot(self, columns: np.ndarray, mixed: bool = False):
+        """The state of a one-column factor, or with mixed its spin-recombined ensemble."""
+        if mixed:
+            return _recombine(self.params, columns)
+        return SpinMotionState(self.params, columns[:, 0])
 
 
 class _Lattice:
@@ -183,12 +184,11 @@ class _Lattice:
     Row j of each spin block of a (spin_dim * L, K) column holds the
     coefficient of |alpha = (j - reach) delta>, delta the displacement
     pulse's area; reach = n_steps * n_ions, the largest collective-spin
-    eigenvalue times the steps, so no shift wraps. table is the real
-    (n_max + 1, L) table T = <n|alpha_j>. A snapshot keeps only its
-    LatticeFactor C, and builds its Fock factor T C from C when read
-    (fock). The truncation check after each step reads C through one matrix
-    built from T once: kept = T_k^T T_k (L x L), T_k the rows of T below the
-    tail_levels rows that check_tail watches.
+    eigenvalue times the steps, so no shift wraps. A snapshot is given only
+    its LatticeFactor C, which builds its Fock view when read. The
+    truncation check after each step reads C through one matrix built once:
+    kept = T_k^T T_k (L x L), T_k the rows of the real table T = <n|alpha_j>
+    below the tail_levels rows that check_tail watches.
     """
 
     def __init__(self, config: WalkConfig):
@@ -196,14 +196,13 @@ class _Lattice:
         self.params = config.params
         self.reach = config.n_steps * config.params.n_ions
         sites = np.arange(-self.reach, self.reach + 1)
-        self.table = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
-                                         config.params.n_max)
-        rows = self.table[:-tail_levels(self.params)]
+        table = coherent_amplitudes(0.5 * config.pulse_displacement * sites, self.params.n_max)
+        rows = table[:-tail_levels(self.params)]
         self.kept = rows.T @ rows
 
     def start(self, state: SpinMotionState) -> np.ndarray:
         """Coefficients of a state whose motion is |0> = |alpha = 0> (prepare_initial's)."""
-        coefficients = np.zeros((self.params.spin_dim, self.table.shape[1]), dtype=complex)
+        coefficients = np.zeros((self.params.spin_dim, 2 * self.reach + 1), dtype=complex)
         coefficients[:, self.reach] = state.branch_matrix()[:, 0]
         return coefficients.reshape(-1, 1)
 
@@ -233,21 +232,12 @@ class _Lattice:
         blocks = blocks.view(np.float64)
         return check_leak(self.params, 1.0 - float(np.sum(blocks * (self.kept @ blocks))), where)
 
-    def snapshot(self, columns: np.ndarray) -> tuple:
-        """(a function that builds the Fock columns, the LatticeFactor, the one copy kept)."""
-        lattice = LatticeFactor(_branches(columns, self.params.spin_dim),
+    def snapshot(self, columns: np.ndarray, mixed: bool = False):
+        """As _FockPath's, given its LatticeFactor alone (an ensemble's without zero branches)."""
+        branches = _branches(columns, self.params.spin_dim)
+        lattice = LatticeFactor(_nonzero(branches)[0] if mixed else branches,
                                 self.config.pulse_displacement)
-        return (lambda: self.fock(lattice)), lattice
-
-    def fock(self, lattice: LatticeFactor) -> np.ndarray:
-        """The normalized Fock factor T C / ||T C|| of a snapshot's factor (tail check passed).
-
-        T acts on C's (spin_dim, L, K) spin blocks, as (re, im) real views.
-        """
-        factor = lattice.factor.reshape(lattice.factor.shape[0], -1, self.params.spin_dim)
-        blocks = np.ascontiguousarray(factor.transpose(2, 0, 1))
-        fock = (self.table @ blocks.view(np.float64)).view(complex).reshape(-1, blocks.shape[2])
-        return fock / np.sqrt(float(np.vdot(fock, fock).real))
+        return (MotionalEnsemble if mixed else SpinMotionState)(self.params, lattice=lattice)
 
 
 def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
@@ -322,22 +312,16 @@ def prepare_initial(params: HilbertParams) -> SpinMotionState:
     return SpinMotionState(params, dynamics.apply_propagator(pulse, COIN_AREA, amps))
 
 
-def _state(path, columns: np.ndarray) -> SpinMotionState:
-    """The snapshot of a one-column factor; its amplitudes are built on first read."""
-    build, lattice = path.snapshot(columns)
-    return SpinMotionState(path.params, lambda: build()[:, 0], lattice)
-
-
 def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
     """The initial state, then the state after each step: n_steps forward, then as many back."""
     p = config.params
     initial = prepare_initial(p)
     path = _path(config)
     columns = path.start(initial)
-    snapshots = [SpinMotionState(p, initial.amplitudes, path.snapshot(columns)[1])]
+    snapshots = [SpinMotionState(p, initial.amplitudes, path.snapshot(columns).lattice)]
     for back in (False, True) if reverse else (False,):
         for columns in _steps(path, columns, config.n_steps, back):
-            snapshots.append(_state(path, columns))
+            snapshots.append(path.snapshot(columns))
     return WalkResult(config, tuple(snapshots))
 
 
@@ -373,31 +357,34 @@ def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
     Models optical pumping of all spin populations into a single level with
     negligible motional disturbance: the motional state becomes the mixture
     of the spin-branch wavefunctions weighted by the branch populations.
-    The state's lattice factor, if any, becomes the ensemble's.
+    The state's lattice factor, if any, becomes the ensemble's, less its zero
+    branches if the state was given that factor alone (as its only copy).
     """
-    return _recombine(state.params, lambda: state.amplitudes[:, None], state.lattice)
+    if state.source is not None:
+        return _recombine(state.params, state.amplitudes[:, None], state.lattice)
+    lattice, branches = state.lattice, _nonzero(state.lattice.factor)[0]
+    if branches is not lattice.factor:
+        lattice = LatticeFactor(branches, lattice.spacing)
+    return MotionalEnsemble(state.params, lattice=lattice)
 
 
-def _recombine(params: HilbertParams, columns,
+def _nonzero(branches: np.ndarray) -> tuple:
+    """(branches less its zero-weight columns, their weights): one rule for lattice and Fock."""
+    weights = np.sum(np.abs(branches) ** 2, axis=0)
+    keep = weights > 0.0
+    return (branches, weights) if keep.all() else (branches[:, keep], weights[keep])
+
+
+def _recombine(params: HilbertParams, columns: np.ndarray,
                lattice: LatticeFactor | None = None) -> MotionalEnsemble:
-    """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) factor F = columns.
+    """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) Fock factor F = columns.
 
-    columns is F or a function of no arguments that builds it; the
-    ensemble's factor is built from it on first read. Column k's spin branch
-    s becomes factor column k * spin_dim + s (_branches); exactly-zero
-    branches are dropped and the factor is trace-normalized once. lattice,
-    the same ensemble's lattice factor, is kept whole: zero columns change
-    no entry of M = conj(C) C^T.
+    Column k's spin branch s becomes factor column k * spin_dim + s
+    (_branches); zero branches are dropped (_nonzero) and the factor is
+    trace-normalized once. lattice, if given, is the same ensemble's.
     """
-    def factor() -> np.ndarray:
-        out = _branches(columns() if callable(columns) else columns, params.spin_dim)
-        weights = np.sum(np.abs(out) ** 2, axis=0)
-        keep = weights > 0.0
-        if not keep.all():
-            out, weights = out[:, keep], weights[keep]
-        return out / np.sqrt(np.sum(weights))
-
-    return MotionalEnsemble(params, factor, lattice)
+    out, weights = _nonzero(_branches(columns, params.spin_dim))
+    return MotionalEnsemble(params, out / np.sqrt(np.sum(weights)), lattice)
 
 
 def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
@@ -412,17 +399,16 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     held as a factor F on the walk's path (lattice or Fock space), split by
     sector and compressed by an SVD after every step (_dephase); the result
     needs no trials and no seed. Snapshots are motional ensembles (spin
-    recombined); like every recombination, their Fock factors (built when
-    read) drop the exact zeros outside each column's sector and their
-    lattice factors keep them. threads is ignored; it stays only because
+    recombined); their lattice or Fock factors drop the exact zeros outside
+    each column's sector. threads is ignored; it stays only because
     bench/workloads.py passes it.
     """
     p = config.params
     path = _path(config)
     columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots = [_recombine(p, *path.snapshot(columns))]
+    snapshots = [path.snapshot(columns, mixed=True)]
     for columns in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(_recombine(p, *path.snapshot(columns)))
+        snapshots.append(path.snapshot(columns, mixed=True))
     return WalkResult(config, tuple(snapshots))
 
 

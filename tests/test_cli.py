@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ionwalk import cli, probe, reconstruct, walk
+from ionwalk import cli, fock, probe, reconstruct, walk
 from ionwalk.fock import HilbertParams, MotionalEnsemble
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -339,9 +339,9 @@ def test_runs_build_only_the_fock_states_they_read(tmp_path, monkeypatch, experi
     # read from it; the reversal fidelity reads the final state, and each
     # carrier Rabi scan one snapshot after the initial one
     calls = []
-    build = walk._Lattice.fock
-    monkeypatch.setattr(walk._Lattice, "fock", lambda path, columns: calls.append(1) or
-                        build(path, columns))
+    build = fock.LatticeFactor.fock
+    monkeypatch.setattr(fock.LatticeFactor, "fock", lambda lattice, n_max: calls.append(1) or
+                        build(lattice, n_max))
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment=experiment, hilbert={"n_max": 120, "n_ions": n_ions})
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -38,7 +38,10 @@ def test_params_validation():
     (lambda p: fock_state(-1, p), r"Fock index -1 outside"),
     (lambda p: exact_position_densities([], np.array([0.0])), "at least two points"),
     (lambda p: exact_position_densities([], np.array([0.0, 0.1, 0.3])), "uniformly spaced"),
-], ids=["fock_above", "fock_below", "one_point", "uneven_grid"])
+    (lambda p: SpinMotionState(p), "needs a Fock array or a lattice factor"),
+    (lambda p: MotionalEnsemble(p), "needs a Fock array or a lattice factor"),
+], ids=["fock_above", "fock_below", "one_point", "uneven_grid", "state_of_nothing",
+        "ensemble_of_nothing"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call(HilbertParams(n_max=8))
@@ -152,6 +155,12 @@ def test_coherent_amplitudes_keep_the_truncated_tail():
     lost = 1.0 - np.sum(table ** 2, axis=0)
     assert lost[0] == 0.0 and 0.1 < lost[2] < 0.2      # Poisson(9) above 12
     assert abs(lost[2] - np.sum(full[13:, 2] ** 2)) < 1e-15
+    # <n|-alpha> = (-1)^n <n|alpha> bit for bit, at random |alpha| too
+    mods = np.concatenate([[2.0], np.random.default_rng(3).uniform(0.0, 14.0, 40)])
+    both = fock.coherent_amplitudes(np.concatenate([mods, -mods]), 200)
+    parity = (-1.0) ** np.arange(201)[:, None]
+    assert np.array_equal(both[:, mods.size:], parity * both[:, :mods.size])
+    assert np.array_equal(full[:, 1], both[:, mods.size])
 
 
 def test_coherent_amplitudes_above_the_table_are_zero():

@@ -205,6 +205,11 @@ def test_recombine_keeps_every_nonzero_branch():
     ens = walk.recombine_spin(state)
     assert ens.factor.shape == (p.motion_dim, 2)
     assert np.allclose(ens.weights(), [1.0, 1e-20], rtol=1e-12, atol=0)
+    # so too from a lattice factor alone: its zero branch is not a member
+    branches = np.zeros((5, 2), complex)
+    branches[2, 0] = 1.0
+    ens = walk.recombine_spin(SpinMotionState(p, lattice=fock.LatticeFactor(branches, 2.0)))
+    assert ens.lattice.factor.shape == (5, 1) and ens.factor.shape == (p.motion_dim, 1)
 
 
 def test_recombine_one_step_branches():
@@ -403,76 +408,68 @@ def test_lattice_tail_is_check_tail_of_the_fock_factor(monkeypatch, n_ions, n_ma
         calls.clear()
         run(cfg)
         assert len(calls) == cfg.n_steps * (2 if run is walk.reversed_walk else 1)
+        sites = np.arange(-calls[0][0].reach, calls[0][0].reach + 1)
+        table = fock.coherent_amplitudes(0.5 * cfg.pulse_displacement * sites, n_max)
         for path, columns, got in calls:
             k = columns.shape[1]
             block = np.ascontiguousarray(columns).reshape(cfg.params.spin_dim, -1, k)
-            f = np.einsum("nj,sjk->snk", path.table, block).reshape(-1, k)
+            f = np.einsum("nj,sjk->snk", table, block).reshape(-1, k)
             want = fock.check_tail(cfg.params, f) + 1.0 - np.vdot(f, f).real
             assert abs(got - want) <= 1e-15
             tails.append(want)
     assert (max(tails) > 1e-6) == (n_max in (40, 60) or step_size == 40.0)
 
 
-def _fock_of_lattice(lattice, n_max, spin_dim):
-    """Test-only: T C / ||T C|| for a lattice factor's spin blocks C, T = <n|alpha_j>.
-
-    The product is formed as the walk forms it, on (re, im) views of (spin_dim, L, K) blocks.
-    """
+def _fock_of_lattice(lattice, n_max):
+    """Test-only: T C / ||T C||_F for a lattice factor C, T = <n|alpha_j>, on C's (re, im) view."""
     sites = lattice.factor.shape[0]
     table = fock.coherent_amplitudes(0.5 * lattice.spacing * (np.arange(sites) - sites // 2),
                                      n_max)
-    k = lattice.factor.shape[1] // spin_dim
-    block = np.ascontiguousarray(lattice.factor.reshape(sites, k, spin_dim).transpose(2, 0, 1))
-    f = (table @ block.view(np.float64)).view(complex).reshape(-1, k)
+    f = (table @ lattice.factor.view(np.float64)).view(complex)
     return f / np.sqrt(float(np.vdot(f, f).real))
-
-
-def _recombined(f, spin_dim):
-    """Test-only: Tr_spin of a Fock factor, exactly-zero branches dropped, trace-normalized."""
-    rows = f.shape[0] // spin_dim
-    out = f.reshape(spin_dim, rows, -1).transpose(1, 2, 0).reshape(rows, -1)
-    weights = np.sum(np.abs(out) ** 2, axis=0)
-    out, weights = out[:, weights > 0.0], weights[weights > 0.0]
-    return out / np.sqrt(np.sum(weights))
 
 
 @pytest.mark.parametrize("n_ions", [1, 2])
 def test_lazy_fock_snapshots_are_the_table_product(n_ions):
     # a lamb_dicke snapshot builds its Fock amplitudes or factor only when
-    # read, bit for bit as T C / ||T C|| (then recombined, for an ensemble)
+    # read, bit for bit as T C / ||T C|| (column s of a state's C is spin branch s)
     p = HilbertParams(n_max=120, n_ions=n_ions)
     cfg = walk.WalkConfig(n_steps=3, params=p, coin_phase=0.3)
     for result in (walk.quantum_walk(cfg), walk.reversed_walk(cfg)):
         for snap in result.snapshots[1:]:
             ensemble = walk.recombine_spin(snap)
             assert "amplitudes" not in vars(snap) and "factor" not in vars(ensemble)
-            want = _fock_of_lattice(snap.lattice, p.n_max, p.spin_dim)
-            assert np.array_equal(snap.amplitudes, want[:, 0])
-            assert np.array_equal(ensemble.factor, _recombined(want, p.spin_dim))
+            want = _fock_of_lattice(snap.lattice, p.n_max)
+            assert np.array_equal(snap.amplitudes, want.T.ravel())
+            assert np.array_equal(ensemble.factor, want)
     for snap in walk.classical_walk(cfg).snapshots:
         assert "factor" not in vars(snap)
-        want = _fock_of_lattice(snap.lattice, p.n_max, p.spin_dim)
-        assert np.array_equal(snap.factor, _recombined(want, p.spin_dim))
+        assert np.array_equal(snap.factor, _fock_of_lattice(snap.lattice, p.n_max))
 
 
 def test_lattice_snapshots_hold_one_copy_of_their_state():
-    # each lamb_dicke snapshot keeps its LatticeFactor and no second copy of
-    # the step's coefficients: what a classical walk's result holds is its
-    # factors plus the coherent-state table, and little else (a second copy
-    # would take the ratio to about 1.9)
+    # each lamb_dicke snapshot keeps its LatticeFactor (its factor C and the
+    # two lattice sums) and no second copy of the step's coefficients, no
+    # coherent-state table and no zero branch: what a result holds is its
+    # factors, the initial snapshot's given amplitudes, and little else (the
+    # table pinned by a snapshot takes the ratio to 3.6 for a quantum walk,
+    # the zero branches and the table to 1.4 for a classical one)
     walk.classical_walk(walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=20)))   # imports
     n_steps = 20
     p = HilbertParams(n_max=walk.required_n_max(n_steps, 2.0))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = walk.classical_walk(walk.WalkConfig(n_steps=n_steps, params=p))
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    table = p.motion_dim * (2 * n_steps + 1) * np.dtype(float).itemsize
-    factors = sum(snap.lattice.factor.nbytes for snap in result.snapshots)
-    assert held <= 1.3 * (factors + table)
+    for run in (walk.quantum_walk, walk.classical_walk):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run(walk.WalkConfig(n_steps=n_steps, params=p))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        given = sum(snap.lattice.factor.nbytes + snap.lattice.position_sums.nbytes
+                    + snap.lattice.offset_sums.nbytes for snap in result.snapshots)
+        if run is walk.quantum_walk:
+            given += result.snapshots[0].amplitudes.nbytes
+        assert held <= 1.3 * given, run.__name__
 
 
 def test_snapshots_and_results_equal_only_themselves():
@@ -660,6 +657,7 @@ def test_lattice_observables_match_fock_path(n_ions, n_steps, coin_phase):
         for n in steps:
             snap = result.snapshots[n]
             ensemble = walk.snapshot_ensemble(result, n)
+            assert np.all(np.any(ensemble.factor, axis=0))          # no zero column
             fock_only = MotionalEnsemble(p, ensemble.factor)
             for moment in (walk.second_moment_x, walk.second_moment_q):
                 want = moment(fock_only)
