@@ -31,6 +31,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 TAIL_FRACTION = 0.05      # top fraction of Fock levels watched for leakage
 TAIL_TOLERANCE = 1e-6
@@ -164,7 +165,9 @@ class LatticeFactor:
         position_sums  A_s = sum over i + j = s of M_ij G_ij,
         offset_sums    B_t = sum over i - j = t of M_ij,
     for s, t = -(L-1)..L-1; every observable below is a sum over one of
-    them. Tr rho = sum_s A_s must be 1 within NORM_TOLERANCE.
+    them. Tr rho = sum_s A_s must be 1 within NORM_TOLERANCE. Both are column
+    sums of one zero-padded (3, L, 2L) buffer read in rows of 2L - 1, where
+    M_ij lands in column i + j, or i - j once M's columns are reversed.
     """
 
     factor: np.ndarray
@@ -179,20 +182,19 @@ class LatticeFactor:
                              f"with L odd and K >= 1")
         if not np.all(np.isfinite(factor)):
             raise FloatingPointError("lattice factor has non-finite entries")
-        sites = np.arange(factor.shape[0])
-        offset = np.subtract.outer(sites, sites)
+        object.__setattr__(self, "factor", factor)
+        n = factor.shape[0]
         m = factor.conj() @ factor.T
-        size = 2 * sites.size - 1
-        overlap = np.exp(-0.125 * (self.spacing * offset) ** 2)
-        position = np.bincount(np.add.outer(sites, sites).ravel(),
-                               (m.real * overlap).ravel(), size)
-        index = (offset + sites.size - 1).ravel()
-        offsets = (np.bincount(index, m.real.ravel(), size)
-                   + 1j * np.bincount(index, m.imag.ravel(), size))
+        overlap = sliding_window_view(np.exp(-0.125 * self._shifts() ** 2), n)[::-1]
+        terms = np.zeros((3, n, 2 * n))
+        np.multiply(m.real, overlap, out=terms[0, :, :n])
+        terms[1, :, :n] = m.real[:, ::-1]
+        terms[2, :, :n] = m.imag[:, ::-1]
+        sums = terms.reshape(3, -1)[:, :n * (2 * n - 1)].reshape(3, n, 2 * n - 1).sum(axis=1)
+        position, offsets = sums[0].copy(), sums[1] + 1j * sums[2]
         trace = float(np.sum(position))
         if abs(trace - 1.0) > NORM_TOLERANCE:
             raise ValueError(f"lattice trace {trace!r} deviates from 1 beyond {NORM_TOLERANCE}")
-        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "position_sums", position)
         object.__setattr__(self, "offset_sums", offsets)
 

@@ -8,31 +8,33 @@ spin axis is orthogonal to the displacement axis (a coin along sigma_x
 would commute with the displacement and produce no interference).
 coin_phase shifts the coin axis away from that default.
 
-Every walk runs through one step loop, _steps, on a factor F of
-rho = F F^dagger (one column for a pure state), along one of two paths
-that differ only in how a pulse acts, how the truncation is checked and
-what a snapshot keeps. lamb_dicke walks run on the coherent-state lattice
-(_Lattice): real displacements compose with no phase and the coin acts on
-the spin alone, so F holds the coefficients of |s> (x) |alpha = j delta>, a
-displacement shifts them, the coin is dynamics.apply_propagator's with the
-motional factor 1, and no motional eigensolve is needed. all_order walks
-run in the Fock space (_FockPath), with dynamics' propagators. After each
-step the truncation tail is checked: on the lattice from F itself, as the
-population outside the kept Fock levels (one L x L matrix), in the Fock
-space on F. The classical walk is the exact limit of randomizing the laser
-phase at every step: after each step its factor is split into the S_z
-sectors of the spin, so it needs no trials, seed or threads.
+Every walk runs through one function, _walk, and its step loop, _steps, on
+a factor F of rho = F F^dagger (one column for a pure state), along one of
+two paths that differ only in how a pulse acts, how the truncation is
+checked and what a snapshot keeps. lamb_dicke walks run on the
+coherent-state lattice (_Lattice): real displacements compose with no
+phase and the coin acts on the spin alone, so F holds the coefficients of
+|s> (x) |alpha = j delta>, a displacement shifts them, the coin is
+dynamics.apply_propagator's with the motional factor 1, and no motional
+eigensolve is needed. all_order walks run in the Fock space (_FockPath),
+with dynamics' propagators. After each step the truncation tail is
+checked: on the lattice from F itself, as the population outside the kept
+Fock levels (one L x L matrix), in the Fock space on F. The classical walk
+is the exact limit of randomizing the laser phase at every step: after
+each step its factor is split into the S_z sectors of the spin, so it
+needs no trials, seed or threads.
 
 Snapshots (each path's snapshot) are states or ensembles either way. A
-lamb_dicke one is given one copy of its state, its lattice factor
-(fock.LatticeFactor, the state untruncated), and every observable of it is
-read from there: the position densities (fock.exact_position_densities,
-through snapshot_densities), the second moments and widths here, and
-probe.scan_observable's lamb_dicke scans. They are those of the
-untruncated state, and differ from the truncated Fock state's by no more
-than the tail check allows. The factor builds its Fock amplitudes (or
-factor) only when read, by the fidelity, carrier Rabi scans and all_order
-probes; a walk reads none. all_order snapshots hold Fock states alone.
+lamb_dicke one, the initial one included, is given one copy of its state,
+its lattice factor (fock.LatticeFactor, the state untruncated), and every
+observable of it is read from there: the position densities
+(fock.exact_position_densities, through snapshot_densities), the second
+moments and widths here, and probe.scan_observable's lamb_dicke scans.
+They are those of the untruncated state, and differ from the truncated
+Fock state's by no more than the tail check allows. The factor builds its
+Fock amplitudes (or factor) only when read, by the fidelity, carrier Rabi
+scans and all_order probes; a walk reads none. all_order snapshots hold
+Fock states alone.
 """
 
 from __future__ import annotations
@@ -187,8 +189,8 @@ class _Lattice:
     eigenvalue times the steps, so no shift wraps. A snapshot is given only
     its LatticeFactor C, which builds its Fock view when read. The
     truncation check after each step reads C through one matrix built once:
-    kept = T_k^T T_k (L x L), T_k the rows of the real table T = <n|alpha_j>
-    below the tail_levels rows that check_tail watches.
+    kept = T_k^T T_k (L x L), T_k = <n|alpha_j> the real table of just the
+    levels below the tail_levels rows that check_tail watches.
     """
 
     def __init__(self, config: WalkConfig):
@@ -196,8 +198,8 @@ class _Lattice:
         self.params = config.params
         self.reach = config.n_steps * config.params.n_ions
         sites = np.arange(-self.reach, self.reach + 1)
-        table = coherent_amplitudes(0.5 * config.pulse_displacement * sites, self.params.n_max)
-        rows = table[:-tail_levels(self.params)]
+        rows = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
+                                   self.params.n_max - tail_levels(self.params))
         self.kept = rows.T @ rows
 
     def start(self, state: SpinMotionState) -> np.ndarray:
@@ -248,11 +250,6 @@ def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
     """
     rows = columns.shape[0] // spin_dim
     return columns.reshape(spin_dim, rows, -1).transpose(1, 2, 0).reshape(rows, -1)
-
-
-def _path(config: WalkConfig):
-    """The coherent-state lattice for lamb_dicke walks, the Fock space otherwise."""
-    return (_Lattice if config.model is FidelityModel.LAMB_DICKE else _FockPath)(config)
 
 
 def _steps(path, columns: np.ndarray, n_steps: int, reverse: bool = False,
@@ -312,16 +309,19 @@ def prepare_initial(params: HilbertParams) -> SpinMotionState:
     return SpinMotionState(params, dynamics.apply_propagator(pulse, COIN_AREA, amps))
 
 
-def _coherent_walk(config: WalkConfig, reverse: bool) -> WalkResult:
-    """The initial state, then the state after each step: n_steps forward, then as many back."""
+def _walk(config: WalkConfig, legs: tuple = (False,), dephase: bool = False) -> WalkResult:
+    """The initial state, then the state after each step of each leg (True: in reverse).
+
+    With dephase, each factor is _dephase'd and each snapshot its spin-recombined ensemble."""
     p = config.params
-    initial = prepare_initial(p)
-    path = _path(config)
-    columns = path.start(initial)
-    snapshots = [SpinMotionState(p, initial.amplitudes, path.snapshot(columns).lattice)]
-    for back in (False, True) if reverse else (False,):
-        for columns in _steps(path, columns, config.n_steps, back):
-            snapshots.append(path.snapshot(columns))
+    path = (_Lattice if config.model is FidelityModel.LAMB_DICKE else _FockPath)(config)
+    columns = path.start(prepare_initial(p))
+    if dephase:
+        columns = _dephase(p, columns)
+    snapshots = [path.snapshot(columns, dephase)]
+    for back in legs:
+        for columns in _steps(path, columns, config.n_steps, back, dephase):
+            snapshots.append(path.snapshot(columns, dephase))
     return WalkResult(config, tuple(snapshots))
 
 
@@ -331,7 +331,7 @@ def quantum_walk(config: WalkConfig) -> WalkResult:
     With params.n_ions == 2 this is the collective-spin walk of two ions on
     the center-of-mass mode.
     """
-    return _coherent_walk(config, reverse=False)
+    return _walk(config)
 
 
 def reversed_walk(config: WalkConfig) -> WalkResult:
@@ -341,7 +341,7 @@ def reversed_walk(config: WalkConfig) -> WalkResult:
     forward ones in reverse order with their areas negated. The result holds
     2*n_steps + 1 snapshots; the last one should match the initial state.
     """
-    return _coherent_walk(config, reverse=True)
+    return _walk(config, legs=(False, True))
 
 
 def reversal_fidelity(result: WalkResult) -> float:
@@ -357,11 +357,11 @@ def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
     Models optical pumping of all spin populations into a single level with
     negligible motional disturbance: the motional state becomes the mixture
     of the spin-branch wavefunctions weighted by the branch populations.
-    The state's lattice factor, if any, becomes the ensemble's, less its zero
-    branches if the state was given that factor alone (as its only copy).
+    A state with a lattice factor gives an ensemble of that factor alone,
+    less its zero branches; any other, one of its Fock factor (_recombine).
     """
-    if state.source is not None:
-        return _recombine(state.params, state.amplitudes[:, None], state.lattice)
+    if state.lattice is None:
+        return _recombine(state.params, state.amplitudes[:, None])
     lattice, branches = state.lattice, _nonzero(state.lattice.factor)[0]
     if branches is not lattice.factor:
         lattice = LatticeFactor(branches, lattice.spacing)
@@ -375,16 +375,15 @@ def _nonzero(branches: np.ndarray) -> tuple:
     return (branches, weights) if keep.all() else (branches[:, keep], weights[keep])
 
 
-def _recombine(params: HilbertParams, columns: np.ndarray,
-               lattice: LatticeFactor | None = None) -> MotionalEnsemble:
+def _recombine(params: HilbertParams, columns: np.ndarray) -> MotionalEnsemble:
     """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) Fock factor F = columns.
 
     Column k's spin branch s becomes factor column k * spin_dim + s
     (_branches); zero branches are dropped (_nonzero) and the factor is
-    trace-normalized once. lattice, if given, is the same ensemble's.
+    trace-normalized once.
     """
     out, weights = _nonzero(_branches(columns, params.spin_dim))
-    return MotionalEnsemble(params, out / np.sqrt(np.sum(weights)), lattice)
+    return MotionalEnsemble(params, out / np.sqrt(np.sum(weights)))
 
 
 def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
@@ -403,13 +402,7 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
     each column's sector. threads is ignored; it stays only because
     bench/workloads.py passes it.
     """
-    p = config.params
-    path = _path(config)
-    columns = _dephase(p, path.start(prepare_initial(p)))
-    snapshots = [path.snapshot(columns, mixed=True)]
-    for columns in _steps(path, columns, config.n_steps, dephase=True):
-        snapshots.append(path.snapshot(columns, mixed=True))
-    return WalkResult(config, tuple(snapshots))
+    return _walk(config, dephase=True)
 
 
 # ---------------------------------------------------------------- summaries

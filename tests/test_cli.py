@@ -332,12 +332,13 @@ def test_lamb_dicke_scan_at_a_huge_k(tmp_path, capsys, axis):
 
 @pytest.mark.parametrize("experiment, n_ions, builds", [
     ("walk", 1, 0), ("classical", 1, 0), ("two_ion", 2, 0), ("width_curve", 1, 0),
-    ("reverse", 1, 1), ("nbar_curve", 1, 3)])
+    ("reverse", 1, 2), ("nbar_curve", 1, 4)])
 def test_runs_build_only_the_fock_states_they_read(tmp_path, monkeypatch, experiment, n_ions,
                                                    builds):
     # lamb_dicke walks stay on the lattice: densities, widths and nbar are
-    # read from it; the reversal fidelity reads the final state, and each
-    # carrier Rabi scan one snapshot after the initial one
+    # read from it; one build per snapshot whose Fock state the run reads:
+    # the reversal fidelity reads the initial and the final state, and each
+    # carrier Rabi scan one snapshot, the initial one included
     calls = []
     build = fock.LatticeFactor.fock
     monkeypatch.setattr(fock.LatticeFactor, "fock", lambda lattice, n_max: calls.append(1) or

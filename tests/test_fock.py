@@ -40,8 +40,9 @@ def test_params_validation():
     (lambda p: exact_position_densities([], np.array([0.0, 0.1, 0.3])), "uniformly spaced"),
     (lambda p: SpinMotionState(p), "needs a Fock array or a lattice factor"),
     (lambda p: MotionalEnsemble(p), "needs a Fock array or a lattice factor"),
+    (lambda p: SpinMotionState(p, np.ones(p.dim - 1)), r"amplitude vector has shape \(17,\)"),
 ], ids=["fock_above", "fock_below", "one_point", "uneven_grid", "state_of_nothing",
-        "ensemble_of_nothing"])
+        "ensemble_of_nothing", "state_shape"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call(HilbertParams(n_max=8))

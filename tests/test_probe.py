@@ -139,7 +139,15 @@ def test_width_requires_cosine_scan(ground64):
     (lambda ens: probe.width_from_curvature(probe.ProbeScan(
         axis="x", spin_prep="plus_z", k=np.linspace(0.0, 1.0, 6), estimates=np.ones(6),
         shots=None)), "scan does not decay over the fit window"),
-], ids=["spin_prep", "axis", "no_shots", "flat_scan"])
+    (lambda ens: probe.ProbeScan(axis="x", spin_prep="plus_z", k=np.zeros(2),
+                                 estimates=np.zeros(3), shots=None),
+     "k and estimates must have identical shapes"),
+    (lambda ens: probe.RabiScan(times=np.zeros(2), excitation=np.zeros(3)),
+     "times and excitation must have identical shapes"),
+    (lambda ens: probe.RabiScan(times=np.zeros(1), excitation=np.array([1.5])),
+     "excitation values must be probabilities"),
+], ids=["spin_prep", "axis", "no_shots", "flat_scan", "scan_shapes", "rabi_shapes",
+        "rabi_probability"])
 def test_input_checks(ground64, call, message):
     with pytest.raises(ValueError, match=message):
         call(ground64)

@@ -176,6 +176,20 @@ def test_reversal_is_exact_at_huge_coin_phases(model, coin_phase):
     assert walk.reversal_fidelity(walk.reversed_walk(cfg)) >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("coin_phase", [0.0, 0.3])
+@pytest.mark.parametrize("n_ions, n_steps", [(1, 23), (2, 5)])
+def test_lattice_reversal_returns_the_initial_factor(n_ions, n_steps, coin_phase):
+    # the paper's reversibility claim, on the lattice: the reverse steps undo
+    # the forward ones to rounding, so the last snapshot's factor is the
+    # first's (read without a Fock view), and the fidelity of their Fock
+    # views, both T C / ||T C||, is 1 to 1e-14
+    p = HilbertParams(n_max=walk.required_n_max(n_steps, 2.0 * n_ions), n_ions=n_ions)
+    result = walk.reversed_walk(walk.WalkConfig(n_steps=n_steps, params=p, coin_phase=coin_phase))
+    first, last = result.snapshots[0].lattice.factor, result.snapshots[-1].lattice.factor
+    assert np.max(np.abs(last - first)) <= 1e-13
+    assert walk.reversal_fidelity(result) >= 1.0 - 1e-14
+
+
 def test_walk_rejects_x_only_models():
     # the x-only models, which could not drive the walk's momentum kicks,
     # are no FidelityModel any more: their names are refused like any other
@@ -448,12 +462,12 @@ def test_lazy_fock_snapshots_are_the_table_product(n_ions):
 
 
 def test_lattice_snapshots_hold_one_copy_of_their_state():
-    # each lamb_dicke snapshot keeps its LatticeFactor (its factor C and the
-    # two lattice sums) and no second copy of the step's coefficients, no
-    # coherent-state table and no zero branch: what a result holds is its
-    # factors, the initial snapshot's given amplitudes, and little else (the
-    # table pinned by a snapshot takes the ratio to 3.6 for a quantum walk,
-    # the zero branches and the table to 1.4 for a classical one)
+    # each lamb_dicke snapshot, the initial one included, keeps its
+    # LatticeFactor (its factor C and the two lattice sums) and no Fock
+    # array, no second copy of the step's coefficients, no coherent-state
+    # table and no zero branch: what a result holds is its factors and
+    # little else (the table pinned by a snapshot takes the ratio to 3.6 for
+    # a quantum walk, the zero branches and the table to 1.4 for a classical one)
     walk.classical_walk(walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=20)))   # imports
     n_steps = 20
     p = HilbertParams(n_max=walk.required_n_max(n_steps, 2.0))
@@ -467,9 +481,8 @@ def test_lattice_snapshots_hold_one_copy_of_their_state():
             tracemalloc.stop()
         given = sum(snap.lattice.factor.nbytes + snap.lattice.position_sums.nbytes
                     + snap.lattice.offset_sums.nbytes for snap in result.snapshots)
-        if run is walk.quantum_walk:
-            given += result.snapshots[0].amplitudes.nbytes
         assert held <= 1.3 * given, run.__name__
+        assert result.snapshots[0].source is None, run.__name__
 
 
 def test_snapshots_and_results_equal_only_themselves():
