@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import probe, reconstruct, walk
-from .dynamics import FidelityModel, step_size
+from .dynamics import FidelityModel
 from .fock import GridCoverageError, HilbertParams, LeakyStateError
 
 log = logging.getLogger("ionwalk")
@@ -68,15 +68,6 @@ CONFIG_SCHEMA = {
                 "step_size": {"type": "number", "exclusiveMinimum": 0},
                 "model": {"enum": [m.value for m in FidelityModel]},
                 "coin_phase": {"type": "number"},
-            },
-        },
-        "pulses": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["omega_hz", "tau_s"],
-            "properties": {
-                "omega_hz": {"type": "number", "exclusiveMinimum": 0},
-                "tau_s": {"type": "number", "minimum": 0},
             },
         },
         "scan": {
@@ -199,10 +190,11 @@ MAX_GRID_POINTS = 10_001
 # Largest array a run may build, in entries (8 or 16 bytes each, so 0.27 or
 # 0.54 GB at the limit), as _largest_array counts them. A lamb_dicke walk of
 # N = 200 at n_max = required_n_max(200, 2) = 41,209 holds 41,210 x 401 =
-# 16.5 million in its coherent-state table, and 401 x 401 in its L x L
-# matrices; an all_order walk's dense motional eigenbasis reaches the limit
-# at n_max 5,791. Larger runs would not fit the memory of a small machine,
-# and a count of 1e12 from a typo would fail in numpy.
+# 16.5 million in its coherent-state table and 6 x 401^2 in each
+# LatticeFactor's sum buffer, which reaches the limit at L = 2,365 sites;
+# an all_order walk's dense motional eigenbasis reaches it at n_max 5,791.
+# Larger runs would not fit a small machine, and a count of 1e12 from a typo
+# would fail in numpy.
 MAX_ARRAY_ENTRIES = 2 ** 25
 
 # Times of an nbar_curve's carrier Rabi scan, evenly spaced over Omega_0 t in [0, 250]
@@ -287,12 +279,12 @@ def _largest_array(experiment: str, wcfg: walk.WalkConfig, n_points: int,
                    grid: reconstruct.PositionGrid | None) -> tuple[int, str]:
     """(entries, name) of the largest array the run would build, counted before any is.
 
-    A lamb_dicke walk holds its coherent-state table and L x L lattice
-    matrices (the truncation check's, each snapshot's LatticeFactor), an
-    all_order walk its motional eigenbasis. A scan's phase table and a
-    density table hold one row per term of the sum they evaluate: the 2L - 1
-    lattice offsets, or the n_max + 1 Fock levels (eigenvalues of the probe
-    or Hermite functions of the density)."""
+    A lamb_dicke walk holds its coherent-state table and, largest of its L x L
+    arrays, each snapshot's LatticeFactor sum buffer; an all_order walk its
+    motional eigenbasis. A scan's phase table and a density table hold one
+    row per term of the sum they evaluate: the 2L - 1 lattice offsets, or the
+    n_max + 1 Fock levels (eigenvalues of the probe or Hermite functions of
+    the density)."""
     p, all_order = wcfg.params, wcfg.model is FidelityModel.ALL_ORDER
     sites = 2 * wcfg.n_steps * p.n_ions + 1                  # the lamb_dicke lattice's L
     terms = p.motion_dim if all_order else 2 * sites - 1
@@ -302,7 +294,7 @@ def _largest_array(experiment: str, wcfg: walk.WalkConfig, n_points: int,
         sizes["the motional eigenbasis"] = p.motion_dim ** 2
     else:
         sizes["the coherent-state table"] = p.motion_dim * sites
-        sizes["an L x L lattice matrix"] = sites ** 2
+        sizes["a lattice factor's sum buffer"] = 6 * sites ** 2  # LatticeFactor's (3, L, 2L)
     if experiment in ("scan", "reconstruct"):
         sizes["a scan's phase table"] = n_points * terms
     if experiment == "reconstruct":
@@ -399,10 +391,6 @@ def validate_config(cfg: dict) -> list[str]:
         support = wcfg.step_size * max(run.steps) + 2.0     # as _resolve's grid rule
         lines.append(f"{'OK' if extent >= support else 'ADVICE'}: grid extent {extent:g}, "
                      f"walk support s*N + 2 = {support:g}")
-    if "pulses" in cfg:
-        omega = 2.0 * np.pi * cfg["pulses"]["omega_hz"]
-        d = step_size(wcfg.params.eta, omega, cfg["pulses"]["tau_s"])
-        lines.append(f"OK: step_size_from_pulse = {d:.4g}")
     return lines
 
 

@@ -243,12 +243,12 @@ class LatticeFactor:
 class SpinMotionState:
     """Pure state on (spin tensor motion), amplitudes in kron(spin, motion) order.
 
-    Given by its amplitude vector (source), by lattice, the same state
-    untruncated as a LatticeFactor whose column s is spin branch s, or by
-    both. Given lattice alone, as a lamb_dicke walk's snapshots are, it
-    builds its amplitudes on first read (LatticeFactor.fock). The vector is
-    checked for its shape, norm and truncation tail then, a given one at
-    once. A state equals only itself.
+    Given by exactly one of its amplitude vector (source) and lattice, the
+    same state untruncated as a LatticeFactor whose column s is spin branch
+    s. Given lattice, as a lamb_dicke walk's snapshots are, it builds its
+    amplitudes on first read (LatticeFactor.fock). The vector is checked for
+    its shape, norm and truncation tail then, a given one at once. A state
+    equals only itself.
     """
 
     params: HilbertParams
@@ -256,8 +256,9 @@ class SpinMotionState:
     lattice: LatticeFactor | None = None
 
     def __post_init__(self):
-        if self.source is None and self.lattice is None:
-            raise ValueError("SpinMotionState needs a Fock array or a lattice factor, got neither")
+        if (self.source is None) == (self.lattice is None):
+            got = "neither" if self.source is None else "both"
+            raise ValueError(f"SpinMotionState needs a Fock array or a lattice factor, got {got}")
         if self.lattice is not None and self.lattice.factor.shape[1] != self.params.spin_dim:
             raise ValueError(f"lattice factor has {self.lattice.factor.shape[1]} columns, "
                              f"expected one per spin branch ({self.params.spin_dim})")
@@ -289,9 +290,9 @@ class SpinMotionState:
 class MotionalEnsemble:
     """Mixed motional state rho = F F^dagger, F of shape (motion_dim, K), ||F||_F = 1.
 
-    Given by F (source), by lattice, the same ensemble untruncated as a
-    LatticeFactor, or by both; F is built and checked as a SpinMotionState's
-    amplitudes are. An ensemble equals only itself.
+    Given by exactly one of F (source) and lattice, the same ensemble
+    untruncated as a LatticeFactor, which builds F on first read. F is checked
+    for its shape and trace, not its truncation tail. An ensemble equals only itself.
     """
 
     params: HilbertParams
@@ -299,8 +300,9 @@ class MotionalEnsemble:
     lattice: LatticeFactor | None = None
 
     def __post_init__(self):
-        if self.source is None and self.lattice is None:
-            raise ValueError("MotionalEnsemble needs a Fock array or a lattice factor, got neither")
+        if (self.source is None) == (self.lattice is None):
+            got = "neither" if self.source is None else "both"
+            raise ValueError(f"MotionalEnsemble needs a Fock array or a lattice factor, got {got}")
         if self.source is not None:
             _ = self.factor                              # a given factor is checked at once
 

@@ -91,6 +91,8 @@ class WalkConfig:
             raise ValueError("n_steps must be >= 0")
         if self.step_size is None:
             object.__setattr__(self, "step_size", 2.0 * self.params.n_ions)
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
 
     @property
     def pulse_displacement(self) -> float:

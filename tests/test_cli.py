@@ -35,15 +35,6 @@ def read_csv(path):
     return header, data
 
 
-def test_validate_reports_derived_step_size(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    write_cfg(cfg, pulses={"omega_hz": 68000.0, "tau_s": 40e-6})
-    assert cli.main(["validate", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "2.051" in out
-    assert "OK" in out.splitlines()[-1]
-
-
 def test_validate_flags_inadequate_truncation(tmp_path, capsys):
     # n_max below the heuristic is advice: the run's tail check decides
     cfg = tmp_path / "c.json"
@@ -276,21 +267,24 @@ def test_long_lamb_dicke_walk_fits_the_array_limit():
 
 @pytest.mark.parametrize("experiment, section, message", [
     ("width_curve", {"hilbert": {"n_max": 100}, "walk": {"n_steps": 100_000, "step_size": 1e-6}},
-     f"an L x L lattice matrix would hold {200_001 ** 2:.3g} entries"),
-    ("walk", {"hilbert": {"n_max": 8000}, "walk": {"n_steps": 2000, "step_size": 0.01},
-              "density_grid": {"spacing": 0.0052}},
-     f"the Gaussian table would hold {8001 * 10_001:.3g} entries"),
+     f"a lattice factor's sum buffer would hold {6 * 200_001 ** 2:.3g} entries"),
+    ("width_curve", {"hilbert": {"n_max": 100}, "walk": {"n_steps": 1500, "step_size": 0.01}},
+     f"a lattice factor's sum buffer would hold {6 * 3001 ** 2:.3g} entries"),
+    ("walk", {"hilbert": {"n_max": 8000}, "walk": {"n_steps": 850, "step_size": 0.01},
+              "density_grid": {"spacing": 0.0029}},
+     f"the Gaussian table would hold {3401 * 10_001:.3g} entries"),
     ("walk", {"hilbert": {"n_max": 5000}, "walk": {"n_steps": 1, "model": "all_order"},
               "density_grid": {"spacing": 0.0016}},
      f"the Hermite table would hold {5001 * 10_001:.3g} entries"),
     ("nbar_curve", {"hilbert": {"n_max": 16_000_000}, "walk": {"n_steps": 0}},
      f"the carrier Rabi table would hold {200 * 16_000_001:.3g} entries"),
-], ids=["lattice_matrix", "gaussian_table", "hermite_table", "rabi_table"])
+], ids=["lattice_matrix", "lattice_buffer", "gaussian_table", "hermite_table", "rabi_table"])
 def test_uncounted_arrays_rejected(tmp_path, capsys, experiment, section, message):
     # each passed validate: the count's largest array was the coherent-state
-    # table, the eigenbasis or the Fock state, all below the limit, while the
-    # run would build the L x L matrices of a 200,001-site lattice, a density
-    # table on 10,001 grid points, or 200 Rabi times by 16 million levels
+    # table, an L x L lattice matrix, the eigenbasis or the Fock state, all
+    # below the limit, while the run would build the (3, L, 2L) sum buffer of
+    # a 200,001- or 3,001-site lattice, a density table on 10,001 grid
+    # points, or 200 Rabi times by 16 million levels
     cfg = tmp_path / "c.json"
     write_cfg(cfg, experiment=experiment, **section)
     assert_rejected(tmp_path, capsys, cfg, experiment, message)

@@ -127,6 +127,8 @@ def test_checker_agrees_with_jsonschema_on_mutated_configs():
     ("schema_version", True, "schema_version: 1 was expected"),
     ("hilbert", {"n_max": 40, "n_ions": True}, "hilbert.n_ions: True is not of type 'integer'"),
     ("experiment", "walk ", "experiment: 'walk ' is not one of " + repr(list(cli.EXPERIMENTS))),
+    ("pulses", {"omega_hz": 68000, "tau_s": 4.0e-05},
+     "Additional properties are not allowed ('pulses' was unexpected)"),
 ])
 def test_messages_name_the_key_path(section, value, message):
     cfg = {**CONFIGS[0], section: value}

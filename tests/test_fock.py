@@ -40,9 +40,13 @@ def test_params_validation():
     (lambda p: exact_position_densities([], np.array([0.0, 0.1, 0.3])), "uniformly spaced"),
     (lambda p: SpinMotionState(p), "needs a Fock array or a lattice factor"),
     (lambda p: MotionalEnsemble(p), "needs a Fock array or a lattice factor"),
+    (lambda p: SpinMotionState(p, np.kron([1.0, 0.0], fock_state(0, p)),
+                               LatticeFactor(np.array([[1.0, 0.0]]), 2.0)), "got both"),
+    (lambda p: MotionalEnsemble(p, fock_state(0, p)[:, None], LatticeFactor(np.ones((1, 1)), 2.0)),
+     "got both"),
     (lambda p: SpinMotionState(p, np.ones(p.dim - 1)), r"amplitude vector has shape \(17,\)"),
 ], ids=["fock_above", "fock_below", "one_point", "uneven_grid", "state_of_nothing",
-        "ensemble_of_nothing", "state_shape"])
+        "ensemble_of_nothing", "state_of_both", "ensemble_of_both", "state_shape"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call(HilbertParams(n_max=8))
@@ -386,9 +390,8 @@ def test_lattice_factor_is_validated_on_construction():
         LatticeFactor(np.full((5, 2), np.nan), 2.0)
     # a pure state's lattice factor has one column per spin branch
     p = HilbertParams(n_max=16)
-    state = walk.prepare_initial(p)
-    with pytest.raises(ValueError):
-        SpinMotionState(p, state.amplitudes, LatticeFactor(good[:, :1] * np.sqrt(2.0), 2.0))
+    with pytest.raises(ValueError, match="expected one per spin branch"):
+        SpinMotionState(p, lattice=LatticeFactor(good[:, :1] * np.sqrt(2.0), 2.0))
 
 
 @pytest.mark.parametrize("spacing", [2.0, 1.7])
@@ -405,12 +408,12 @@ def test_lattice_factor_matches_its_fock_state(spacing):
     lattice = LatticeFactor(c, spacing)
     p = HilbertParams(n_max=80)
     fock_only = MotionalEnsemble(p, coherent_amplitudes(0.5 * x, p.n_max) @ c)
-    both = MotionalEnsemble(p, fock_only.factor, lattice)
+    on_lattice = MotionalEnsemble(p, lattice=lattice)
     k = np.linspace(0.0, 3.0, 31)
     for axis in ("x", "p"):
         for prep in ("plus_z", "plus_y"):
             want = probe.scan_observable(fock_only, prep, k, axis)
-            assert np.max(np.abs(probe.scan_observable(both, prep, k, axis) - want)) < 1e-12
+            assert np.max(np.abs(probe.scan_observable(on_lattice, prep, k, axis) - want)) < 1e-12
         assert np.max(np.abs(probe.scan_observable(fock_only, "plus_y", k, axis))) > 0.05
     xq, pq = quadrature_operators(p)
     rho = fock_only.factor @ fock_only.factor.conj().T
@@ -419,19 +422,19 @@ def test_lattice_factor_matches_its_fock_state(spacing):
     # the Gaussian mixture over A_s against the sites' wavefunctions summed
     # column by column, and against the Hermite density of the Fock state
     grid = np.arange(-400, 401) * 0.05
-    dens = exact_position_density(both, grid)
+    dens = exact_position_density(on_lattice, grid)
     want = lattice_density(c, spacing, grid)
     assert np.max(np.abs(dens - want)) < 1e-13 * want.max()
     assert np.max(np.abs(dens - exact_position_density(fock_only, grid))) < 1e-12 * want.max()
 
 
 def _lattice_ensemble(c, spacing, n_max=60):
-    """MotionalEnsemble of the lattice factor c, trace-normalized, beside its Fock factor."""
+    """MotionalEnsemble of the lattice factor c, trace-normalized."""
     x = spacing * np.arange(-(c.shape[0] // 2), c.shape[0] // 2 + 1)
     overlap = np.exp(-0.125 * np.subtract.outer(x, x) ** 2)
     c = c / np.sqrt(np.trace(c.conj().T @ overlap @ c).real)
     p = HilbertParams(n_max=n_max)
-    return MotionalEnsemble(p, coherent_amplitudes(0.5 * x, n_max) @ c, LatticeFactor(c, spacing))
+    return MotionalEnsemble(p, lattice=LatticeFactor(c, spacing))
 
 
 @pytest.mark.parametrize("spacing", [0.3, 0.7, 1.3, 2.0, 2.9])

@@ -72,6 +72,14 @@ def test_config_validation():
     assert walk.WalkConfig(n_steps=1, params=p2).step_size == 4.0
 
 
+@pytest.mark.parametrize("step_size", [0.0, -2.0, np.nan, np.inf])
+def test_config_rejects_a_step_that_is_not_positive_and_finite(step_size):
+    # these reached the walks: a zero division or a walk that never moves,
+    # a leak at the reach of a negative step, a NaN lattice index
+    with pytest.raises(ValueError, match="step_size must be positive and finite"):
+        walk.WalkConfig(n_steps=2, params=HilbertParams(n_max=40), step_size=step_size)
+
+
 def test_zero_steps_returns_initial():
     cfg = walk.WalkConfig(n_steps=0, params=HilbertParams(n_max=32))
     result = walk.quantum_walk(cfg)
