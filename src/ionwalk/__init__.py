@@ -32,6 +32,7 @@ from .probe import (
     RabiScan,
     WidthEstimate,
     carrier_rabi_scan,
+    estimate_kinetic_bound,
     exact_scan,
     fit_mean_phonon,
     probe_strength,
@@ -44,7 +45,6 @@ from .reconstruct import (
     InfeasibleBoundError,
     PositionGrid,
     build_forward_model,
-    estimate_kinetic_bound,
     fisher_functional,
     reconstruct_density,
 )

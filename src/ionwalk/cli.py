@@ -489,7 +489,7 @@ def _run_reconstruct(run: _Run, out: str) -> None:
         bound = None
         if run.recon["use_kinetic_bound"]:
             p_scan = _scan(run, ensemble, "plus_z", "p", run.wcfg.seed + 104729 * (n + 1))
-            bound = reconstruct.estimate_kinetic_bound(p_scan)
+            bound = probe.estimate_kinetic_bound(p_scan)
         est = reconstruct.reconstruct_density(model, cos_scan.estimates,
                                               kinetic_bound=bound)
         log.info("step %d: %d Newton steps, gap %.3g, multiplier %.6g",

@@ -180,8 +180,8 @@ class LatticeFactor:
         if factor.ndim != 2 or factor.shape[0] % 2 != 1 or not factor.shape[1]:
             raise ValueError(f"lattice factor has shape {factor.shape}, expected (L, K) "
                              f"with L odd and K >= 1")
-        if not np.all(np.isfinite(factor)):
-            raise FloatingPointError("lattice factor has non-finite entries")
+        if not (np.all(np.isfinite(factor)) and np.isfinite(self.spacing)):
+            raise FloatingPointError("lattice factor or spacing is not finite")
         object.__setattr__(self, "factor", factor)
         n = factor.shape[0]
         m = factor.conj() @ factor.T
@@ -193,7 +193,7 @@ class LatticeFactor:
         sums = terms.reshape(3, -1)[:, :n * (2 * n - 1)].reshape(3, n, 2 * n - 1).sum(axis=1)
         position, offsets = sums[0].copy(), sums[1] + 1j * sums[2]
         trace = float(np.sum(position))
-        if abs(trace - 1.0) > NORM_TOLERANCE:
+        if not abs(trace - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"lattice trace {trace!r} deviates from 1 beyond {NORM_TOLERANCE}")
         object.__setattr__(self, "position_sums", position)
         object.__setattr__(self, "offset_sums", offsets)
@@ -426,7 +426,7 @@ def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
         for i in fock:
             factor = ensembles[i].factor
             out[i] = np.sum((phi[:factor.shape[0]].T @ factor.view(np.float64)) ** 2, axis=1)
-    mass = float(np.min(np.sum(out, axis=1)) * h)
+    mass = float(np.min(np.sum(out, axis=1), initial=np.inf) * h)
     if mass < 0.999:
         raise GridCoverageError(
             f"grid [{grid[0]:g}, {grid[-1]:g}] captures only {mass:.6f} of the state"

@@ -1,4 +1,4 @@
-"""Measurement pipeline: Fourier-component scans, widths, carrier Rabi flops.
+"""Measurement pipeline: Fourier-component scans, widths, the kinetic bound, Rabi flops.
 
 A probe pulse of strength k applies U_p = exp(-i k G sigma_x / 2) where G
 is the position quadrature (axis 'x') or the momentum quadrature q_hat
@@ -24,6 +24,10 @@ eta) and process, from the SVD of G's bidiagonal block between even and odd
 Fock levels: the x probe, the p probe and an all_order walk's displacement
 differ only in the gauge, so they share it.
 
+The kinetic bound BOUND_INFLATION (w / 2)^2 on <pi^2> comes from a momentum
+scan's curvature width w (estimate_kinetic_bound). The phonon fit runs on
+reconstruct's barrier solver; reconstruct imports nothing from the package.
+
 The probe always attaches a single effective spin: for two-ion ensembles
 the collective pulse conjugates each ion's sigma_z exactly as in the
 single-ion case, so the measured observable is identical.
@@ -39,12 +43,14 @@ from numpy.random import SeedSequence, default_rng
 from . import dynamics
 from .dynamics import FidelityModel
 from .fock import HilbertParams, MotionalEnsemble
+from .reconstruct import _barrier_newton
 
 DEFAULT_K_MAX = 3.0
 DEFAULT_K_POINTS = 61
 DEFAULT_SHOTS = 250
 FIT_WINDOW_FLOOR = 0.6
 FIT_MIN_POINTS = 5
+BOUND_INFLATION = 1.1
 
 _SPIN_PREP = {
     "plus_z": np.array([1.0, 0.0], dtype=complex),
@@ -72,9 +78,9 @@ class ProbeScan:
         est = np.asarray(self.estimates, dtype=float)
         if k.shape != est.shape:
             raise ValueError("k and estimates must have identical shapes")
-        if np.any(k < 0) or np.any(np.diff(k) <= 0):
-            raise ValueError("k values must be nonnegative and strictly increasing")
-        if np.any(np.abs(est) > 1.0 + 1e-12):
+        if not (np.all(np.isfinite(k) & (k >= 0)) and np.all(np.diff(k) > 0)):
+            raise ValueError("k values must be finite, nonnegative and strictly increasing")
+        if not np.all(np.abs(est) <= 1.0 + 1e-12):
             raise ValueError("estimates must lie in [-1, 1]")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "estimates", est)
@@ -100,7 +106,9 @@ class RabiScan:
         e = np.asarray(self.excitation, dtype=float)
         if t.shape != e.shape:
             raise ValueError("times and excitation must have identical shapes")
-        if np.any((e < -1e-12) | (e > 1.0 + 1e-12)):
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
+        if not np.all((e >= -1e-12) & (e <= 1.0 + 1e-12)):
             raise ValueError("excitation values must be probabilities")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "excitation", e)
@@ -224,6 +232,14 @@ def width_from_curvature(scan: ProbeScan) -> WidthEstimate:
                          fit_residual=resid, monotone=monotone)
 
 
+def estimate_kinetic_bound(p_scan: ProbeScan) -> float:
+    """<pi^2> bound from a momentum-axis scan, inflated by 10% for safety."""
+    if p_scan.axis != "p":
+        raise ValueError("kinetic bound requires a momentum-axis scan")
+    width = width_from_curvature(p_scan)
+    return BOUND_INFLATION * (width.w / 2.0) ** 2
+
+
 def carrier_rabi_scan(ensemble: MotionalEnsemble, times) -> RabiScan:
     """Exact excitation sum_n P_n sin^2(Omega_nn t / 2) on the carrier transition."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -244,7 +260,6 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
     every level. FitWindowError if the scan has fewer distinct times than
     populations.
     """
-    from .reconstruct import _barrier_newton   # reconstruct imports this module
     n_cap = params.motion_dim
     if expected_nbar is not None:
         n_cap = min(n_cap, int(np.ceil(2.0 * expected_nbar + 20.0)))

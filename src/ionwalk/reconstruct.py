@@ -47,11 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probe import ProbeScan, width_from_curvature
-
 KIND_LINEAR = "linear"
 KIND_X_DIAGONAL = "x_diagonal"
-BOUND_INFLATION = 1.1
 FEASIBILITY_TOL = 1e-6
 FISHER_TIEBREAK = 1e-8
 GAP_TARGET = 1e-12
@@ -157,14 +154,6 @@ class DensityEstimate:
     iterations: int
     gap: float
     multiplier: float = 0.0
-
-
-def estimate_kinetic_bound(p_scan: ProbeScan) -> float:
-    """<pi^2> bound from a momentum-axis scan, inflated by 10% for safety."""
-    if p_scan.axis != "p":
-        raise ValueError("kinetic bound requires a momentum-axis scan")
-    width = width_from_curvature(p_scan)
-    return BOUND_INFLATION * (width.w / 2.0) ** 2
 
 
 def _fisher_change(p: np.ndarray, dp: np.ndarray, spacing: float) -> float:
@@ -364,11 +353,15 @@ def reconstruct_density(model: ForwardModel, c_values, s_values=None,
         if s.shape != model.k.shape:
             raise ValueError("s_values must match the model's k grid")
         a, b = np.vstack([model.ccos, model.csin]), np.concatenate([c, s])
+    if not np.all(np.isfinite(b)):
+        raise ValueError("c_values and s_values must be finite")
 
     h = model.grid.spacing
     bound = None
     if kinetic_bound is not None:
         bound = 4.0 * float(kinetic_bound)
+        if not np.isfinite(bound):
+            raise ValueError(f"kinetic_bound must be finite, got {kinetic_bound!r}")
         if bound < minimum_fisher(model.grid) * (1.0 - 1e-9):
             raise InfeasibleBoundError(
                 f"Fisher bound {bound:.4g} below the grid minimum "

@@ -409,8 +409,8 @@ def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:
 
 # ---------------------------------------------------------------- summaries
 
-def _second_moment(obj, axis: str) -> float:
-    """<x_hat^2> (axis 'x') or <q_hat^2> (axis 'p') of a SpinMotionState or MotionalEnsemble.
+def second_moment(obj, axis: str) -> float:
+    """<x_hat^2> (axis 'x') or <q_hat^2> = 4 <pi_hat^2> (axis 'p') of a state or ensemble.
 
     From its lattice factor if it has one (the untruncated state's, in closed
     form), else ||Q R||_F^2 over its motional rows R, with rho_motion =
@@ -422,29 +422,19 @@ def _second_moment(obj, axis: str) -> float:
     return float(np.sum(np.abs(apply_quadrature(rows, axis)) ** 2))
 
 
-def second_moment_x(obj) -> float:
-    """<x_hat^2> of a SpinMotionState or MotionalEnsemble."""
-    return _second_moment(obj, "x")
-
-
-def second_moment_q(obj) -> float:
-    """<q_hat^2> with q_hat = 2*pi_hat (ground state gives 1)."""
-    return _second_moment(obj, "p")
-
-
 def width_x(obj) -> float:
     """Root-mean-square position in ground-state widths."""
-    return float(np.sqrt(second_moment_x(obj)))
+    return float(np.sqrt(second_moment(obj, "x")))
 
 
 def width_p(obj) -> float:
     """Root-mean-square momentum in ground-state momentum widths."""
-    return float(np.sqrt(second_moment_q(obj)))
+    return float(np.sqrt(second_moment(obj, "p")))
 
 
 def mean_phonon(obj) -> float:
     """<n> = (<x^2> + <q^2> - 2) / 4."""
-    return 0.25 * (second_moment_x(obj) + second_moment_q(obj) - 2.0)
+    return 0.25 * (second_moment(obj, "x") + second_moment(obj, "p") - 2.0)
 
 
 def classical_width_reference(n_steps: int, step_size: float) -> float:

@@ -134,7 +134,7 @@ def test_criterion_08_reconstruction_round_trip():
         c_vals = probe.scan_observable(ens, "plus_z", ks, model=FidelityModel.ALL_ORDER)
         p_scan = probe.exact_scan(ens, "plus_z", ks, axis="p",
                                   model=FidelityModel.ALL_ORDER)
-        bound = rec.estimate_kinetic_bound(p_scan)
+        bound = probe.estimate_kinetic_bound(p_scan)
         g = rec.PositionGrid.symmetric(2.0 * n_steps + 6.0, 0.1)
         truth_n = exact_position_density(ens, g.points)
         tvs = {}

@@ -388,6 +388,9 @@ def test_lattice_factor_is_validated_on_construction():
             LatticeFactor(bad, 2.0)
     with pytest.raises(FloatingPointError):
         LatticeFactor(np.full((5, 2), np.nan), 2.0)
+    for spacing in (np.nan, np.inf):
+        with pytest.raises(FloatingPointError):
+            LatticeFactor(good, spacing)
     # a pure state's lattice factor has one column per spin branch
     p = HilbertParams(n_max=16)
     with pytest.raises(ValueError, match="expected one per spin branch"):

@@ -146,8 +146,20 @@ def test_width_requires_cosine_scan(ground64):
      "times and excitation must have identical shapes"),
     (lambda ens: probe.RabiScan(times=np.zeros(1), excitation=np.array([1.5])),
      "excitation values must be probabilities"),
+    # NaN and inf must fail here, not later inside the phonon fit's solver
+    (lambda ens: probe.ProbeScan(axis="x", spin_prep="plus_z", k=np.array([0.0, 1.0]),
+                                 estimates=np.array([1.0, np.nan]), shots=None),
+     "estimates must lie in"),
+    (lambda ens: probe.ProbeScan(axis="x", spin_prep="plus_z", k=np.array([0.0, np.inf]),
+                                 estimates=np.ones(2), shots=None), "k values must be finite"),
+    (lambda ens: probe.RabiScan(times=np.zeros(1), excitation=np.array([np.nan])),
+     "excitation values must be probabilities"),
+    (lambda ens: probe.RabiScan(times=np.array([np.nan]), excitation=np.zeros(1)),
+     "times must be finite"),
+    (lambda ens: probe.RabiScan(times=np.array([np.inf]), excitation=np.zeros(1)),
+     "times must be finite"),
 ], ids=["spin_prep", "axis", "no_shots", "flat_scan", "scan_shapes", "rabi_shapes",
-        "rabi_probability"])
+        "rabi_probability", "nan_estimate", "inf_k", "nan_excitation", "nan_time", "inf_time"])
 def test_input_checks(ground64, call, message):
     with pytest.raises(ValueError, match=message):
         call(ground64)

@@ -46,7 +46,15 @@ def test_grid_construction():
     (lambda m: rec.reconstruct_density(
         rec.build_forward_model(m.k, rec.PositionGrid(np.linspace(-1.0, 3.0, 41))),
         np.ones(m.k.size)), "even reconstruction needs a symmetric grid"),
-], ids=["uneven_grid", "c_values", "s_values", "asymmetric_even"])
+    (lambda m: rec.reconstruct_density(m, np.full(m.k.size, np.nan)), "must be finite"),
+    (lambda m: rec.reconstruct_density(m, np.ones(m.k.size), np.full(m.k.size, np.nan)),
+     "must be finite"),
+    (lambda m: rec.reconstruct_density(m, np.ones(m.k.size), kinetic_bound=np.nan),
+     "kinetic_bound must be finite"),
+    (lambda m: rec.reconstruct_density(m, np.ones(m.k.size), kinetic_bound=np.inf),
+     "kinetic_bound must be finite"),
+], ids=["uneven_grid", "c_values", "s_values", "asymmetric_even", "nan_c_values",
+        "nan_s_values", "nan_bound", "inf_bound"])
 def test_input_checks(ground_setup, call, message):
     with pytest.raises(ValueError, match=message):
         call(ground_setup[2])
@@ -118,10 +126,10 @@ def test_fisher_floor_keeps_value_finite():
 def test_kinetic_bound_ground(ground64):
     ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     scan = probe.exact_scan(ground64, "plus_z", ks, axis="p")
-    bound = rec.estimate_kinetic_bound(scan)
+    bound = probe.estimate_kinetic_bound(scan)
     assert abs(bound - 0.275) < 1e-6
     with pytest.raises(ValueError):
-        rec.estimate_kinetic_bound(probe.exact_scan(ground64, "plus_z", ks, axis="x"))
+        probe.estimate_kinetic_bound(probe.exact_scan(ground64, "plus_z", ks, axis="x"))
 
 
 def test_kinetic_bound_walk_states_constant():
@@ -130,7 +138,7 @@ def test_kinetic_bound_walk_states_constant():
     ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     for n in range(5):
         ens = walk.snapshot_ensemble(result, n)
-        bound = rec.estimate_kinetic_bound(probe.exact_scan(ens, "plus_z", ks, axis="p"))
+        bound = probe.estimate_kinetic_bound(probe.exact_scan(ens, "plus_z", ks, axis="p"))
         assert abs(bound - 0.275) < 1e-6
 
 
@@ -139,7 +147,7 @@ def test_kinetic_bound_momentum_displaced_state():
     ens = MotionalEnsemble(p, coherent_state(1.0j, p)[:, None])
     ks = np.linspace(0.0, probe.DEFAULT_K_MAX, probe.DEFAULT_K_POINTS)
     scan = probe.exact_scan(ens, "plus_z", ks, axis="p")
-    bound = rec.estimate_kinetic_bound(scan)
+    bound = probe.estimate_kinetic_bound(scan)
     # true <pi^2> = 1.25; the curvature estimate carries a small window bias
     assert abs(bound / 1.1 - 1.25) < 0.04
 
@@ -221,7 +229,7 @@ def test_noise_robustness_ground(ground_setup, ground64):
         scan = probe.simulate_scan(ground64, "plus_z", ks, shots=250, seed=seed)
         p_scan = probe.simulate_scan(ground64, "plus_z", ks, axis="p",
                                      shots=250, seed=1000 + seed)
-        bound = rec.estimate_kinetic_bound(p_scan)
+        bound = probe.estimate_kinetic_bound(p_scan)
         est = rec.reconstruct_density(model, scan.estimates, kinetic_bound=bound)
         assert est.fisher <= 4 * bound + 1e-6
         assert np.all(est.density >= 0)

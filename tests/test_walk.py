@@ -281,7 +281,7 @@ def test_classical_walk_matches_binomial_second_moment():
     cfg = walk.WalkConfig(n_steps=6, params=HilbertParams(n_max=128))
     result = walk.classical_walk(cfg)
     for n, snap in enumerate(result.snapshots):
-        assert abs(walk.second_moment_x(snap) - (4.0 * n + 1.0)) < 1e-10
+        assert abs(walk.second_moment(snap, "x") - (4.0 * n + 1.0)) < 1e-10
 
 
 def test_classical_walk_deterministic_and_thread_independent():
@@ -618,6 +618,13 @@ def test_lamb_dicke_densities_use_no_hermite_table(monkeypatch, n_ions):
         walk.snapshot_density(result, 3, grid)
 
 
+def test_empty_density_request_gives_no_rows():
+    grid = np.linspace(-5.0, 5.0, 101)
+    result = walk.quantum_walk(walk.WalkConfig(n_steps=1, params=HilbertParams(n_max=16)))
+    for rows in (fock.exact_position_densities([], grid), walk.snapshot_densities(result, [], grid)):
+        assert rows.shape == (0, grid.size)
+
+
 @pytest.mark.parametrize("n_ions", [1, 2])
 def test_lamb_dicke_walks_run_no_motional_eigensolve(n_ions, motional_cache):
     # the walks run on the lattice, and every snapshot kind they produce
@@ -680,11 +687,10 @@ def test_lattice_observables_match_fock_path(n_ions, n_steps, coin_phase):
             ensemble = walk.snapshot_ensemble(result, n)
             assert np.all(np.any(ensemble.factor, axis=0))          # no zero column
             fock_only = MotionalEnsemble(p, ensemble.factor)
-            for moment in (walk.second_moment_x, walk.second_moment_q):
-                want = moment(fock_only)
-                assert abs(moment(snap) / want - 1.0) < 1e-12
-                assert abs(moment(ensemble) / want - 1.0) < 1e-12
             for axis in ("x", "p"):
+                want = walk.second_moment(fock_only, axis)
+                assert abs(walk.second_moment(snap, axis) / want - 1.0) < 1e-12
+                assert abs(walk.second_moment(ensemble, axis) / want - 1.0) < 1e-12
                 for prep in ("plus_z", "plus_y"):
                     got = probe.scan_observable(ensemble, prep, k, axis)
                     want = probe.scan_observable(fock_only, prep, k, axis)
@@ -809,8 +815,8 @@ def test_factor_consumers_match_dense_rho(name):
     assert np.max(np.abs(exact_position_densities([ens], grid)[0] - dens)) < 1e-12
 
     x, pi = quadrature_operators(p)
-    assert abs(walk.second_moment_x(ens) - np.trace(rho @ x @ x).real) < 1e-12
-    assert abs(walk.second_moment_q(ens) - np.trace(rho @ (4.0 * pi @ pi)).real) < 1e-12
+    assert abs(walk.second_moment(ens, "x") - np.trace(rho @ x @ x).real) < 1e-12
+    assert abs(walk.second_moment(ens, "p") - np.trace(rho @ (4.0 * pi @ pi)).real) < 1e-12
 
     ks = np.linspace(0.0, 3.0, 7)
     m = p.motion_dim
