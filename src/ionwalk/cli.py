@@ -242,13 +242,14 @@ def load_config(path: str) -> dict:
 
 @dataclass(frozen=True)
 class _Run:
-    """A config resolved for one seed (wcfg.seed): everything a runner reads.
+    """A config resolved for one seed: everything a runner reads.
 
-    grid is the density or reconstruction grid (None where the experiment
-    has none); steps are the walk steps the experiment reports.
+    seed feeds the shot-noise scans; grid is the density or reconstruction grid
+    (None where the experiment has none); steps are the walk steps it reports.
     """
 
     experiment: str
+    seed: int
     wcfg: walk.WalkConfig
     scan: dict
     recon: dict
@@ -373,7 +374,7 @@ def _resolve(cfg: dict, seed: int) -> _Run:
         raise ConfigError(f"{name} would hold {entries:.3g} entries, above the limit of "
                           f"{MAX_ARRAY_ENTRIES} (hilbert.n_max {wcfg.params.n_max}, "
                           f"walk.n_steps {n}, scan.n_points {sc['n_points']})")
-    return _Run(experiment, wcfg, sc, rec, np.linspace(0.0, sc["k_max"], sc["n_points"]),
+    return _Run(experiment, seed, wcfg, sc, rec, np.linspace(0.0, sc["k_max"], sc["n_points"]),
                 grid, list(range(n + 1)) if steps is None else steps)
 
 
@@ -472,7 +473,7 @@ def _run_reverse(run: _Run, out: str) -> None:
 
 def _run_scan(run: _Run, out: str) -> None:
     ensemble = walk.snapshot_ensemble(walk.quantum_walk(run.wcfg), run.wcfg.n_steps)
-    scan = _scan(run, ensemble, run.scan["spin_prep"], run.scan["axis"], run.wcfg.seed)
+    scan = _scan(run, ensemble, run.scan["spin_prep"], run.scan["axis"], run.seed)
     shots = 0 if run.scan["noiseless"] else run.scan["shots"]
     write_csv(f"{out}_scan.csv", ["k", "estimate", "shots"],
               [scan.k, scan.estimates, np.full(scan.k.size, shots)])
@@ -485,10 +486,10 @@ def _run_reconstruct(run: _Run, out: str) -> None:
     diagnostics, x_cells = {}, _format_column(run.grid.points)
     for n in run.steps:
         ensemble = walk.snapshot_ensemble(result, n)
-        cos_scan = _scan(run, ensemble, "plus_z", "x", run.wcfg.seed + 7919 * (n + 1))
+        cos_scan = _scan(run, ensemble, "plus_z", "x", run.seed + 7919 * (n + 1))
         bound = None
         if run.recon["use_kinetic_bound"]:
-            p_scan = _scan(run, ensemble, "plus_z", "p", run.wcfg.seed + 104729 * (n + 1))
+            p_scan = _scan(run, ensemble, "plus_z", "p", run.seed + 104729 * (n + 1))
             bound = probe.estimate_kinetic_bound(p_scan)
         est = reconstruct.reconstruct_density(model, cos_scan.estimates,
                                               kinetic_bound=bound)

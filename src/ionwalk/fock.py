@@ -47,6 +47,12 @@ class GridCoverageError(ValueError):
     """Position grid does not cover the support of the state."""
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """ValueError unless value is an int or numpy integer (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be >= {minimum} and an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HilbertParams:
     """Truncation level, Lamb-Dicke parameter and ion count of the model."""
@@ -56,8 +62,8 @@ class HilbertParams:
     n_ions: int = 1
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        check_count("n_max", self.n_max, 1)
+        check_count("n_ions", self.n_ions, 1)
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
         if self.n_ions not in (1, 2):
@@ -392,7 +398,7 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
-    """Densities of several ensembles (row i: ensembles[i]) on a uniform grid.
+    """Densities of several ensembles (row i: ensembles[i]) on a uniform increasing grid.
 
     An ensemble with a lattice factor is read from its position_sums: real
     coherent states have <x|alpha_i><alpha_j|x> = G_ij N(x; (x_i + x_j)/2, 1)
@@ -408,8 +414,8 @@ def exact_position_densities(ensembles, grid: np.ndarray) -> np.ndarray:
     if grid.size < 2:
         raise ValueError("grid needs at least two points")
     h = grid[1] - grid[0]
-    if not np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * abs(h)):
-        raise ValueError("grid must be uniformly spaced")
+    if not (h > 0 and np.allclose(np.diff(grid), h, rtol=0, atol=1e-9 * h)):
+        raise ValueError("grid must be increasing and uniformly spaced")
     out = np.empty((len(ensembles), grid.size))
     gaussians, fock = {}, []
     for i, lattice in enumerate(ens.lattice for ens in ensembles):

@@ -42,7 +42,7 @@ from numpy.random import SeedSequence, default_rng
 
 from . import dynamics
 from .dynamics import FidelityModel
-from .fock import HilbertParams, MotionalEnsemble
+from .fock import HilbertParams, MotionalEnsemble, check_count
 from .reconstruct import _barrier_newton
 
 DEFAULT_K_MAX = 3.0
@@ -171,8 +171,7 @@ def simulate_scan(ensemble: MotionalEnsemble, spin_prep: str, k_grid,
     probability (1 + <O(k)>)/2 from its own generator spawned off the master
     seed, so the estimates do not depend on evaluation order.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_count("shots", shots, 1)
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     exact = scan_observable(ensemble, spin_prep, k_grid, axis, model)
     prob = np.clip(0.5 * (1.0 + exact), 0.0, 1.0)
@@ -262,6 +261,8 @@ def fit_mean_phonon(scan: RabiScan, params: HilbertParams,
     """
     n_cap = params.motion_dim
     if expected_nbar is not None:
+        if not 0.0 <= expected_nbar < np.inf:
+            raise ValueError("expected_nbar must be finite and >= 0")
         n_cap = min(n_cap, int(np.ceil(2.0 * expected_nbar + 20.0)))
     times = scan.times
     n_times = len(set(times.tolist()))

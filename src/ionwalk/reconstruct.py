@@ -65,7 +65,7 @@ class InfeasibleBoundError(ValueError):
 
 @dataclass(frozen=True)
 class PositionGrid:
-    """Uniform symmetric grid x_i in ground-state widths."""
+    """Uniform increasing grid x_i in ground-state widths."""
 
     points: np.ndarray
 
@@ -74,8 +74,8 @@ class PositionGrid:
         if pts.size < 5:
             raise ValueError("grid needs at least 5 points")
         h = pts[1] - pts[0]
-        if not np.allclose(np.diff(pts), h, rtol=0, atol=1e-9 * abs(h)):
-            raise ValueError("grid must be uniformly spaced")
+        if not (h > 0 and np.allclose(np.diff(pts), h, rtol=0, atol=1e-9 * h)):
+            raise ValueError("grid must be increasing and uniformly spaced")
         object.__setattr__(self, "points", pts)
 
     @classmethod

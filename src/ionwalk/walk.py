@@ -11,8 +11,8 @@ coin_phase shifts the coin axis away from that default.
 Every walk runs through one function, _walk, and its step loop, _steps, on
 a factor F of rho = F F^dagger (one column for a pure state), along one of
 two paths that differ only in how a pulse acts, how the truncation is
-checked and what a snapshot keeps. lamb_dicke walks run on the
-coherent-state lattice (_Lattice): real displacements compose with no
+checked and the spacing their snapshots are given. lamb_dicke walks run on
+the coherent-state lattice (_Lattice): real displacements compose with no
 phase and the coin acts on the spin alone, so F holds the coefficients of
 |s> (x) |alpha = j delta>, a displacement shifts them, the coin is
 dynamics.apply_propagator's with the motional factor 1, and no motional
@@ -24,17 +24,18 @@ is the exact limit of randomizing the laser phase at every step: after
 each step its factor is split into the S_z sectors of the spin, so it
 needs no trials, seed or threads.
 
-Snapshots (each path's snapshot) are states or ensembles either way. A
-lamb_dicke one, the initial one included, is given one copy of its state,
-its lattice factor (fock.LatticeFactor, the state untruncated), and every
-observable of it is read from there: the position densities
-(fock.exact_position_densities, through snapshot_densities), the second
-moments and widths here, and probe.scan_observable's lamb_dicke scans.
-They are those of the untruncated state, and differ from the truncated
-Fock state's by no more than the tail check allows. The factor builds its
-Fock amplitudes (or factor) only when read, by the fidelity, carrier Rabi
-scans and all_order probes; a walk reads none. all_order snapshots hold
-Fock states alone.
+_snapshot builds every snapshot and spin-recombined ensemble: it traces
+out the spin, drops an ensemble's zero branches and wraps the result as a
+Fock array or, given the lattice spacing, a fock.LatticeFactor. A
+lamb_dicke snapshot, the initial one included, is so given one copy of its
+state, untruncated, and every observable of it is read from there: the
+position densities (fock.exact_position_densities, through
+snapshot_densities), the second moments and widths here, and
+probe.scan_observable's lamb_dicke scans. They are those of the
+untruncated state, and differ from the truncated Fock state's by no more
+than the tail check allows. The factor builds its Fock amplitudes (or
+factor) only when read, by the fidelity, carrier Rabi scans and all_order
+probes; a walk reads none. all_order snapshots hold Fock states alone.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .fock import (
     MotionalEnsemble,
     SpinMotionState,
     apply_quadrature,
+    check_count,
     check_leak,
     check_tail,
     coherent_amplitudes,
@@ -72,9 +74,9 @@ class WalkConfig:
     step_size is the outermost displacement per step in ground-state widths:
     2.0 by default for one ion; for two ions it is the displacement of the
     |++>_x / |-->_x branches and defaults to 4.0 (same drive strength).
-    seed feeds the CLI's shot-noise scans; no walk reads it. trials is
-    ignored: the classical walk is exact. It stays only because
-    bench/workloads.py passes it and bench/tracing.py reads it.
+    seed and trials are ignored (the CLI's runners read their own seed, the
+    classical walk is exact); they stay only because bench/workloads.py
+    passes both and bench/tracing.py reads trials.
     """
 
     n_steps: int
@@ -87,8 +89,7 @@ class WalkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "model", FidelityModel(self.model))
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
+        check_count("n_steps", self.n_steps, 0)
         if self.step_size is None:
             object.__setattr__(self, "step_size", 2.0 * self.params.n_ions)
         if not 0.0 < self.step_size < np.inf:
@@ -157,6 +158,7 @@ class _FockPath:
     def __init__(self, config: WalkConfig):
         self.config = config
         self.params = config.params
+        self.spacing = None                        # its snapshots hold Fock arrays
         limit = 2.0 * float(np.sqrt(self.params.n_max))
         first = limit // config.step_size + 1      # a float: inf, not OverflowError, at a tiny step
         if first <= config.n_steps:
@@ -175,12 +177,6 @@ class _FockPath:
     def check(self, columns: np.ndarray, where: str = "") -> float:
         return check_tail(self.params, columns, where)
 
-    def snapshot(self, columns: np.ndarray, mixed: bool = False):
-        """The state of a one-column factor, or with mixed its spin-recombined ensemble."""
-        if mixed:
-            return _recombine(self.params, columns)
-        return SpinMotionState(self.params, columns[:, 0])
-
 
 class _Lattice:
     """Walk on the coherent-state lattice of the lamb_dicke model.
@@ -198,9 +194,10 @@ class _Lattice:
     def __init__(self, config: WalkConfig):
         self.config = config
         self.params = config.params
+        self.spacing = config.pulse_displacement
         self.reach = config.n_steps * config.params.n_ions
         sites = np.arange(-self.reach, self.reach + 1)
-        rows = coherent_amplitudes(0.5 * config.pulse_displacement * sites,
+        rows = coherent_amplitudes(0.5 * self.spacing * sites,
                                    self.params.n_max - tail_levels(self.params))
         self.kept = rows.T @ rows
 
@@ -236,22 +233,29 @@ class _Lattice:
         blocks = blocks.view(np.float64)
         return check_leak(self.params, 1.0 - float(np.sum(blocks * (self.kept @ blocks))), where)
 
-    def snapshot(self, columns: np.ndarray, mixed: bool = False):
-        """As _FockPath's, given its LatticeFactor alone (an ensemble's without zero branches)."""
-        branches = _branches(columns, self.params.spin_dim)
-        lattice = LatticeFactor(_nonzero(branches)[0] if mixed else branches,
-                                self.config.pulse_displacement)
-        return (MotionalEnsemble if mixed else SpinMotionState)(self.params, lattice=lattice)
 
+def _snapshot(params: HilbertParams, columns: np.ndarray, mixed: bool = False,
+              spacing: float | None = None):
+    """A one-column factor F's state, or with mixed its ensemble Tr_spin(F F^dagger).
 
-def _branches(columns: np.ndarray, spin_dim: int) -> np.ndarray:
-    """(spin_dim * rows, K) spin-resolved columns as (rows, K * spin_dim).
-
-    Column k's spin branch s becomes column k * spin_dim + s, so rho_motion =
-    Tr_spin(F F^dagger) is the product of the result with its adjoint.
+    Column k's spin branch s (a block of Fock levels or lattice sites) becomes
+    motional column k * spin_dim + s; an ensemble drops its zero-weight ones.
+    Given spacing, the result is given that branch matrix as its LatticeFactor
+    alone; else a state is given F's column, an ensemble the branches / ||F||.
     """
-    rows = columns.shape[0] // spin_dim
-    return columns.reshape(spin_dim, rows, -1).transpose(1, 2, 0).reshape(rows, -1)
+    if spacing is None and not mixed:
+        return SpinMotionState(params, columns[:, 0])
+    rows = columns.shape[0] // params.spin_dim
+    branches = columns.reshape(params.spin_dim, rows, -1).transpose(1, 2, 0).reshape(rows, -1)
+    if not mixed:
+        return SpinMotionState(params, lattice=LatticeFactor(branches, spacing))
+    weights = np.sum(np.abs(branches) ** 2, axis=0)
+    keep = weights > 0.0
+    if not keep.all():
+        branches, weights = branches[:, keep], weights[keep]
+    if spacing is not None:
+        return MotionalEnsemble(params, lattice=LatticeFactor(branches, spacing))
+    return MotionalEnsemble(params, branches / np.sqrt(np.sum(weights)))
 
 
 def _steps(path, columns: np.ndarray, n_steps: int, reverse: bool = False,
@@ -320,10 +324,10 @@ def _walk(config: WalkConfig, legs: tuple = (False,), dephase: bool = False) -> 
     columns = path.start(prepare_initial(p))
     if dephase:
         columns = _dephase(p, columns)
-    snapshots = [path.snapshot(columns, dephase)]
+    snapshots = [_snapshot(p, columns, dephase, path.spacing)]
     for back in legs:
         for columns in _steps(path, columns, config.n_steps, back, dephase):
-            snapshots.append(path.snapshot(columns, dephase))
+            snapshots.append(_snapshot(p, columns, dephase, path.spacing))
     return WalkResult(config, tuple(snapshots))
 
 
@@ -359,33 +363,15 @@ def recombine_spin(state: SpinMotionState) -> MotionalEnsemble:
     Models optical pumping of all spin populations into a single level with
     negligible motional disturbance: the motional state becomes the mixture
     of the spin-branch wavefunctions weighted by the branch populations.
-    A state with a lattice factor gives an ensemble of that factor alone,
-    less its zero branches; any other, one of its Fock factor (_recombine).
+    A lattice state with no zero branch gives an ensemble of its own factor;
+    any other state, the ensemble the walk's snapshot rule (_snapshot) builds.
     """
-    if state.lattice is None:
-        return _recombine(state.params, state.amplitudes[:, None])
-    lattice, branches = state.lattice, _nonzero(state.lattice.factor)[0]
-    if branches is not lattice.factor:
-        lattice = LatticeFactor(branches, lattice.spacing)
-    return MotionalEnsemble(state.params, lattice=lattice)
-
-
-def _nonzero(branches: np.ndarray) -> tuple:
-    """(branches less its zero-weight columns, their weights): one rule for lattice and Fock."""
-    weights = np.sum(np.abs(branches) ** 2, axis=0)
-    keep = weights > 0.0
-    return (branches, weights) if keep.all() else (branches[:, keep], weights[keep])
-
-
-def _recombine(params: HilbertParams, columns: np.ndarray) -> MotionalEnsemble:
-    """Motional ensemble Tr_spin(F F^dagger) of a (dim, K) Fock factor F = columns.
-
-    Column k's spin branch s becomes factor column k * spin_dim + s
-    (_branches); zero branches are dropped (_nonzero) and the factor is
-    trace-normalized once.
-    """
-    out, weights = _nonzero(_branches(columns, params.spin_dim))
-    return MotionalEnsemble(params, out / np.sqrt(np.sum(weights)))
+    lattice = state.lattice
+    if lattice is None:
+        return _snapshot(state.params, state.amplitudes[:, None], mixed=True)
+    if np.all(np.sum(np.abs(lattice.factor) ** 2, axis=0) > 0.0):
+        return MotionalEnsemble(state.params, lattice=lattice)
+    return _snapshot(state.params, lattice.factor.T.reshape(-1, 1), True, lattice.spacing)
 
 
 def classical_walk(config: WalkConfig, threads: int = 1) -> WalkResult:

@@ -29,6 +29,11 @@ def test_params_validation():
         HilbertParams(n_max=8, eta=1.0)
     with pytest.raises(ValueError):
         HilbertParams(n_max=8, n_ions=3)
+    # sizes that are not integers: a half-integer motion_dim, a float spin_dim
+    with pytest.raises(ValueError, match="n_max must be >= 1 and an integer"):
+        HilbertParams(n_max=1.5)
+    with pytest.raises(ValueError, match="n_ions must be >= 1 and an integer"):
+        HilbertParams(n_max=8, n_ions=1.0)
     p = HilbertParams(n_max=8, n_ions=2)
     assert p.dim == 4 * 9
 
@@ -38,6 +43,8 @@ def test_params_validation():
     (lambda p: fock_state(-1, p), r"Fock index -1 outside"),
     (lambda p: exact_position_densities([], np.array([0.0])), "at least two points"),
     (lambda p: exact_position_densities([], np.array([0.0, 0.1, 0.3])), "uniformly spaced"),
+    (lambda p: exact_position_densities([], np.linspace(10.0, -10.0, 201)),
+     "increasing and uniformly spaced"),
     (lambda p: SpinMotionState(p), "needs a Fock array or a lattice factor"),
     (lambda p: MotionalEnsemble(p), "needs a Fock array or a lattice factor"),
     (lambda p: SpinMotionState(p, np.kron([1.0, 0.0], fock_state(0, p)),
@@ -45,8 +52,9 @@ def test_params_validation():
     (lambda p: MotionalEnsemble(p, fock_state(0, p)[:, None], LatticeFactor(np.ones((1, 1)), 2.0)),
      "got both"),
     (lambda p: SpinMotionState(p, np.ones(p.dim - 1)), r"amplitude vector has shape \(17,\)"),
-], ids=["fock_above", "fock_below", "one_point", "uneven_grid", "state_of_nothing",
-        "ensemble_of_nothing", "state_of_both", "ensemble_of_both", "state_shape"])
+], ids=["fock_above", "fock_below", "one_point", "uneven_grid", "decreasing_grid",
+        "state_of_nothing", "ensemble_of_nothing", "state_of_both", "ensemble_of_both",
+        "state_shape"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call(HilbertParams(n_max=8))

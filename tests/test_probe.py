@@ -132,10 +132,17 @@ def test_width_requires_cosine_scan(ground64):
         probe.width_from_curvature(scan)
 
 
+def _rabi_scan():
+    return probe.RabiScan(times=np.linspace(0.0, 60.0, 40), excitation=np.zeros(40))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda ens: probe.scan_observable(ens, "minus_z", [0.0]), "spin_prep must be one of"),
     (lambda ens: probe.scan_observable(ens, "plus_z", [0.0], axis="q"), "axis must be 'x' or 'p'"),
     (lambda ens: probe.simulate_scan(ens, "plus_z", [0.0], shots=0), "shots must be >= 1"),
+    # 1.5 shots read 0.3333 at k = 0, where the exact value is 1
+    (lambda ens: probe.simulate_scan(ens, "plus_z", [0.0], shots=1.5),
+     "shots must be >= 1 and an integer"),
     (lambda ens: probe.width_from_curvature(probe.ProbeScan(
         axis="x", spin_prep="plus_z", k=np.linspace(0.0, 1.0, 6), estimates=np.ones(6),
         shots=None)), "scan does not decay over the fit window"),
@@ -158,8 +165,16 @@ def test_width_requires_cosine_scan(ground64):
      "times must be finite"),
     (lambda ens: probe.RabiScan(times=np.array([np.inf]), excitation=np.zeros(1)),
      "times must be finite"),
-], ids=["spin_prep", "axis", "no_shots", "flat_scan", "scan_shapes", "rabi_shapes",
-        "rabi_probability", "nan_estimate", "inf_k", "nan_excitation", "nan_time", "inf_time"])
+    # these sized the fitted levels, and failed there with numpy's errors
+    (lambda ens: probe.fit_mean_phonon(_rabi_scan(), ens.params, expected_nbar=np.nan),
+     "expected_nbar must be finite and >= 0"),
+    (lambda ens: probe.fit_mean_phonon(_rabi_scan(), ens.params, expected_nbar=np.inf),
+     "expected_nbar must be finite and >= 0"),
+    (lambda ens: probe.fit_mean_phonon(_rabi_scan(), ens.params, expected_nbar=-50.0),
+     "expected_nbar must be finite and >= 0"),
+], ids=["spin_prep", "axis", "no_shots", "fractional_shots", "flat_scan", "scan_shapes",
+        "rabi_shapes", "rabi_probability", "nan_estimate", "inf_k", "nan_excitation",
+        "nan_time", "inf_time", "nan_nbar", "inf_nbar", "negative_nbar"])
 def test_input_checks(ground64, call, message):
     with pytest.raises(ValueError, match=message):
         call(ground64)

@@ -41,6 +41,8 @@ def test_grid_construction():
 
 @pytest.mark.parametrize("call, message", [
     (lambda m: rec.PositionGrid(np.array([0.0, 0.1, 0.2, 0.3, 0.5])), "uniformly spaced"),
+    # a negative step gave a certified density that is <= 0 everywhere
+    (lambda m: rec.PositionGrid(np.linspace(10.0, -10.0, 201)), "increasing and uniformly spaced"),
     (lambda m: rec.reconstruct_density(m, np.ones(m.k.size - 1)), "c_values must match"),
     (lambda m: rec.reconstruct_density(m, np.ones(m.k.size), np.ones(2)), "s_values must match"),
     (lambda m: rec.reconstruct_density(
@@ -53,8 +55,8 @@ def test_grid_construction():
      "kinetic_bound must be finite"),
     (lambda m: rec.reconstruct_density(m, np.ones(m.k.size), kinetic_bound=np.inf),
      "kinetic_bound must be finite"),
-], ids=["uneven_grid", "c_values", "s_values", "asymmetric_even", "nan_c_values",
-        "nan_s_values", "nan_bound", "inf_bound"])
+], ids=["uneven_grid", "decreasing_grid", "c_values", "s_values", "asymmetric_even",
+        "nan_c_values", "nan_s_values", "nan_bound", "inf_bound"])
 def test_input_checks(ground_setup, call, message):
     with pytest.raises(ValueError, match=message):
         call(ground_setup[2])

@@ -67,6 +67,8 @@ def test_config_validation():
     p = HilbertParams(n_max=16)
     with pytest.raises(ValueError):
         walk.WalkConfig(n_steps=-1, params=p)
+    with pytest.raises(ValueError, match="n_steps must be >= 0 and an integer"):
+        walk.WalkConfig(n_steps=1.5, params=p)
     assert walk.WalkConfig(n_steps=1, params=p).step_size == 2.0
     p2 = HilbertParams(n_max=16, n_ions=2)
     assert walk.WalkConfig(n_steps=1, params=p2).step_size == 4.0
@@ -232,6 +234,15 @@ def test_recombine_keeps_every_nonzero_branch():
     branches[2, 0] = 1.0
     ens = walk.recombine_spin(SpinMotionState(p, lattice=fock.LatticeFactor(branches, 2.0)))
     assert ens.lattice.factor.shape == (5, 1) and ens.factor.shape == (p.motion_dim, 1)
+
+
+@pytest.mark.parametrize("n_ions", [1, 2])
+def test_recombine_spin_shares_a_lattice_with_no_zero_branch(n_ions):
+    # a lamb_dicke state with every spin branch nonzero gives an ensemble of
+    # its own LatticeFactor, so the lattice sums are not formed a second time
+    p = HilbertParams(n_max=walk.required_n_max(3, 2.0 * n_ions), n_ions=n_ions)
+    for snap in walk.quantum_walk(walk.WalkConfig(n_steps=3, params=p)).snapshots:
+        assert walk.recombine_spin(snap).lattice is snap.lattice
 
 
 def test_recombine_one_step_branches():
@@ -555,7 +566,7 @@ def test_lattice_walks_match_fock_path(n_ions, n_steps, step_size, coin_phase):
     grid = np.linspace(-extent, extent, int(20 * extent) + 1)
 
     def densities_match(result, factors):
-        oracle = exact_position_densities([walk._recombine(p, f) for f in factors],
+        oracle = exact_position_densities([walk._snapshot(p, f, mixed=True) for f in factors],
                                           grid)
         dens = walk.snapshot_densities(result, range(len(factors)), grid)
         assert np.max(np.abs(dens - oracle) / oracle.max(axis=1)[:, None]) < 1e-12
@@ -572,7 +583,7 @@ def test_lattice_walks_match_fock_path(n_ions, n_steps, step_size, coin_phase):
     densities_match(result, reference)
     result, reference = walk.classical_walk(cfg), _fock_walk(cfg, dephase=True)
     for snap, want in zip(result.snapshots, reference, strict=True):
-        want = walk._recombine(p, want)
+        want = walk._snapshot(p, want, mixed=True)
         assert snap.factor.shape == want.factor.shape
         assert np.max(np.abs(_dense_rho(snap) - _dense_rho(want))) < 1e-12
     densities_match(result, reference)
